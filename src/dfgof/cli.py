@@ -29,18 +29,20 @@ from .basis import make_basis
 from .errors import ConfigError, NumericalError
 from .fileio import load_points, load_sample, write_ecdf, write_process_dump, write_table, write_text_atomic
 from .harness import (
+    MODEL_KINDS,
     AlternativeSpec,
     Ecdf,
     ExperimentConfig,
+    bootstrap_residuals,
     ecdf_sup_distance,
-    pipeline_processes,
-    pipeline_records,
+    fixed_geometry,
+    residual_statistics,
     run_experiment,
     simulate_power,
 )
 from .model import build_model, fit
 from .process import DEFAULT_GRID, kolmogorov_cdf, limit_covariance
-from .seeding import rng_for, seed_sequence
+from .seeding import seed_sequence
 from .transport import generate_anchors, rescale_unit_cube, solve_assignment
 
 OUTPUT_DIR_ENV = "DFGOF_OUTPUT_DIR"
@@ -286,7 +288,7 @@ def _cmd_simulate(args) -> None:
         if args.plot_data:
             values = res.ecdf().sorted_values
             n = values.size
-            rows = ((v, kolmogorov_cdf(v), (i + 1) / n) for i, v in enumerate(values))
+            rows = zip(values, kolmogorov_cdf(values), np.arange(1, n + 1) / n)
             plot_path = outdir / f"plot_{design_id}.csv"
             write_table(plot_path, ["value", "kolmogorov_cdf", "level"], rows, delim)
             files.append(plot_path.name)
@@ -408,23 +410,15 @@ def _cmd_test(args) -> None:
     model = build_model(args.model, sample)
     observed_fit = fit(model, sample)
     anchors = _observed_anchors(args, sample)
-    observed = pipeline_records(model, sample, observed_fit, anchor_set=anchors, grid=args.grid)
-    observed_procs = pipeline_processes(model, sample, observed_fit, anchor_set=anchors, grid=args.grid)
+    geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors, grid=args.grid)
+    residuals = bootstrap_residuals(
+        model, sample, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
+    )
+    stats, observed_procs = residual_statistics(geometry, residuals)
     key = f"{args.process}.{args.statistic}"
+    observed = {k: float(v[0]) for k, v in stats.items()}
     observed_stat = observed[key]
-
-    null_mean = np.asarray(model.mean(observed_fit.theta_hat, sample.X), dtype=float)
-    boot_stats = np.empty(args.reps)
-    for b in range(args.reps):
-        rng = rng_for(args.seed, "bootstrap", b)
-        if args.error_law == "uniform":
-            eps = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=sample.n)
-        else:
-            eps = rng.standard_normal(sample.n)
-        boot_sample = type(sample)(sample.X, null_mean + eps)
-        boot_fit = fit(model, boot_sample)
-        record = pipeline_records(model, boot_sample, boot_fit, anchor_set=anchors, grid=args.grid)
-        boot_stats[b] = record[key]
+    boot_stats = stats[key][1:]
     pvalue = (1.0 + float(np.sum(boot_stats >= observed_stat))) / (args.reps + 1.0)
 
     outdir = _resolve_outdir(args)
@@ -490,7 +484,7 @@ def _cmd_limits(args) -> None:
     write_table(
         outdir / "kolmogorov_cdf.csv",
         ["x", "cdf"],
-        ((x, kolmogorov_cdf(x)) for x in xs),
+        zip(xs, kolmogorov_cdf(xs)),
         args.delimiter,
     )
     basis = make_basis(args.p, args.d)
@@ -554,13 +548,13 @@ def _build_parser() -> _Parser:
 
     fit_ = subs.add_parser("fit", help="fit a model to a data file")
     fit_.add_argument("data")
-    fit_.add_argument("--model", required=True)
+    fit_.add_argument("--model", required=True, choices=tuple(MODEL_KINDS))
     _add_common(fit_)
     fit_.set_defaults(handler=_cmd_fit)
 
     test = subs.add_parser("test", help="goodness-of-fit test on a data file")
     test.add_argument("data")
-    test.add_argument("--model", required=True)
+    test.add_argument("--model", required=True, choices=tuple(MODEL_KINDS))
     _add_common(test, seed_help="master seed (required)")
     test.add_argument("--reps", type=int, default=200, help="null replications for the p-value")
     test.add_argument("--statistic", default="ks_abs", choices=["ks_abs", "ks_plus", "cvm"])

@@ -10,6 +10,18 @@ Replications are independent: the RNG stream of replication i is derived
 from (seed, design id, variant tag, i), so results are bit-identical
 whatever the execution order or worker count.  Fit failures are counted
 and the replication is dropped; more than 1% failures aborts the run.
+
+The per-sample pipeline has two halves.  ``fixed_geometry`` holds all that
+is fixed given X and the fitted score span: scan order and scan points
+(for p >= 2 the rescale and the optimal assignment) and the score and
+reference sets.  The second half evaluates residuals on that geometry,
+building the reflection plan between the two sets once and applying it to
+one residual vector (``pipeline_processes``) or to every column of a
+matrix (``residual_statistics``).  A simulation
+replication draws a fresh X and runs both halves once; the
+``dfgof test`` bootstrap keeps X fixed, builds the geometry once and
+evaluates the observed residual and all bootstrap residuals together as
+the columns of one matrix (``bootstrap_residuals``).
 """
 
 from __future__ import annotations
@@ -25,7 +37,8 @@ import numpy as np
 from .basis import make_basis, sample_on_points
 from .errors import ConfigError, NumericalError, RankDeficiencyError, SingularMatrixError
 from .model import FitResult, RegressionModel, Sample, ascending_scan_order, build_model, fit, score_basis
-from .process import build_process, ks_statistics
+from .process import StepProcess, build_process, ks_statistics
+from .rotations import OrthonormalSet
 from .seeding import rng_for, seed_sequence
 from .transform import transform_residuals
 from .transport import AnchorSet, generate_anchors, rescale_unit_cube, solve_assignment, transported_points
@@ -55,6 +68,9 @@ ERROR_LAWS = ("normal", "uniform")
 STATISTICS = ("ks_abs", "ks_plus", "cvm")
 PROCESS_KINDS = ("transformed", "raw")
 MAX_FAILURE_FRACTION = 0.01
+# Residual columns whose processes are built together: bounds the
+# (evaluation points x columns) arrays whatever the number of columns.
+EVAL_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -196,13 +212,12 @@ def ecdf_sup_distance(a: Ecdf, b: Ecdf) -> float:
 
 
 def ecdf_vs_cdf_sup(ecdf: Ecdf, cdf) -> float:
-    """Exact sup distance between a step ECDF and a continuous CDF."""
+    """Exact sup distance between a step ECDF and a continuous CDF that
+    accepts an array of points."""
     n = ecdf.size
-    best = 0.0
-    for i, v in enumerate(ecdf.sorted_values, start=1):
-        c = cdf(v)
-        best = max(best, abs(i / n - c), abs((i - 1) / n - c))
-    return best
+    c = np.asarray(cdf(ecdf.sorted_values), dtype=float)
+    i = np.arange(1, n + 1)
+    return float(np.maximum(np.abs(i / n - c), np.abs((i - 1) / n - c)).max())
 
 
 def _sample_design(design_id: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -276,6 +291,128 @@ def _variant_tag(config: ExperimentConfig) -> str:
     return "null" if config.alternative is None else "alt"
 
 
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """What the residual evaluation of one sample needs that is fixed given
+    X and the fitted score span.
+
+    ``scan_order`` puts data rows in scan order (p = 1; None for p >= 2,
+    where data order is kept).  ``points`` scan the transformed process
+    (rank times, or the matched anchors) and ``raw_points`` the raw one
+    (rank times, or the rescaled covariates).
+    """
+
+    scan_order: np.ndarray | None
+    points: np.ndarray
+    raw_points: np.ndarray
+    score_set: OrthonormalSet
+    reference_set: OrthonormalSet
+    grid: int | None
+
+
+def fixed_geometry(
+    model: RegressionModel,
+    sample: Sample,
+    fitres: FitResult,
+    *,
+    anchor_set: AnchorSet | None = None,
+    grid: int | None = None,
+) -> Geometry:
+    """Scan geometry and score and reference sets of one fitted sample.
+
+    For p = 1 the scan runs over rank times; for p >= 2 an anchor set of
+    matching size is required and the covariates are matched to it by the
+    optimal assignment.  For linear model kinds nothing here depends on the
+    response, so one geometry serves every response drawn on the same X.
+    """
+    n, p = sample.n, sample.p
+    basis = make_basis(p, model.d)
+    if p == 1:
+        scan = ascending_scan_order(sample.X)
+        points = raw_points = np.arange(1, n + 1) / n
+        score_set = score_basis(model, fitres, sample, scan)
+    else:
+        if anchor_set is None:
+            raise ValueError("p >= 2 requires an anchor set")
+        scan = None
+        raw_points, _, _ = rescale_unit_cube(sample.X)
+        points = transported_points(solve_assignment(raw_points, anchor_set), anchor_set)
+        score_set = score_basis(model, fitres, sample)
+    reference_set = sample_on_points(basis, points)
+    return Geometry(scan, points, raw_points, score_set, reference_set, grid)
+
+
+def _scanned(geometry: Geometry, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transformed and raw residuals in scan order: one reflection plan maps
+    a vector or every column of a matrix."""
+    raw = residuals if geometry.scan_order is None else residuals[geometry.scan_order]
+    return transform_residuals(raw, geometry.score_set, geometry.reference_set).values, raw
+
+
+def _processes(geometry: Geometry, transformed: np.ndarray, raw: np.ndarray) -> dict[str, StepProcess]:
+    return {
+        "transformed": build_process(transformed, geometry.points, grid=geometry.grid),
+        "raw": build_process(raw, geometry.raw_points, grid=geometry.grid),
+    }
+
+
+def process_statistics(procs: dict[str, StepProcess]) -> dict[str, float | np.ndarray]:
+    """Every statistic of every process, keyed "{process}.{statistic}"."""
+    return {f"{kind}.{stat.name}": stat.value for kind, proc in procs.items() for stat in ks_statistics(proc)}
+
+
+def residual_statistics(
+    geometry: Geometry, residuals: np.ndarray
+) -> tuple[dict[str, np.ndarray], dict[str, StepProcess]]:
+    """Every statistic of every column of an (n, m) residual matrix, and the
+    processes of column 0.
+
+    One rotation maps the whole matrix; the processes are then built
+    EVAL_COLUMNS columns at a time, so that memory does not grow with the
+    number of lattice points times m.
+    """
+    transformed, raw = _scanned(geometry, residuals)
+    stats: dict[str, list[np.ndarray]] = {}
+    first = None
+    for start in range(0, residuals.shape[1], EVAL_COLUMNS):
+        cols = slice(start, start + EVAL_COLUMNS)
+        procs = _processes(geometry, transformed[:, cols], raw[:, cols])
+        if first is None:
+            first = {kind: proc.column(0) for kind, proc in procs.items()}
+        for key, values in process_statistics(procs).items():
+            stats.setdefault(key, []).append(values)
+        del procs  # keep one block of processes alive, not two
+    return {key: np.concatenate(parts) for key, parts in stats.items()}, first
+
+
+def bootstrap_residuals(
+    model: RegressionModel, sample: Sample, fitres: FitResult, *, seed: int, reps: int, error_law: str
+) -> np.ndarray:
+    """(n, reps + 1) residual matrix of a parametric bootstrap at the fitted
+    parameter on the observed X.
+
+    Column 0 holds the observed residuals.  Column b holds the least-squares
+    residuals of null_mean + eps_b, where eps_b is drawn from the stream
+    rng_for(seed, "bootstrap", b - 1); one least-squares solve fits all
+    bootstrap columns on the fixed design.  Linear model kinds only: their
+    design, and with it the geometry, does not change between replicates.
+    """
+    if not model.linear:
+        raise ConfigError(f"the bootstrap needs a linear model kind, got {model.kind!r}")
+    if error_law not in ERROR_LAWS:
+        raise ConfigError(f"unknown error law {error_law!r}; known: {ERROR_LAWS}")
+    out = np.empty((sample.n, reps + 1))
+    out[:, 0] = fitres.residuals
+    for b in range(reps):
+        out[:, b + 1] = _draw_errors(error_law, sample.n, rng_for(seed, "bootstrap", b))
+    boot = out[:, 1:]
+    boot += np.asarray(model.mean(fitres.theta_hat, sample.X), dtype=float)[:, None]
+    design = np.asarray(model.grad(fitres.theta_hat, sample.X), dtype=float)
+    theta, _, _, _ = np.linalg.lstsq(design, boot, rcond=None)
+    boot -= design @ theta
+    return out
+
+
 def pipeline_processes(
     model: RegressionModel,
     sample: Sample,
@@ -290,32 +427,8 @@ def pipeline_processes(
     matching size is required and the scan runs over the matched anchors
     (transformed) or the rescaled covariates (raw).
     """
-    n, p, d = sample.n, sample.p, model.d
-    basis = make_basis(p, d)
-    if p == 1:
-        scan = ascending_scan_order(sample.X)
-        times = np.arange(1, n + 1) / n
-        score_set = score_basis(model, fitres, sample, scan)
-        reference_set = sample_on_points(basis, times)
-        transformed = transform_residuals(
-            fitres.residuals[scan], score_set, reference_set, scan_order=scan, fit_converged=fitres.converged
-        )
-        proc_t = build_process(transformed.values, times)
-        proc_raw = build_process(fitres.residuals[scan], times)
-    else:
-        if anchor_set is None:
-            raise ValueError("p >= 2 requires an anchor set")
-        x01, _, _ = rescale_unit_cube(sample.X)
-        assignment = solve_assignment(x01, anchor_set)
-        t_points = transported_points(assignment, anchor_set)
-        score_set = score_basis(model, fitres, sample)
-        reference_set = sample_on_points(basis, t_points)
-        transformed = transform_residuals(
-            fitres.residuals, score_set, reference_set, fit_converged=fitres.converged
-        )
-        proc_t = build_process(transformed.values, t_points, grid=grid)
-        proc_raw = build_process(fitres.residuals, x01, grid=grid)
-    return {"transformed": proc_t, "raw": proc_raw}
+    geometry = fixed_geometry(model, sample, fitres, anchor_set=anchor_set, grid=grid)
+    return _processes(geometry, *_scanned(geometry, fitres.residuals))
 
 
 def pipeline_records(
@@ -330,10 +443,7 @@ def pipeline_records(
     """Statistics of the transformed and raw residual processes for one
     fitted sample."""
     procs = pipeline_processes(model, sample, fitres, anchor_set=anchor_set, grid=grid)
-    record: dict[str, float] = {}
-    for kind, proc in procs.items():
-        for stat in ks_statistics(proc):
-            record[f"{kind}.{stat.name}"] = stat.value
+    record = process_statistics(procs)
     proc_t = procs["transformed"]
     for i, t in enumerate(probe_times):
         idx = int(np.searchsorted(proc_t.eval_points[:, 0], t, side="right")) - 1

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RankDeficiencyError, SingularMatrixError
+from .errors import ConfigError, RankDeficiencyError, SingularMatrixError
 from .rotations import OrthonormalSet, gram_schmidt, inv_sqrt_spd
 
 LINEAR_KINDS = ("simple_linear", "centered_linear", "basis_linear", "bilinear2d")
@@ -142,7 +142,7 @@ def build_model(
         if sample is None:
             raise ValueError("bilinear2d requires a sample to bind the centering constants")
         if sample.p != 2:
-            raise ValueError(f"bilinear2d needs 2 covariate columns, sample has {sample.p}")
+            raise ConfigError(f"bilinear2d needs 2 covariate columns, the data have {sample.p}")
         c1 = float(sample.X[:, 0].mean())
         c2 = float(sample.X[:, 1].mean())
         c12 = float((sample.X[:, 0] * sample.X[:, 1]).mean())

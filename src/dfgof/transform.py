@@ -51,15 +51,17 @@ def transform_residuals(
 
     Builds the reflection chain between the two orthonormal sets and applies
     the direction carrying score_k -> ref_k.  ``residuals`` must be indexed
-    consistently with the vectors of both sets (i.e. already in scan order).
-    When the underlying fit did not converge the transform still runs but
-    the result is tagged unreliable.  ``studentize`` additionally divides by
-    the sample standard deviation of the input residuals (off by default:
-    the error variance is taken as known and equal to one).
+    consistently with the vectors of both sets (i.e. already in scan order);
+    it is one vector or an (n, m) matrix whose columns are mapped alike, so
+    that many residual vectors on one design share one chain.  When the
+    underlying fit did not converge the transform still runs but the result
+    is tagged unreliable.  ``studentize`` additionally divides each column
+    by the sample standard deviation of its input residuals (off by
+    default: the error variance is taken as known and equal to one).
     """
     residuals = np.asarray(residuals, dtype=float)
-    if residuals.ndim != 1:
-        raise ValueError(f"residuals must be 1-D, got shape {residuals.shape}")
+    if residuals.ndim not in (1, 2):
+        raise ValueError(f"residuals must be a vector or a matrix of columns, got shape {residuals.shape}")
     if residuals.shape[0] != score_set.length:
         raise ValueError(
             f"residual length {residuals.shape[0]} does not match basis length {score_set.length}"
@@ -69,7 +71,7 @@ def transform_residuals(
     plan = build_plan(score_set, reference_set).reversed()
     values = apply_plan(plan, residuals)
     if studentize:
-        values = values / np.std(residuals, ddof=1)
+        values = values / np.std(residuals, ddof=1, axis=0)
     return TransformedResiduals(
         values=values,
         plan=plan,

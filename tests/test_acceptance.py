@@ -49,6 +49,8 @@ from dfgof.transport import (
     transported_points,
 )
 
+pytestmark = pytest.mark.acceptance
+
 SEED_NULL_P1 = 20260808
 SEED_FIG3 = 30308
 SEED_COV = 50505

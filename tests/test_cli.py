@@ -181,6 +181,15 @@ class TestFitCommand:
         assert run(["fit", str(data), "--model", "simple_linear", "-o", str(tmp_path / "o")]) == 2
 
 
+def _bilinear_file(tmp_path):
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, size=(30, 2))
+    y = 1 + x[:, 0] + x[:, 1] + x[:, 0] * x[:, 1] + 0.1 * rng.standard_normal(30)
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(f"{a},{b},{c}" for (a, b), c in zip(x, y)) + "\n")
+    return data
+
+
 class TestTestCommand:
     def test_noiseless_linear_data_gives_pvalue_one(self, tmp_path, capsys):
         x = np.linspace(0.5, 2.0, 24)
@@ -205,11 +214,7 @@ class TestTestCommand:
         assert run(["test", str(data), "--model", "simple_linear", "-o", str(tmp_path / "o")]) == 1
 
     def test_two_dimensional_pipeline_runs(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, size=(30, 2))
-        y = 1 + x[:, 0] + x[:, 1] + x[:, 0] * x[:, 1] + 0.1 * rng.standard_normal(30)
-        data = tmp_path / "d.csv"
-        data.write_text("\n".join(f"{a},{b},{c}" for (a, b), c in zip(x, y)) + "\n")
+        data = _bilinear_file(tmp_path)
         out = tmp_path / "out"
         code = run(
             ["test", str(data), "--model", "bilinear2d", "--seed", "9", "--reps", "19", "--grid", "16", "-o", str(out)]
@@ -217,6 +222,38 @@ class TestTestCommand:
         assert code == 0
         summary = (out / "summary.txt").read_text()
         assert "pvalue:" in summary
+
+    def test_two_dimensional_bootstrap_solves_one_assignment(self, tmp_path, monkeypatch):
+        import dfgof.harness as harness
+
+        calls = []
+        solve = harness.solve_assignment
+
+        def counting(x, anchors):
+            calls.append(x.shape)
+            return solve(x, anchors)
+
+        monkeypatch.setattr(harness, "solve_assignment", counting)
+        argv = ["test", str(_bilinear_file(tmp_path)), "--model", "bilinear2d", "--seed", "9", "--reps", "19"]
+        assert run(argv + ["-o", str(tmp_path / "out")]) == 0
+        assert calls == [(30, 2)]
+
+    @pytest.mark.parametrize("command", ["test", "fit"])
+    def test_unknown_model_exits_one(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n2,4\n3,6\n4,8\n")
+        assert run([command, str(data), "--model", "foo", "--seed", "1", "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "foo" in err
+
+    @pytest.mark.parametrize("command", ["test", "fit"])
+    def test_model_needing_more_covariate_columns_exits_one(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(f"{a},{2 * a + 1}" for a in np.linspace(0, 1, 12)) + "\n")
+        argv = [command, str(data), "--model", "bilinear2d", "--seed", "1", "-o", str(tmp_path / "o")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "2 covariate columns" in err
 
 
 class TestAssignCommand:

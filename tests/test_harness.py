@@ -5,15 +5,25 @@ from hypothesis import strategies as st
 
 from dfgof.errors import ConfigError, NumericalError
 from dfgof.harness import (
+    STATISTICS,
     AlternativeSpec,
     Ecdf,
     ExperimentConfig,
+    _draw_errors,
+    bootstrap_residuals,
     covariate_design,
     ecdf_sup_distance,
+    ecdf_vs_cdf_sup,
+    fixed_geometry,
+    pipeline_records,
+    residual_statistics,
     run_experiment,
     simulate_null,
     simulate_power,
 )
+from dfgof.model import Sample, build_model, fit
+from dfgof.seeding import rng_for
+from dfgof.transport import generate_anchors
 
 
 def small_config(**kw):
@@ -100,6 +110,19 @@ class TestEcdf:
 
     def test_sup_distance_hand_case(self):
         assert ecdf_sup_distance(Ecdf(np.array([1.0, 3.0])), Ecdf(np.array([2.0, 4.0]))) == 0.5
+
+    def test_sup_distance_to_a_cdf_hand_case(self):
+        # steps 0 -> 1/2 -> 1 at 1/4 and 3/4 sit 1/4 from the uniform cdf at both jumps
+        assert ecdf_vs_cdf_sup(Ecdf(np.array([0.75, 0.25])), lambda x: x) == 0.25
+
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=30))
+    def test_sup_distance_to_a_cdf_matches_jump_by_jump_scan(self, xs):
+        ecdf = Ecdf(np.array(xs))
+        n = ecdf.size
+        scan = max(
+            max(abs(i / n - v), abs((i - 1) / n - v)) for i, v in enumerate(ecdf.sorted_values, start=1)
+        )
+        assert ecdf_vs_cdf_sup(ecdf, lambda x: x) == scan
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=30),
@@ -215,3 +238,68 @@ class TestSimulate:
         b = simulate_null(small_config(n=60, reps=300, seed=22, theta_true=(7.5,)))
         bound = 2.0 * 1.36 * np.sqrt(2.0 / 300)
         assert ecdf_sup_distance(a, b) < bound
+
+
+def _bootstrap_case(kind, n, seed):
+    """A null sample of a CLI model kind; tied_linear is centered_linear on
+    covariates with five distinct values."""
+    rng = np.random.default_rng(seed)
+    if kind == "bilinear2d":
+        x = covariate_design("beta_dep_a", n, seed=seed)
+    elif kind == "tied_linear":
+        x = rng.integers(0, 5, size=n).astype(float)
+    else:
+        x = rng.uniform(0.5, 2.0, size=n)
+    model_kind = "centered_linear" if kind == "tied_linear" else kind
+    probe = Sample(x, np.zeros(n))
+    model = build_model(model_kind, probe)
+    sample = Sample(x, model.mean(np.ones(model.d), probe.X) + rng.standard_normal(n))
+    anchors = generate_anchors(n, 2, "halton") if sample.p == 2 else None
+    return model, sample, anchors
+
+
+def _pvalue(boot, observed):
+    return (1.0 + np.sum(boot >= observed)) / (boot.size + 1.0)
+
+
+class TestBatchedBootstrap:
+    """One geometry and one residual matrix give what a refit per bootstrap
+    replicate gives."""
+
+    @pytest.mark.parametrize("law", ["normal", "uniform"])
+    @pytest.mark.parametrize("kind", ["simple_linear", "centered_linear", "tied_linear", "bilinear2d"])
+    def test_matches_refit_per_replicate(self, kind, law):
+        reps, seed = 30, 17
+        model, sample, anchors = _bootstrap_case(kind, 60, 4)
+        observed_fit = fit(model, sample)
+        geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
+        residuals = bootstrap_residuals(model, sample, observed_fit, seed=seed, reps=reps, error_law=law)
+        assert residuals.shape == (sample.n, reps + 1)
+        batch, first = residual_statistics(geometry, residuals)
+
+        null_mean = model.mean(observed_fit.theta_hat, sample.X)
+        records = [pipeline_records(model, sample, observed_fit, anchor_set=anchors)]
+        for b in range(reps):
+            eps = _draw_errors(law, sample.n, rng_for(seed, "bootstrap", b))
+            boot = Sample(sample.X, null_mean + eps)
+            records.append(pipeline_records(model, boot, fit(model, boot), anchor_set=anchors))
+
+        assert set(batch) == {f"{kind}.{stat}" for kind in ("transformed", "raw") for stat in STATISTICS}
+        for key, values in batch.items():
+            reference = np.array([record[key] for record in records])
+            scale = np.abs(reference)
+            if key.endswith("ks_plus"):
+                # a path that never rises above its start has a ks_plus of
+                # rounding size; rounding scales with the path's sup norm
+                sup = np.array([record[key.replace("ks_plus", "ks_abs")] for record in records])
+                scale = np.maximum(scale, sup)
+            assert np.all(np.abs(values - reference) <= 1e-12 * scale), key
+            assert _pvalue(values[1:], values[0]) == _pvalue(reference[1:], reference[0]), key
+        # the processes handed back for the dumps are those of the observed residuals
+        assert np.abs(first["transformed"].eval_values).max() == batch["transformed.ks_abs"][0]
+
+    def test_nonlinear_model_rejected(self):
+        model, sample, _ = _bootstrap_case("simple_linear", 30, 5)
+        custom = build_model("custom", mean=model.mean, grad=model.grad, d=1)
+        with pytest.raises(ConfigError, match="linear"):
+            bootstrap_residuals(custom, sample, fit(model, sample), seed=1, reps=3, error_law="normal")

@@ -51,6 +51,30 @@ class TestBuildProcess:
             direct = residuals[np.all(scan <= point, axis=1)].sum() / np.sqrt(n)
             assert proc.eval_values[idx] == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matrix_columns_match_vector_processes(self, p):
+        rng = np.random.default_rng(3)
+        n, m = 70, 5
+        scan = rng.uniform(0.0, 1.0, size=(n, p)) if p == 2 else np.arange(1, n + 1) / n
+        residuals = rng.standard_normal((n, m))
+        proc = build_process(residuals, scan, grid=9)
+        assert proc.eval_values.shape == (proc.eval_points.shape[0], m)
+        stats = {s.name: s for s in ks_statistics(proc)}
+        for j in range(m):
+            one = build_process(residuals[:, j], scan, grid=9)
+            assert np.allclose(proc.eval_points, one.eval_points)
+            assert np.allclose(proc.eval_values[:, j], one.eval_values, rtol=0.0, atol=1e-13)
+            assert np.array_equal(proc.column(j).eval_values, proc.eval_values[:, j])
+            for s in ks_statistics(one):
+                assert stats[s.name].value[j] == pytest.approx(s.value, rel=1e-12)
+                if s.argmax is not None:
+                    assert np.array_equal(stats[s.name].argmax[j], s.argmax)
+
+    def test_empty_bivariate_process(self):
+        proc = build_process(np.zeros(0), np.zeros((0, 2)), grid=4)
+        assert proc.contributions.shape == (0,)
+        assert np.array_equal(proc.eval_values, np.zeros(16))
+
     def test_grid_guard(self):
         with pytest.raises(ValueError, match="guard"):
             build_process(np.ones(2), np.array([[0.5, 0.5], [0.6, 0.6]]), grid=1500)
@@ -127,6 +151,26 @@ class TestKolmogorovCdf:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             kolmogorov_cdf(-0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            kolmogorov_cdf(np.array([0.5, np.nan]))
+
+    def test_array_form_matches_scalar_form(self):
+        grid = np.concatenate([np.linspace(0.0, 3.0, 601), [0.039, 0.04, 0.041, 8.0]])
+        values = kolmogorov_cdf(grid)
+        assert isinstance(values, np.ndarray) and values.shape == grid.shape
+        scalar = np.array([kolmogorov_cdf(float(x)) for x in grid])
+        assert isinstance(kolmogorov_cdf(1.0), float)
+        assert np.abs(values - scalar).max() <= 1e-15
+        assert kolmogorov_cdf(grid.reshape(5, 121)).shape == (5, 121)
+
+    def test_matches_scipy_kolmogorov_law(self):
+        from scipy.stats import kstwobign
+
+        grid = np.linspace(0.2, 3.0, 57)
+        # the series stops at terms below 1e-12, so K is off by at most 2e-12
+        assert np.abs(kolmogorov_cdf(grid) - kstwobign.cdf(grid)).max() < 3e-12
 
     def test_nondecreasing_on_grid(self):
         grid = np.linspace(0.0, 3.0, 1000)
