@@ -19,12 +19,6 @@ from .model import Sample
 from .process import StepProcess
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def write_text_atomic(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -40,9 +34,27 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def write_table(path, header: list[str], rows, delimiter: str = ",", footer: str | None = None) -> None:
+    """Header line, one line per row, optional footer line.
+
+    ``rows`` is any iterable of sequences, or a 2-D array.  Each row is
+    formatted by one %-format string, built once per distinct tuple of
+    value types.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    formats: dict[tuple, str] = {}
+    joiner = delimiter.replace("%", "%%")
     lines = [delimiter.join(header)]
     for row in rows:
-        lines.append(delimiter.join(_fmt(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            # %.17g for Python and numpy floats, str() for everything else
+            fmt = formats[kinds] = joiner.join(
+                "%.17g" if issubclass(k, (float, np.floating)) else "%s" for k in kinds
+            )
+        lines.append(fmt % row)
     if footer is not None:
         lines.append(footer)
     write_text_atomic(path, "\n".join(lines) + "\n")
@@ -51,15 +63,15 @@ def write_table(path, header: list[str], rows, delimiter: str = ",", footer: str
 def write_ecdf(path, ecdf: Ecdf, delimiter: str = ",") -> None:
     """Columns: statistic value, ECDF level."""
     n = ecdf.size
-    rows = ((v, (i + 1) / n) for i, v in enumerate(ecdf.sorted_values))
-    write_table(path, ["value", "level"], rows, delimiter)
+    levels = np.arange(1, n + 1) / n
+    write_table(path, ["value", "level"], np.column_stack((ecdf.sorted_values, levels)), delimiter)
 
 
 def write_process_dump(path, proc: StepProcess, delimiter: str = ",") -> None:
     """Columns: evaluation point coordinates, process value."""
     p = proc.eval_points.shape[1]
     header = [f"x{j + 1}" for j in range(p)] + ["value"]
-    rows = (tuple(pt) + (val,) for pt, val in zip(proc.eval_points, proc.eval_values))
+    rows = np.column_stack((proc.eval_points, proc.eval_values))
     write_table(path, header, rows, delimiter)
 
 

@@ -11,6 +11,10 @@ distribution, whatever the covariates were.
 Covariates are affinely rescaled per coordinate into [0,1]^p before
 matching; the rescale is monotone in every coordinate, so box indicators
 keep their meaning.
+
+scipy is imported inside the functions that solve assignments, so that
+importing the package (and every p = 1 run) does not pay for
+``scipy.optimize`` and ``scipy.spatial``.
 """
 
 from __future__ import annotations
@@ -20,10 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 BRUTE_FORCE_MAX = 8
+
+# problems up to this size are solved on the plain dense cost; larger ones
+# are warm-started from the duals of a problem a quarter of their size
+DENSE_MAX = 256
+
+# rows of cdist built at a time, so no second n x n matrix is ever held
+ROW_BLOCK = 64
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -108,34 +117,128 @@ def generate_anchors(n: int, p: int, mode: str = "halton", seed=None) -> AnchorS
     raise ValueError(f"unknown anchor mode {mode!r}")
 
 
-def _cost_matrix(x: np.ndarray, anchors: AnchorSet) -> np.ndarray:
+def _check_shapes(x: np.ndarray, anchors: AnchorSet) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.shape != anchors.points.shape:
         raise ValueError(f"covariates have shape {x.shape}, anchors {anchors.points.shape}")
-    cost = cdist(x, anchors.points)
+    return x
+
+
+def _check_finite(cost: np.ndarray) -> None:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
+
+
+def _cost_matrix(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
+    cost = cdist(x, a)
+    _check_finite(cost)
     return cost
 
 
-def _total_cost(cost: np.ndarray, sigma: np.ndarray) -> float:
+def _row_blocks(n: int):
+    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
+
+
+def _total_cost(distances: np.ndarray) -> float:
     # correctly-rounded exact sum of the matched distances, independent of
     # addend order: cost-tied assignments report bit-identical totals
-    return math.fsum(sorted(cost[np.arange(cost.shape[0]), sigma]))
+    return math.fsum(sorted(distances))
+
+
+def _matched_distances(x: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    # the same cdist entries a dense cost matrix holds at (i, sigma(i)),
+    # taken from ROW_BLOCK x ROW_BLOCK diagonal blocks
+    from scipy.spatial.distance import cdist
+
+    return np.concatenate(
+        [np.diagonal(cdist(x[b], a[sigma[b]])) for b in _row_blocks(x.shape[0])]
+    )
+
+
+def _assignment_duals(cost: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dual potentials (u, v) certifying the optimal assignment ``sigma``.
+
+    u_i + v_j <= cost_ij everywhere, with equality on i -> sigma(i).  v is
+    the shortest-path distance, from a virtual source joined to every
+    column by a zero edge, in the graph with an edge k -> j of weight
+    cost[r(k), j] - cost[r(k), k], where r(k) is the row matched to column
+    k.  Optimality of sigma means no negative cycle, so Bellman-Ford
+    converges within m sweeps; the cap only ends a -1e-16 "cycle" that
+    rounding can leave.
+    """
+    m = cost.shape[0]
+    rows = np.empty(m, dtype=np.intp)
+    rows[sigma] = np.arange(m)
+    matched = cost[rows, np.arange(m)]
+    weights = cost[rows] - matched[:, None]
+    v = np.zeros(m)
+    for _ in range(m):
+        relaxed = (v[:, None] + weights).min(axis=0)
+        if not np.any(relaxed < v):
+            break
+        v = relaxed
+    return (matched - v)[sigma], v
+
+
+def _reduced_cost(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Dense cost minus warm-start duals, as the one n x n matrix built.
+
+    Duals come from the optimal assignment of a coarse problem: m = n // 4
+    rows taken at an even stride (a file sorted by x1 still gives a
+    stratified sample) against the first m anchors (a Halton prefix is a
+    Halton net, and random anchors are i.i.d.; a stride would trap x1 in a
+    quarter of [0, 1]).  They extend to every anchor and then every row by
+    c-transforms, v_j = min_coarse i (c_ij - u_i), u_i = min_j (c_ij - v_j),
+    so every reduced entry is >= 0 and every row has a 0.
+    """
+    from scipy.spatial.distance import cdist
+
+    n = x.shape[0]
+    m = n // 4
+    xc = x[np.arange(m) * n // m]
+    ac = a[:m]
+    u, _ = _assignment_duals(_cost_matrix(xc, ac), _solve(xc, ac))
+    v = np.full(n, np.inf)
+    for b in _row_blocks(m):
+        block = cdist(xc[b], a)
+        block -= u[b, None]
+        np.minimum(v, block.min(axis=0), out=v)
+    reduced = np.empty((n, n))
+    for b in _row_blocks(n):
+        block = cdist(x[b], a, out=reduced[b])
+        block -= v
+        block -= block.min(axis=1, keepdims=True)
+        _check_finite(block)
+    return reduced
+
+
+def _solve(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    from scipy.optimize import linear_sum_assignment
+
+    cost = _cost_matrix(x, a) if x.shape[0] <= DENSE_MAX else _reduced_cost(x, a)
+    return linear_sum_assignment(cost)[1]
 
 
 def solve_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
     """Exact minimizer of the total Euclidean matching cost.
 
-    Solved by a shortest-augmenting-path algorithm on the dense n x n cost
-    matrix (scipy's linear_sum_assignment).  Deterministic for fixed input;
-    among cost-ties the returned permutation is whatever the solver picks.
+    Solved by a shortest-augmenting-path algorithm on a dense n x n matrix
+    (scipy's linear_sum_assignment).  Above DENSE_MAX points the matrix is
+    the cost minus dual potentials from a coarse problem of n // 4 points,
+    solved the same way: for every permutation the duals add the same
+    constant, so the minimizer is unchanged and the solver's augmenting
+    paths are shorter.  Deterministic for fixed input; among cost-ties the
+    returned permutation is whatever the solver picks, and may differ
+    between the plain and the warm-started matrix.  The reported cost is
+    the correctly-rounded sum of the matched Euclidean distances.
     """
-    cost = _cost_matrix(x, anchors)
-    _, sigma = linear_sum_assignment(cost)
-    return Assignment(sigma=sigma, cost=_total_cost(cost, sigma))
+    x = _check_shapes(x, anchors)
+    sigma = _solve(x, anchors.points)
+    return Assignment(sigma=sigma, cost=_total_cost(_matched_distances(x, anchors.points, sigma)))
 
 
 def brute_force_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
@@ -143,7 +246,8 @@ def brute_force_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
 
     Ties are broken by the lexicographically smallest permutation.
     """
-    cost = _cost_matrix(x, anchors)
+    x = _check_shapes(x, anchors)
+    cost = _cost_matrix(x, anchors.points)
     n = cost.shape[0]
     if n > BRUTE_FORCE_MAX:
         raise ValueError(f"brute force is limited to n <= {BRUTE_FORCE_MAX}, got n={n}")
@@ -155,7 +259,7 @@ def brute_force_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
     best_sigma = None
     best_cost = np.inf
     for idx in np.flatnonzero(totals <= totals.min() + 1e-9):
-        c = _total_cost(cost, perms[idx])
+        c = _total_cost(cost[np.arange(n), perms[idx]])
         if c < best_cost:
             best_cost = c
             best_sigma = perms[idx]

@@ -297,3 +297,25 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_solvers_unloaded(self):
+        # scipy.optimize and scipy.spatial cost most of a CLI start-up and
+        # only the p >= 2 assignment needs them; they load on first use
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import dfgof
+
+        src = str(Path(dfgof.__file__).resolve().parent.parent)
+        probe = (
+            "import sys, dfgof.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.spatial'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
+from dfgof.harness import covariate_design
 from dfgof.transport import (
+    DENSE_MAX,
     AnchorSet,
+    _assignment_duals,
+    _reduced_cost,
     brute_force_assignment,
     generate_anchors,
     rescale_unit_cube,
@@ -10,6 +18,13 @@ from dfgof.transport import (
     transported_ecdf,
     transported_points,
 )
+
+
+def _dense_optimum(x, anchors):
+    """Plain linear_sum_assignment on the full cdist cost, as the reference."""
+    cost = cdist(x, anchors.points)
+    _, sigma = linear_sum_assignment(cost)
+    return sigma, math.fsum(sorted(cost[np.arange(len(sigma)), sigma]))
 
 
 class TestGenerateAnchors:
@@ -97,6 +112,80 @@ class TestSolveAssignment:
         anchors = generate_anchors(3, 1, "halton")
         with pytest.raises(ValueError):
             solve_assignment(np.array([[0.1], [0.2]]), anchors)
+
+
+class TestWarmStartedSolve:
+    """Above DENSE_MAX the dense solver runs on costs reduced by coarse duals."""
+
+    @pytest.mark.parametrize("n", [DENSE_MAX + 1, 600, 1100])
+    @pytest.mark.parametrize("design", ["beta_dep_a", "beta_indep"])
+    @pytest.mark.parametrize("mode", ["halton", "random"])
+    @pytest.mark.parametrize("order", ["iid", "x1_sorted"])
+    def test_same_permutation_and_cost_as_dense(self, n, design, mode, order):
+        x, _, _ = rescale_unit_cube(covariate_design(design, n, seed=n))
+        if order == "x1_sorted":
+            x = x[np.argsort(x[:, 0], kind="stable")]
+        anchors = generate_anchors(n, 2, mode, seed=n + 1)
+        sigma, cost = _dense_optimum(x, anchors)
+        out = solve_assignment(x, anchors)
+        assert np.array_equal(out.sigma, sigma)
+        assert out.cost == cost
+
+    def test_same_permutation_and_cost_as_dense_in_three_dimensions(self):
+        rng = np.random.default_rng(3)
+        x = rng.beta(2.0, 5.0, size=(600, 3))
+        anchors = generate_anchors(600, 3, "halton")
+        sigma, cost = _dense_optimum(x, anchors)
+        out = solve_assignment(x, anchors)
+        assert np.array_equal(out.sigma, sigma)
+        assert out.cost == cost
+
+    def test_duplicate_rows_reach_the_dense_optimum(self):
+        rng = np.random.default_rng(4)
+        x = np.repeat(rng.uniform(0.0, 1.0, size=(200, 2)), 3, axis=0)
+        anchors = generate_anchors(600, 2, "halton")
+        _, cost = _dense_optimum(x, anchors)
+        out = solve_assignment(x, anchors)
+        # tied rows may swap anchors; the total may not move
+        assert out.cost == pytest.approx(cost, abs=1e-12)
+        assert out.cost == pytest.approx(np.linalg.norm(x - anchors.points[out.sigma], axis=1).sum(), abs=1e-12)
+
+    def test_coarse_duals_are_feasible_and_tight_on_the_matching(self):
+        x, _, _ = rescale_unit_cube(covariate_design("beta_indep", 150, seed=9))
+        anchors = generate_anchors(150, 2, "halton")
+        cost = cdist(x, anchors.points)
+        _, sigma = linear_sum_assignment(cost)
+        u, v = _assignment_duals(cost, sigma)
+        reduced = cost - u[:, None] - v[None, :]
+        assert reduced.min() >= -1e-12
+        assert np.abs(reduced[np.arange(150), sigma]).max() <= 1e-12
+
+    def test_reduced_cost_is_nonnegative_with_a_zero_in_every_row(self):
+        x, _, _ = rescale_unit_cube(covariate_design("beta_dep_a", 400, seed=10))
+        anchors = generate_anchors(400, 2, "halton")
+        reduced = _reduced_cost(x, anchors.points)
+        assert reduced.shape == (400, 400)
+        assert reduced.min() == 0.0
+        assert np.all(reduced.min(axis=1) == 0.0)
+
+    def test_dual_sweep_terminates_on_all_equal_costs(self):
+        sigma = np.random.default_rng(5).permutation(40)
+        u, v = _assignment_duals(np.ones((40, 40)), sigma)
+        assert np.array_equal(u + v[sigma], np.ones(40))
+
+    def test_dual_sweep_is_capped_for_a_non_optimal_permutation(self):
+        # the swapped permutation leaves a negative cycle; the sweep count
+        # cap still ends the loop
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        u, v = _assignment_duals(cost, np.array([1, 0]))
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+
+    def test_non_finite_rejected_above_dense_max(self):
+        n = DENSE_MAX + 10
+        x = np.random.default_rng(6).uniform(0.0, 1.0, size=(n, 2))
+        x[n - 1, 0] = np.nan  # outside the strided coarse rows
+        with pytest.raises(ValueError, match="finite"):
+            solve_assignment(x, generate_anchors(n, 2, "halton"))
 
 
 class TestBruteForce:
