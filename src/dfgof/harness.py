@@ -298,8 +298,8 @@ class Geometry:
 
     ``scan_order`` puts data rows in scan order (p = 1; None for p >= 2,
     where data order is kept).  ``points`` scan the transformed process
-    (rank times, or the matched anchors) and ``raw_points`` the raw one
-    (rank times, or the rescaled covariates).
+    (empirical-CDF times, or the matched anchors) and ``raw_points`` the
+    raw one (the same times, or the rescaled covariates).
     """
 
     scan_order: np.ndarray | None
@@ -320,16 +320,20 @@ def fixed_geometry(
 ) -> Geometry:
     """Scan geometry and score and reference sets of one fitted sample.
 
-    For p = 1 the scan runs over rank times; for p >= 2 an anchor set of
-    matching size is required and the covariates are matched to it by the
-    optimal assignment.  For linear model kinds nothing here depends on the
+    For p = 1 the scan runs over the empirical-CDF times of the covariate
+    (i/n without ties); for p >= 2 an anchor set of matching size is
+    required and the covariates are matched to it by the optimal
+    assignment.  For linear model kinds nothing here depends on the
     response, so one geometry serves every response drawn on the same X.
     """
     n, p = sample.n, sample.p
     basis = make_basis(p, model.d)
     if p == 1:
         scan = ascending_scan_order(sample.X)
-        points = raw_points = np.arange(1, n + 1) / n
+        # empirical-CDF times: tied covariates share the time of their last
+        # copy, so the process and the reference set see no tie order
+        x_sorted = sample.X[scan, 0]
+        points = raw_points = np.searchsorted(x_sorted, x_sorted, side="right") / n
         score_set = score_basis(model, fitres, sample, scan)
     else:
         if anchor_set is None:
@@ -423,9 +427,9 @@ def pipeline_processes(
 ):
     """Transformed and raw residual processes for one fitted sample.
 
-    For p = 1 the scan runs over rank times; for p >= 2 an anchor set of
-    matching size is required and the scan runs over the matched anchors
-    (transformed) or the rescaled covariates (raw).
+    For p = 1 the scan runs over empirical-CDF times; for p >= 2 an anchor
+    set of matching size is required and the scan runs over the matched
+    anchors (transformed) or the rescaled covariates (raw).
     """
     geometry = fixed_geometry(model, sample, fitres, anchor_set=anchor_set, grid=grid)
     return _processes(geometry, *_scanned(geometry, fitres.residuals))

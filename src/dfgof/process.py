@@ -2,10 +2,14 @@
 
 The residual process at x is the sum of residual contributions whose scan
 point is componentwise <= x, scaled by 1/sqrt(n).  In one dimension the
-scan points are the rank times i/n and the process is evaluated exactly at
-t = 0 and every jump; in higher dimensions the supremum over the cube is
-approximated by evaluating at every scan point plus a regular lattice
-(its resolution is a config knob and is reported in outputs).
+scan points are the empirical-CDF times of the covariate (i/n without
+ties) and the process is evaluated exactly at t = 0 and every jump; in
+higher dimensions the supremum over the cube is approximated by evaluating
+at every scan point plus a regular lattice (its resolution is a config knob
+and is reported in outputs).  At p = 2 the values at the scan points come
+from a merge sweep over the points ordered by their second coordinate, in
+O(n log^2 n) time at worst and O(n) memory per residual column; p >= 3
+sums an n x n dominance mask in row blocks.
 
 A process may carry one residual vector or the m columns of an (n, m)
 residual matrix scanned by the same points; its contributions and
@@ -24,9 +28,11 @@ from .basis import ReferenceBasis
 
 DEFAULT_GRID = {2: 64, 3: 16}
 GRID_GUARD = 1_000_000
-# Scan-point rows per block of the p >= 2 dominance sums of a residual
-# matrix: numpy multiplies a boolean mask by a float copy of it, which is
-# then block x n rather than n x n.
+# Positions per brute-force leaf of the p = 2 dominance sweep (at most).
+DOMINANCE_LEAF = 16
+# Scan-point rows per block of the p >= 3 dominance sums: numpy multiplies a
+# boolean mask by a float copy of it, which is then block x n rather than
+# n x n.
 DOMINANCE_BLOCK = 64
 
 
@@ -91,25 +97,90 @@ def _lattice_values(scan: np.ndarray, contrib: np.ndarray, m: int) -> np.ndarray
     return box.reshape((m**p,) + contrib.shape[1:])
 
 
+def _planar_dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+    """Dominance sums of p = 2 scan points by a bottom-up merge sweep.
+
+    The points are put in positions ordered by (x2, x1); a point is then
+    dominated exactly by the points at earlier positions whose x1 rank is
+    <= its own, plus its exact duplicates at later positions.  The
+    positions are padded to leaf * 2**levels with zero contributions.
+    Leaves of at most DOMINANCE_LEAF positions are summed by brute force
+    in one batched product of their small masks.  Each merge level then
+    sorts every block by (x1 rank, half), left half first on equal ranks,
+    and one cumulative sum adds the block's left-half contributions to its
+    right-half points (Bentley 1980, multidimensional divide-and-conquer).
+    One stable sort of n keys per level, log2(n / DOMINANCE_LEAF) levels,
+    O(n) memory per residual column, and no BLAS call.
+    """
+    n = scan.shape[0]
+    if n == 0:
+        return np.zeros(contrib.shape)
+    cols = contrib.reshape(n, -1)
+    m = cols.shape[1]
+    x1, x2 = scan[:, 0], scan[:, 1]
+    by_x1 = np.argsort(x1, kind="stable")
+    ranked = x1[by_x1]
+    rank1 = np.empty(n, dtype=np.int64)  # equal values share a rank
+    rank1[by_x1] = np.cumsum(np.concatenate([[0], ranked[1:] != ranked[:-1]]))
+    order = by_x1[np.argsort(x2[by_x1], kind="stable")]
+
+    levels = ((n - 1) // DOMINANCE_LEAF).bit_length()
+    leaf = -(-n // (1 << levels))
+    size = leaf << levels
+    rank = np.zeros(size, dtype=np.int64)
+    rank[:n] = rank1[order]
+    padded = np.zeros((size, m))
+    padded[:n] = cols[order]
+    leaf_rank = rank.reshape(-1, leaf)
+    below = (leaf_rank[:, None, :] <= leaf_rank[:, :, None]) & np.tri(leaf, dtype=bool)
+    sums = np.einsum("bij,bjm->bim", below.astype(float), padded.reshape(-1, leaf, m)).reshape(size, m)
+
+    merged = np.arange(size)  # positions; each block of the level sorted by (rank, half)
+    stride = 2 * n  # above 2 * rank + 1 for every rank < n
+    half = leaf
+    while half < size:
+        halves = merged // half
+        key = (halves >> 1) * stride + 2 * rank[merged] + (halves & 1)
+        merged = merged[np.argsort(key, kind="stable")]
+        right = (merged // half) % 2 == 1
+        part = padded[merged]
+        part[right] = 0.0
+        part = np.cumsum(part.reshape(-1, 2 * half, m), axis=1).reshape(size, m)
+        sums[merged[right]] += part[right]
+        half *= 2
+
+    sums = sums[:n]
+    s1, s2 = x1[order], x2[order]
+    dup = (s1[1:] == s1[:-1]) & (s2[1:] == s2[:-1])
+    if dup.any():
+        # an exact duplicate takes the value of its last copy, which sees all copies
+        last = np.flatnonzero(~np.append(dup, False))
+        sums = sums[last[np.searchsorted(last, np.arange(n))]]
+    out = np.empty((n, m))
+    out[order] = sums
+    return out.reshape(contrib.shape)
+
+
 def _dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     """Process values at the scan points: at each point, the sum of the
     contributions whose scan point is componentwise <= it.
 
-    The boolean dominance mask is built one coordinate at a time, so no
-    (n, n, p) temporary is made.  A residual matrix is summed over row
-    blocks of the mask; a single residual vector keeps the one
-    matrix-vector product over the whole mask, whose rounding the
-    simulation outputs are pinned to.
+    ``contrib`` is a vector or an (n, m) matrix.  p = 2 runs the merge
+    sweep of ``_planar_dominance_sums``.  p >= 3, which no model kind
+    reaches, multiplies the boolean dominance mask by the contributions in
+    DOMINANCE_BLOCK row blocks; the mask is built one coordinate at a
+    time, so no (n, n, p) temporary is made.
     """
     n, p = scan.shape
-    block = max(n if contrib.ndim == 1 else DOMINANCE_BLOCK, 1)
+    if p == 2:
+        return _planar_dominance_sums(scan, contrib)
     out = np.empty(contrib.shape)
-    for start in range(0, n, block):
-        rows = scan[start : start + block]
+    for start in range(0, n, DOMINANCE_BLOCK):
+        rows = scan[start : start + DOMINANCE_BLOCK]
         mask = scan[None, :, 0] <= rows[:, None, 0]
         for j in range(1, p):
             mask &= scan[None, :, j] <= rows[:, None, j]
-        out[start : start + block] = mask @ contrib
+        out[start : start + DOMINANCE_BLOCK] = mask @ contrib
     return out
 
 

@@ -240,6 +240,26 @@ class TestSimulate:
         assert ecdf_sup_distance(a, b) < bound
 
 
+class TestTiedCovariates:
+    def test_statistics_do_not_depend_on_row_order(self):
+        # five distinct covariate values: every statistic must be the same
+        # whatever order the tied rows come in
+        rng = np.random.default_rng(12)
+        n = 200
+        x = rng.integers(0, 5, size=n).astype(float)
+        y = 1.0 + 0.5 * x + rng.standard_normal(n)
+        records = []
+        for k in range(4):
+            perm = np.random.default_rng(k).permutation(n)
+            sample = Sample(x[perm], y[perm])
+            model = build_model("centered_linear", sample)
+            records.append(pipeline_records(model, sample, fit(model, sample)))
+        assert set(records[0]) == {f"{kind}.{stat}" for kind in ("transformed", "raw") for stat in STATISTICS}
+        for key, value in records[0].items():
+            for other in records[1:]:
+                assert other[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+
+
 def _bootstrap_case(kind, n, seed):
     """A null sample of a CLI model kind; tied_linear is centered_linear on
     covariates with five distinct values."""

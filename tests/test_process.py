@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dfgof.basis import make_basis
-from dfgof.process import build_process, kolmogorov_cdf, ks_statistics, limit_covariance
+from dfgof.process import DOMINANCE_BLOCK, build_process, kolmogorov_cdf, ks_statistics, limit_covariance
 
 
 class TestBuildProcess:
@@ -90,6 +94,64 @@ class TestBuildProcess:
         proc_perm = build_process(residuals[perm], times[perm])
         assert np.allclose(proc.eval_points, proc_perm.eval_points)
         assert np.allclose(proc.eval_values, proc_perm.eval_values)
+
+
+def _brute_dominance(scan, contrib):
+    return np.all(scan[None] <= scan[:, None], -1) @ contrib
+
+
+def _assert_scan_values_match_brute_force(scan, residuals):
+    proc = build_process(residuals, scan, grid=3)
+    n = scan.shape[0]
+    expected = _brute_dominance(scan, proc.contributions)
+    got = proc.eval_values[:n]
+    assert got.shape == expected.shape
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+# sizes around the 16-position leaves and the merge levels above them
+EDGE_SIZES = [0, 1, 2, 15, 16, 17, 31, 33, 63, 65, 127, 129, 255, 257]
+
+
+class TestDominanceSums:
+    """Process values at the scan points against the brute-force dominance
+    mask, with ties in both coordinates and exact duplicate points."""
+
+    @given(
+        n=st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 300)),
+        levels=st.integers(1, 40),
+        width=st.sampled_from([None, 1, 3, 8]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_bivariate_sweep_matches_mask(self, n, levels, width, seed):
+        rng = np.random.default_rng(seed)
+        scan = rng.integers(0, levels, size=(n, 2)) / levels
+        residuals = rng.standard_normal(n if width is None else (n, width))
+        _assert_scan_values_match_brute_force(scan, residuals)
+
+    @pytest.mark.parametrize("width", [None, 4])
+    @pytest.mark.parametrize("levels", [None, 5])
+    def test_trivariate_blocks_match_mask(self, width, levels):
+        rng = np.random.default_rng(8)
+        n = 2 * DOMINANCE_BLOCK + 13
+        scan = rng.uniform(size=(n, 3)) if levels is None else rng.integers(0, levels, size=(n, 3)) / levels
+        residuals = rng.standard_normal(n if width is None else (n, width))
+        _assert_scan_values_match_brute_force(scan, residuals)
+
+    def test_bivariate_memory_is_linear_in_n(self):
+        # an n x n mask with its float copy would take n^2 * 9 bytes = 144 MB
+        rng = np.random.default_rng(4)
+        n = 4000
+        scan = rng.uniform(size=(n, 2))
+        residuals = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            build_process(residuals, scan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestKsStatistics:
