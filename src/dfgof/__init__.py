@@ -11,12 +11,10 @@ from .basis import ReferenceBasis, legendre_shifted, make_basis, sample_on_point
 from .errors import ConfigError, NumericalError, RankDeficiencyError, SingularMatrixError
 from .harness import (
     AlternativeSpec,
-    Ecdf,
     ExperimentConfig,
     ExperimentResult,
     PowerResult,
     covariate_design,
-    ecdf_sup_distance,
     pipeline_processes,
     pipeline_records,
     run_experiment,
@@ -34,7 +32,15 @@ from .model import (
     fit_linear,
     score_basis,
 )
-from .process import StatisticResult, StepProcess, build_process, kolmogorov_cdf, ks_statistics, limit_covariance
+from .process import (
+    Ecdf,
+    StepProcess,
+    build_process,
+    ecdf_sup_distance,
+    kolmogorov_cdf,
+    ks_statistics,
+    limit_covariance,
+)
 from .rotations import OrthonormalSet, RotationPlan, apply_plan, build_plan, gram_schmidt, inv_sqrt_spd, reflect
 from .transform import TransformedResiduals, transform_matrix, transform_residuals
 from .transport import (
@@ -44,7 +50,6 @@ from .transport import (
     generate_anchors,
     rescale_unit_cube,
     solve_assignment,
-    transported_ecdf,
     transported_points,
 )
 
@@ -68,7 +73,6 @@ __all__ = [
     "RotationPlan",
     "Sample",
     "SingularMatrixError",
-    "StatisticResult",
     "StepProcess",
     "TransformedResiduals",
     "apply_plan",
@@ -102,6 +106,5 @@ __all__ = [
     "solve_assignment",
     "transform_matrix",
     "transform_residuals",
-    "transported_ecdf",
     "transported_points",
 ]

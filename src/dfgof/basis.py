@@ -36,9 +36,13 @@ def _legendre_values(max_degree: int, u: np.ndarray) -> list[np.ndarray]:
     return values
 
 
-def _check_unit_interval(t: np.ndarray) -> None:
-    if t.size and (float(t.min()) < -1e-9 or float(t.max()) > 1.0 + 1e-9):
-        raise ValueError(f"points must lie in [0, 1], got range [{t.min()!r}, {t.max()!r}]")
+def check_unit_cube(name: str, values: np.ndarray, tol: float = 0.0) -> None:
+    """Raise ValueError unless every entry of ``values`` is finite and lies
+    in [-tol, 1 + tol]; the message names the input ``name``."""
+    if not np.all((values >= -tol) & (values <= 1.0 + tol)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} contain non-finite entries")
+        raise ValueError(f"{name} must lie in [0, 1], got range [{values.min()!r}, {values.max()!r}]")
 
 
 def legendre_shifted(k: int, t):
@@ -50,7 +54,7 @@ def legendre_shifted(k: int, t):
     if not 1 <= k <= MAX_INDEX:
         raise ValueError(f"index k must be in [1, {MAX_INDEX}], got {k}")
     t_arr = np.asarray(t, dtype=float)
-    _check_unit_interval(np.atleast_1d(t_arr))
+    check_unit_cube("points", np.atleast_1d(t_arr), tol=1e-9)
     m = k - 1
     u = 2.0 * t_arr - 1.0
     p = _legendre_values(m, np.atleast_1d(u))[m]
@@ -106,7 +110,7 @@ class ReferenceBasis:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] != self.p:
             raise ValueError(f"expected points of dimension {self.p}, got shape {pts.shape}")
-        _check_unit_interval(pts)
+        check_unit_cube("points", pts, tol=1e-9)
         return pts
 
     def evaluate_one(self, k: int, points) -> np.ndarray:
@@ -124,14 +128,6 @@ class ReferenceBasis:
         for j, m in enumerate(self.degrees[k]):
             out *= _cumulative_factor(m, pts[:, j])
         return out
-
-    @property
-    def funcs(self):
-        return tuple(lambda pts, k=k: self.evaluate_one(k, pts) for k in range(self.d))
-
-    @property
-    def cumulative(self):
-        return tuple(lambda pts, k=k: self.cumulative_one(k, pts) for k in range(self.d))
 
     def describe(self) -> str:
         degs = ";".join(",".join(str(m) for m in deg) for deg in self.degrees)

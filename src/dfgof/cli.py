@@ -29,21 +29,23 @@ from .basis import make_basis
 from .errors import ConfigError, NumericalError
 from .fileio import load_points, load_sample, write_ecdf, write_process_dump, write_table, write_text_atomic
 from .harness import (
+    ANCHOR_MODES,
+    ERROR_LAWS,
     MODEL_KINDS,
+    PROCESS_KINDS,
+    STATISTICS,
     AlternativeSpec,
-    Ecdf,
     ExperimentConfig,
     bootstrap_residuals,
-    ecdf_sup_distance,
+    fixed_anchors,
     fixed_geometry,
     residual_statistics,
     run_experiment,
     simulate_power,
 )
 from .model import build_model, fit
-from .process import DEFAULT_GRID, kolmogorov_cdf, limit_covariance
-from .seeding import seed_sequence
-from .transport import generate_anchors, rescale_unit_cube, solve_assignment
+from .process import DEFAULT_GRID, Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup, kolmogorov_cdf, limit_covariance
+from .transport import rescale_unit_cube, solve_assignment
 
 OUTPUT_DIR_ENV = "DFGOF_OUTPUT_DIR"
 
@@ -56,16 +58,13 @@ _EXPERIMENT_KEYS = (
     "statistic",
     "process",
     "anchors",
-    "resample_anchors",
-    "basis_d",
     "grid",
     "error_law",
     "theta_true",
     "probe_times",
 )
 _ALTERNATIVE_KEYS = ("psi", "amplitude", "local_scaling")
-_INT_KEYS = {"n", "reps", "seed", "basis_d", "grid"}
-_BOOL_KEYS = {"resample_anchors", "local_scaling"}
+_INT_KEYS = {"n", "reps", "seed", "grid"}
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -132,8 +131,6 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
             kwargs[key] = tuple(part.strip() for part in raw.split(",") if part.strip())
         elif key in _INT_KEYS:
             kwargs[key] = _parse_int(key, raw)
-        elif key in _BOOL_KEYS:
-            kwargs[key] = _parse_bool(key, raw)
         elif key in ("theta_true", "probe_times"):
             if raw.strip().lower() in ("", "auto"):
                 kwargs[key] = None if key == "theta_true" else ()
@@ -190,8 +187,6 @@ def echo_config(config: ExperimentConfig) -> str:
         f"statistic = {config.statistic}",
         f"process = {config.process}",
         f"anchors = {config.anchors}",
-        f"resample_anchors = {'true' if config.resample_anchors else 'false'}",
-        f"basis_d = {config.basis_d if config.basis_d is not None else config.d}",
         f"error_law = {config.error_law}",
     ]
     theta = config.theta_true if config.theta_true is not None else (1.0,) * config.d
@@ -301,6 +296,10 @@ def _cmd_simulate(args) -> None:
         lines.append(
             f"design {design_id}: reps={res.config.reps} failures={res.failures} elapsed={res.elapsed:.2f}s"
         )
+        if (config.p, config.d, config.process, config.statistic) == (1, 1, "transformed", "ks_abs"):
+            # one fitted parameter in one dimension: the limit law is Kolmogorov's K
+            dist = ecdf_vs_cdf_sup(res.ecdf(), kolmogorov_cdf)
+            lines.append(f"kolmogorov_sup {design_id}: {_fmt_float(dist)}")
     ids = list(results)
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
@@ -393,23 +392,13 @@ def _cmd_fit(args) -> None:
     print(f"converged = {result.converged} (iterations: {result.iterations})")
 
 
-def _observed_anchors(args, sample):
-    if sample.p < 2:
-        return None
-    if args.anchors == "random":
-        if args.seed is None:
-            raise ConfigError("random anchors require --seed")
-        return generate_anchors(sample.n, sample.p, "random", seed=seed_sequence(args.seed, "anchors"))
-    return generate_anchors(sample.n, sample.p, "halton")
-
-
 def _cmd_test(args) -> None:
     if args.seed is None:
         raise ConfigError("'test' requires --seed (Monte Carlo p-value must be reproducible)")
     sample = load_sample(args.data, args.delimiter)
     model = build_model(args.model, sample)
     observed_fit = fit(model, sample)
-    anchors = _observed_anchors(args, sample)
+    anchors = fixed_anchors(sample.n, sample.p, args.anchors, args.seed) if sample.p >= 2 else None
     geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors, grid=args.grid)
     residuals = bootstrap_residuals(
         model, sample, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
@@ -449,12 +438,7 @@ def _cmd_test(args) -> None:
 def _cmd_assign(args) -> None:
     raw = load_points(args.data, args.delimiter)
     points, lo, hi = rescale_unit_cube(raw)
-    if args.anchors == "random":
-        if args.seed is None:
-            raise ConfigError("random anchors require --seed")
-        anchors = generate_anchors(points.shape[0], points.shape[1], "random", seed=seed_sequence(args.seed, "anchors"))
-    else:
-        anchors = generate_anchors(points.shape[0], points.shape[1], "halton")
+    anchors = fixed_anchors(points.shape[0], points.shape[1], args.anchors, args.seed)
     assignment = solve_assignment(points, anchors)
     per_point = np.linalg.norm(points - anchors.points[assignment.sigma], axis=1)
     outdir = _resolve_outdir(args)
@@ -557,16 +541,16 @@ def _build_parser() -> _Parser:
     test.add_argument("--model", required=True, choices=tuple(MODEL_KINDS))
     _add_common(test, seed_help="master seed (required)")
     test.add_argument("--reps", type=int, default=200, help="null replications for the p-value")
-    test.add_argument("--statistic", default="ks_abs", choices=["ks_abs", "ks_plus", "cvm"])
-    test.add_argument("--process", default="transformed", choices=["transformed", "raw"])
-    test.add_argument("--anchors", default="halton", choices=["halton", "random"])
+    test.add_argument("--statistic", default="ks_abs", choices=STATISTICS)
+    test.add_argument("--process", default="transformed", choices=PROCESS_KINDS)
+    test.add_argument("--anchors", default="halton", choices=ANCHOR_MODES)
     test.add_argument("--grid", type=int, default=None)
-    test.add_argument("--error-law", default="normal", choices=["normal", "uniform"])
+    test.add_argument("--error-law", default="normal", choices=ERROR_LAWS)
     test.set_defaults(handler=_cmd_test)
 
     asg = subs.add_parser("assign", help="optimal transport matching of a covariate file")
     asg.add_argument("data")
-    asg.add_argument("--anchors", default="halton", choices=["halton", "random"])
+    asg.add_argument("--anchors", default="halton", choices=ANCHOR_MODES)
     _add_common(asg)
     asg.set_defaults(handler=_cmd_assign)
 

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .harness import Ecdf
 from .model import Sample
-from .process import StepProcess
+from .process import Ecdf, StepProcess
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 from .basis import make_basis, sample_on_points
 from .errors import ConfigError, NumericalError, RankDeficiencyError, SingularMatrixError
 from .model import FitResult, RegressionModel, Sample, ascending_scan_order, build_model, fit, score_basis
-from .process import StepProcess, build_process, ks_statistics
+from .process import Ecdf, StepProcess, build_process, ks_statistics
 from .rotations import OrthonormalSet
 from .seeding import rng_for, seed_sequence
 from .transform import transform_residuals
@@ -65,8 +65,9 @@ PSI_FUNCTIONS = {
 }
 
 ERROR_LAWS = ("normal", "uniform")
-STATISTICS = ("ks_abs", "ks_plus", "cvm")
+STATISTICS = ("ks_abs", "ks_plus")
 PROCESS_KINDS = ("transformed", "raw")
+ANCHOR_MODES = ("halton", "random")
 MAX_FAILURE_FRACTION = 0.01
 # Residual columns whose processes are built together: bounds the
 # (evaluation points x columns) arrays whatever the number of columns.
@@ -107,8 +108,6 @@ class ExperimentConfig:
     process: str = "transformed"
     alternative: AlternativeSpec | None = None
     anchors: str = "halton"
-    resample_anchors: bool = False
-    basis_d: int | None = None
     grid: int | None = None
     error_law: str = "normal"
     theta_true: tuple[float, ...] | None = None
@@ -137,14 +136,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown statistic {self.statistic!r}; known: {STATISTICS}")
         if self.process not in PROCESS_KINDS:
             raise ConfigError(f"unknown process kind {self.process!r}; known: {PROCESS_KINDS}")
-        if self.anchors not in ("halton", "random"):
-            raise ConfigError(f"unknown anchor mode {self.anchors!r}")
+        if self.anchors not in ANCHOR_MODES:
+            raise ConfigError(f"unknown anchor mode {self.anchors!r}; known: {ANCHOR_MODES}")
         if self.error_law not in ERROR_LAWS:
             raise ConfigError(f"unknown error law {self.error_law!r}; known: {ERROR_LAWS}")
-        if self.basis_d is not None and self.basis_d != d:
-            raise ConfigError(
-                f"basis_d={self.basis_d} must match the model's parameter count d={d}"
-            )
         if self.grid is not None and self.grid < 2:
             raise ConfigError(f"grid must be >= 2, got {self.grid}")
         if self.theta_true is not None:
@@ -160,7 +155,7 @@ class ExperimentConfig:
                     f"psi {self.alternative.psi!r} needs p={PSI_FUNCTIONS[self.alternative.psi]}, model has p={p}"
                 )
         probe = tuple(float(t) for t in self.probe_times)
-        if probe and (p != 1 or min(probe) < 0.0 or max(probe) > 1.0):
+        if probe and (p != 1 or not all(0.0 <= t <= 1.0 for t in probe)):
             raise ConfigError("probe_times require a 1-dimensional design and values in [0, 1]")
         object.__setattr__(self, "probe_times", probe)
 
@@ -174,50 +169,6 @@ class ExperimentConfig:
 
     def single(self, design_id: str) -> "ExperimentConfig":
         return replace(self, design=(design_id,))
-
-
-@dataclass(frozen=True, eq=False)
-class Ecdf:
-    """Empirical distribution of replication statistics."""
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self):
-        v = np.sort(np.asarray(self.sorted_values, dtype=float))
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("an Ecdf needs a non-empty 1-D value array")
-        object.__setattr__(self, "sorted_values", v)
-
-    @property
-    def size(self) -> int:
-        return self.sorted_values.size
-
-    def value_at(self, x: float) -> float:
-        return float(np.searchsorted(self.sorted_values, x, side="right")) / self.size
-
-    def quantile(self, q: float) -> float:
-        """Order-statistic quantile: the ceil(q * size)-th smallest value."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"q must be in (0, 1], got {q}")
-        k = min(max(int(math.ceil(q * self.size)), 1), self.size)
-        return float(self.sorted_values[k - 1])
-
-
-def ecdf_sup_distance(a: Ecdf, b: Ecdf) -> float:
-    """Exact two-sample Kolmogorov sup distance between step ECDFs."""
-    grid = np.concatenate([a.sorted_values, b.sorted_values])
-    fa = np.searchsorted(a.sorted_values, grid, side="right") / a.size
-    fb = np.searchsorted(b.sorted_values, grid, side="right") / b.size
-    return float(np.abs(fa - fb).max())
-
-
-def ecdf_vs_cdf_sup(ecdf: Ecdf, cdf) -> float:
-    """Exact sup distance between a step ECDF and a continuous CDF that
-    accepts an array of points."""
-    n = ecdf.size
-    c = np.asarray(cdf(ecdf.sorted_values), dtype=float)
-    i = np.arange(1, n + 1)
-    return float(np.maximum(np.abs(i / n - c), np.abs((i - 1) / n - c)).max())
 
 
 def _sample_design(design_id: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -269,18 +220,15 @@ def _psi_values(psi: str, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _fixed_anchors(n: int, p: int, mode: str, master_seed: int) -> AnchorSet:
+def fixed_anchors(n: int, p: int, mode: str, seed: int | None) -> AnchorSet:
+    """The anchor set shared by every sample of n points in dimension p: the
+    Halton net, or n uniform points drawn from the stream
+    seed_sequence(seed, "anchors") of the master seed."""
     if mode == "halton":
         return generate_anchors(n, p, "halton")
-    return generate_anchors(n, p, "random", seed=seed_sequence(master_seed, "anchors"))
-
-
-def _anchors_for(config: ExperimentConfig, rep_index: int) -> AnchorSet:
-    if config.resample_anchors and config.anchors == "random":
-        return generate_anchors(
-            config.n, config.p, "random", seed=seed_sequence(config.seed, "anchors", rep_index)
-        )
-    return _fixed_anchors(config.n, config.p, config.anchors, config.seed)
+    if seed is None:
+        raise ConfigError("random anchors require a seed (config key 'seed' or flag --seed)")
+    return generate_anchors(n, p, "random", seed=seed_sequence(seed, "anchors"))
 
 
 def _variant_tag(config: ExperimentConfig) -> str:
@@ -362,7 +310,7 @@ def _processes(geometry: Geometry, transformed: np.ndarray, raw: np.ndarray) -> 
 
 def process_statistics(procs: dict[str, StepProcess]) -> dict[str, float | np.ndarray]:
     """Every statistic of every process, keyed "{process}.{statistic}"."""
-    return {f"{kind}.{stat.name}": stat.value for kind, proc in procs.items() for stat in ks_statistics(proc)}
+    return {f"{kind}.{name}": value for kind, proc in procs.items() for name, value in ks_statistics(proc).items()}
 
 
 def residual_statistics(
@@ -483,7 +431,7 @@ def _replication(config: ExperimentConfig, design_id: str, index: int) -> dict[s
     if not fitres.converged:
         return None
 
-    anchor_set = _anchors_for(config, index) if config.p >= 2 else None
+    anchor_set = fixed_anchors(config.n, config.p, config.anchors, config.seed) if config.p >= 2 else None
     return pipeline_records(
         model, sample, fitres, anchor_set=anchor_set, grid=config.grid, probe_times=config.probe_times
     )
@@ -501,10 +449,6 @@ class ExperimentResult:
     columns: dict[str, np.ndarray]
     failures: int
     elapsed: float
-
-    @property
-    def reps_used(self) -> int:
-        return self.config.reps - self.failures
 
     def ecdf(self, process: str | None = None, statistic: str | None = None) -> Ecdf:
         process = process or self.config.process

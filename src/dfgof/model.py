@@ -15,14 +15,12 @@ state, so fits may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, RankDeficiencyError, SingularMatrixError
 from .rotations import OrthonormalSet, gram_schmidt, inv_sqrt_spd
-
-LINEAR_KINDS = ("simple_linear", "centered_linear", "basis_linear", "bilinear2d")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +85,6 @@ def build_model(
     kind: str,
     sample: Sample | None = None,
     *,
-    funcs: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
     mean: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     d: int | None = None,
@@ -121,21 +118,6 @@ def build_model(
             mean=lambda th, x, c=c: th[0] + th[1] * (x[:, 0] - c),
             grad=_grad,
             p=1,
-            linear=True,
-        )
-    if kind == "basis_linear":
-        if not funcs:
-            raise ValueError("basis_linear requires a non-empty list of basis functions")
-        funcs = tuple(funcs)
-
-        def _design(x, funcs=funcs):
-            return np.column_stack([np.asarray(f(x), dtype=float) for f in funcs])
-
-        return RegressionModel(
-            kind=kind,
-            d=len(funcs),
-            mean=lambda th, x: _design(x) @ th,
-            grad=lambda th, x: _design(x),
             linear=True,
         )
     if kind == "bilinear2d":

@@ -15,6 +15,10 @@ A process may carry one residual vector or the m columns of an (n, m)
 residual matrix scanned by the same points; its contributions and
 evaluation values then gain a trailing column axis, and every statistic
 becomes a length-m array.
+
+Replicated statistics are summarized by their empirical distribution
+(``Ecdf``), compared with each other or with a reference law such as
+``kolmogorov_cdf`` by exact sup distances.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ReferenceBasis
+from .basis import ReferenceBasis, check_unit_cube
 
 DEFAULT_GRID = {2: 64, 3: 16}
 GRID_GUARD = 1_000_000
@@ -49,12 +53,6 @@ class StepProcess:
     def p(self) -> int:
         return self.scan_points.shape[1]
 
-    def value_at(self, x) -> float:
-        """Process value at an arbitrary point (componentwise <=)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mask = np.all(self.scan_points <= x, axis=1)
-        return float(self.contributions[mask].sum())
-
     def column(self, j: int) -> "StepProcess":
         """The process of residual column j of a matrix process."""
         return StepProcess(
@@ -63,13 +61,6 @@ class StepProcess:
             eval_points=self.eval_points,
             eval_values=self.eval_values[:, j].copy(),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class StatisticResult:
-    name: str
-    value: float | np.ndarray  # (m,) for a matrix process
-    argmax: np.ndarray | None  # (p,), or (m, p)
 
 
 def _lattice(p: int, m: int) -> np.ndarray:
@@ -201,8 +192,7 @@ def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | No
         raise ValueError(
             f"residuals (shape {residuals.shape}) and scan points (shape {scan.shape}) do not match"
         )
-    if scan.size and (scan.min() < 0.0 or scan.max() > 1.0):
-        raise ValueError("scan points must lie in [0, 1]^p")
+    check_unit_cube("scan points", scan)
     n, p = scan.shape
     contrib = residuals / math.sqrt(n)
 
@@ -233,32 +223,20 @@ def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | No
     )
 
 
-def ks_statistics(proc: StepProcess) -> list[StatisticResult]:
-    """Kolmogorov-Smirnov style statistics of the evaluated process.
+def ks_statistics(proc: StepProcess) -> dict[str, float | np.ndarray]:
+    """Kolmogorov-Smirnov style statistics of the evaluated process:
+    ks_abs = max |value| and ks_plus = max value over the evaluation points.
 
-    ks_abs = max |value|, ks_plus = max value, cvm = mean of squared values
-    over the evaluation points (a discrete quadratic surrogate, reported as
-    engineering plumbing).  The evaluation point attaining each maximum is
-    recorded.  For a matrix process each value is a length-m array, one
-    entry per residual column, and each argmax an (m, p) array.
+    For a matrix process each statistic is a length-m array, one entry per
+    residual column.
     """
     values = proc.eval_values
     if values.shape[0] == 0:
         raise ValueError("process has an empty evaluation set")
-    size = np.abs(values)
-    i_abs = np.argmax(size, axis=0)
-    i_plus = np.argmax(values, axis=0)
-    cvm = np.mean(values**2, axis=0)
+    stats = {"ks_abs": np.abs(values).max(axis=0), "ks_plus": values.max(axis=0)}
     if values.ndim == 1:
-        ks_abs, ks_plus, cvm = float(size[i_abs]), float(values[i_plus]), float(cvm)
-    else:
-        cols = np.arange(values.shape[1])
-        ks_abs, ks_plus = size[i_abs, cols], values[i_plus, cols]
-    return [
-        StatisticResult("ks_abs", ks_abs, proc.eval_points[i_abs].copy()),
-        StatisticResult("ks_plus", ks_plus, proc.eval_points[i_plus].copy()),
-        StatisticResult("cvm", cvm, None),
-    ]
+        return {name: float(value) for name, value in stats.items()}
+    return stats
 
 
 def kolmogorov_cdf(x):
@@ -296,6 +274,47 @@ def kolmogorov_cdf(x):
     return float(value) if value.ndim == 0 else value
 
 
+@dataclass(frozen=True, eq=False)
+class Ecdf:
+    """Empirical distribution of replication statistics."""
+
+    sorted_values: np.ndarray
+
+    def __post_init__(self):
+        v = np.sort(np.asarray(self.sorted_values, dtype=float))
+        if v.ndim != 1 or v.size == 0:
+            raise ValueError("an Ecdf needs a non-empty 1-D value array")
+        object.__setattr__(self, "sorted_values", v)
+
+    @property
+    def size(self) -> int:
+        return self.sorted_values.size
+
+    def quantile(self, q: float) -> float:
+        """Order-statistic quantile: the ceil(q * size)-th smallest value."""
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"q must be in (0, 1], got {q}")
+        k = min(max(int(math.ceil(q * self.size)), 1), self.size)
+        return float(self.sorted_values[k - 1])
+
+
+def ecdf_sup_distance(a: Ecdf, b: Ecdf) -> float:
+    """Exact two-sample Kolmogorov sup distance between step ECDFs."""
+    grid = np.concatenate([a.sorted_values, b.sorted_values])
+    fa = np.searchsorted(a.sorted_values, grid, side="right") / a.size
+    fb = np.searchsorted(b.sorted_values, grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+def ecdf_vs_cdf_sup(ecdf: Ecdf, cdf) -> float:
+    """Exact sup distance between a step ECDF and a continuous CDF that
+    accepts an array of points."""
+    n = ecdf.size
+    c = np.asarray(cdf(ecdf.sorted_values), dtype=float)
+    i = np.arange(1, n + 1)
+    return float(np.maximum(np.abs(i / n - c), np.abs((i - 1) / n - c)).max())
+
+
 def limit_covariance(x, y, basis: ReferenceBasis) -> float:
     """Covariance of the limiting transformed process between points x and y.
 
@@ -309,9 +328,9 @@ def limit_covariance(x, y, basis: ReferenceBasis) -> float:
     if x.shape != (basis.p,) or y.shape != (basis.p,):
         raise ValueError(f"points must have dimension {basis.p}")
     for pt in (x, y):
-        if pt.min() < 0.0 or pt.max() > 1.0:
-            raise ValueError("points must lie in [0, 1]^p")
+        check_unit_cube("points", pt)
     value = float(np.minimum(x, y).prod())
     for k in range(basis.d):
         value -= float(basis.cumulative_one(k, x[None, :])[0] * basis.cumulative_one(k, y[None, :])[0])
     return value
+

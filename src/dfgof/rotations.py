@@ -9,16 +9,15 @@ Each ``U[a,b]`` is a symmetric involution (the Householder reflection
 through the bisector of ``a`` and ``b``), hence orthogonal.
 
 A :class:`RotationPlan` chains such reflections so that a whole orthonormal
-set is mapped onto another.  Pair ``k`` of the plan is ``(source_k, image
-of target_k under the first k-1 reflections)``.  Applied first-to-last
-("forward") the composition sends ``target_k -> source_k`` for every k;
-applied last-to-first ("inverse") it sends ``source_k -> target_k``.  Both
-directions fix vectors orthogonal to all the pair vectors.
+set is mapped onto another: applied row by row it sends ``source_k ->
+target_k`` for every k and fixes vectors orthogonal to all the pair
+vectors.  Each reflection is an involution, so the same rows applied in
+reverse order give the inverse map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -100,21 +99,17 @@ class OrthonormalSet:
 
 @dataclass(frozen=True, eq=False)
 class RotationPlan:
-    """Ordered reflection pairs realizing a map between two orthonormal sets.
+    """Reflection pairs, in the order they are applied, mapping one
+    orthonormal set onto another.
 
-    ``sources`` row k holds source_k, ``images`` row k holds the cached
-    image of target_k under the partial composition (the reflection
-    partner of source_k).  ``direction`` selects the application order:
-    "forward" maps target_k -> source_k, "inverse" maps source_k -> target_k.
+    Row j is the reflection swapping ``sources[j]`` and ``images[j]``; see
+    :func:`build_plan` for which vectors these are.
     """
 
     sources: np.ndarray
     images: np.ndarray
-    direction: str = "forward"
 
     def __post_init__(self):
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError(f"direction must be 'forward' or 'inverse', got {self.direction!r}")
         if self.sources.shape != self.images.shape:
             raise ValueError("sources and images must have identical shape")
 
@@ -126,11 +121,6 @@ class RotationPlan:
     def length(self) -> int:
         return self.sources.shape[1]
 
-    def reversed(self) -> "RotationPlan":
-        """The same pairs applied in opposite order (the inverse map)."""
-        flip = "inverse" if self.direction == "forward" else "forward"
-        return replace(self, direction=flip)
-
 
 def _cleaned(s: OrthonormalSet) -> OrthonormalSet:
     if s.gram_defect() > CLEAN_GRAM_TOL:
@@ -139,12 +129,13 @@ def _cleaned(s: OrthonormalSet) -> OrthonormalSet:
 
 
 def build_plan(source: OrthonormalSet, target: OrthonormalSet) -> RotationPlan:
-    """Build the reflection chain mapping ``target`` onto ``source``.
+    """Build the reflection chain mapping ``source_k -> target_k`` for every k.
 
-    Pair k is (source_k, t_k) where t_1 = target_1 and t_k is the image of
-    target_k under the composition of the first k-1 reflections.  The
-    forward direction then maps target_k -> source_k for every k; the
-    inverse (reverse-order) direction maps source_k -> target_k.
+    With t_1 = target_1 and t_k the image of target_k under U[source_1,
+    t_1] ... U[source_{k-1}, t_{k-1}] (applied first to last), that
+    composition maps target_k -> source_k.  The plan stores the pairs
+    (source_k, t_k) last k first, so applying its rows in order is the
+    inverse composition, source_k -> target_k.
     """
     if source.count != target.count:
         raise ValueError(f"set sizes differ: {source.count} != {target.count}")
@@ -162,20 +153,18 @@ def build_plan(source: OrthonormalSet, target: OrthonormalSet) -> RotationPlan:
             image = reflect(srcs[j], imgs[j], image)
         srcs[k] = source.vectors[k]
         imgs[k] = image
-    return RotationPlan(sources=srcs, images=imgs, direction="forward")
+    return RotationPlan(sources=srcs[::-1], images=imgs[::-1])
 
 
 def apply_plan(plan: RotationPlan, v: np.ndarray) -> np.ndarray:
-    """Apply the plan's reflections to ``v`` (vector or matrix of columns)."""
+    """Apply the plan's reflections in row order to ``v`` (vector or matrix
+    of columns)."""
     v = np.asarray(v, dtype=float)
     if v.shape[0] != plan.length:
         raise ValueError(f"v has leading dimension {v.shape[0]}, expected {plan.length}")
-    order = range(plan.count)
-    if plan.direction == "inverse":
-        order = reversed(order)
     out = v.copy()
-    for j in order:
-        out = reflect(plan.sources[j], plan.images[j], out)
+    for a, b in zip(plan.sources, plan.images):
+        out = reflect(a, b, out)
     return out
 
 

@@ -33,29 +33,21 @@ class TransformedResiduals:
 
     values: np.ndarray
     plan: RotationPlan
-    score_set: OrthonormalSet
-    reference_set: OrthonormalSet
-    scan_order: np.ndarray
-    reliable: bool = True
 
 
 def transform_residuals(
     residuals: np.ndarray,
     score_set: OrthonormalSet,
     reference_set: OrthonormalSet,
-    scan_order: np.ndarray | None = None,
-    fit_converged: bool = True,
     studentize: bool = False,
 ) -> TransformedResiduals:
     """Map raw residuals to distribution-free residuals.
 
-    Builds the reflection chain between the two orthonormal sets and applies
-    the direction carrying score_k -> ref_k.  ``residuals`` must be indexed
-    consistently with the vectors of both sets (i.e. already in scan order);
-    it is one vector or an (n, m) matrix whose columns are mapped alike, so
-    that many residual vectors on one design share one chain.  When the
-    underlying fit did not converge the transform still runs but the result
-    is tagged unreliable.  ``studentize`` additionally divides each column
+    Builds the reflection chain carrying score_k -> ref_k and applies it.
+    ``residuals`` must be indexed consistently with the vectors of both sets
+    (i.e. already in scan order); it is one vector or an (n, m) matrix whose
+    columns are mapped alike, so that many residual vectors on one design
+    share one chain.  ``studentize`` additionally divides each column
     by the sample standard deviation of its input residuals (off by
     default: the error variance is taken as known and equal to one).
     """
@@ -66,20 +58,11 @@ def transform_residuals(
         raise ValueError(
             f"residual length {residuals.shape[0]} does not match basis length {score_set.length}"
         )
-    if scan_order is None:
-        scan_order = np.arange(residuals.shape[0])
-    plan = build_plan(score_set, reference_set).reversed()
+    plan = build_plan(score_set, reference_set)
     values = apply_plan(plan, residuals)
     if studentize:
         values = values / np.std(residuals, ddof=1, axis=0)
-    return TransformedResiduals(
-        values=values,
-        plan=plan,
-        score_set=score_set,
-        reference_set=reference_set,
-        scan_order=np.asarray(scan_order),
-        reliable=bool(fit_converged),
-    )
+    return TransformedResiduals(values=values, plan=plan)
 
 
 def transform_matrix(score_set: OrthonormalSet, reference_set: OrthonormalSet) -> np.ndarray:
@@ -94,5 +77,4 @@ def transform_matrix(score_set: OrthonormalSet, reference_set: OrthonormalSet) -
     if n > DENSE_GUARD:
         raise ValueError(f"n={n} exceeds the dense materialization guard ({DENSE_GUARD})")
     projector = np.eye(n) - score_set.vectors.T @ score_set.vectors
-    plan = build_plan(score_set, reference_set).reversed()
-    return apply_plan(plan, projector)
+    return apply_plan(build_plan(score_set, reference_set), projector)

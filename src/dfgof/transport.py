@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import check_unit_cube
+
 BRUTE_FORCE_MAX = 8
 
 # problems up to this size are solved on the plain dense cost; larger ones
@@ -48,8 +50,7 @@ class AnchorSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-D (n, p) array, got ndim={pts.ndim}")
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-            raise ValueError("anchor coordinates must lie in [0, 1]")
+        check_unit_cube("anchor coordinates", pts)
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
             raise ValueError("anchor points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
@@ -269,16 +270,6 @@ def brute_force_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
 def transported_points(assignment: Assignment, anchors: AnchorSet) -> np.ndarray:
     """Anchor point matched to each covariate point, in covariate order."""
     return anchors.points[assignment.sigma]
-
-
-def transported_ecdf(assignment: Assignment, anchors: AnchorSet, x) -> float:
-    """Empirical CDF of the transported covariates at x (componentwise <=).
-
-    By bijectivity this equals the ECDF of the anchor set itself.
-    """
-    x = np.asarray(x, dtype=float)
-    pts = transported_points(assignment, anchors)
-    return float(np.all(pts <= x, axis=1).mean())
 
 
 def rescale_unit_cube(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,17 +28,14 @@ from dfgof.basis import make_basis, sample_on_points
 from dfgof.fileio import write_ecdf, write_table
 from dfgof.harness import (
     AlternativeSpec,
-    Ecdf,
     ExperimentConfig,
     _psi_values,
     _variant_tag,
     covariate_design,
-    ecdf_sup_distance,
-    ecdf_vs_cdf_sup,
     run_experiment,
 )
 from dfgof.model import Sample, ascending_scan_order, build_model, fit, score_basis
-from dfgof.process import kolmogorov_cdf
+from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup, kolmogorov_cdf
 from dfgof.seeding import rng_for, seed_sequence
 from dfgof.transform import transform_matrix
 from dfgof.transport import (

@@ -4,6 +4,7 @@ import pytest
 from dfgof.cli import echo_config, parse_config, run
 from dfgof.errors import ConfigError
 from dfgof.harness import AlternativeSpec
+from dfgof.process import Ecdf, ecdf_vs_cdf_sup, kolmogorov_cdf
 
 
 def write_config(path, text):
@@ -99,6 +100,20 @@ class TestSimulateCommand:
         summary = (out / "summary.txt").read_text()
         assert "sup_distance uniform_0_2 vs normal_1_2" in summary
         assert "basis:" in summary
+
+    def test_kolmogorov_distance_only_where_it_is_the_limit_law(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", TWO_DESIGNS)
+        out = tmp_path / "out"
+        assert run(["simulate", cfg, "-o", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        for design in ("uniform_0_2", "normal_1_2"):
+            values = np.loadtxt(out / f"ecdf_{design}.csv", delimiter=",", skiprows=1)[:, 0]
+            reported = float(summary.split(f"kolmogorov_sup {design}: ")[1].split()[0])
+            assert reported == ecdf_vs_cdf_sup(Ecdf(values), kolmogorov_cdf)
+        for flags in (["--statistic", "ks_plus"], ["--process", "raw"]):
+            other = tmp_path / flags[1]
+            assert run(["simulate", cfg, "-o", str(other), *flags]) == 0
+            assert "kolmogorov_sup" not in (other / "summary.txt").read_text()
 
     def test_plot_data_flag(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", BASIC)

@@ -10,8 +10,7 @@ from dfgof.fileio import (
     write_table,
     write_text_atomic,
 )
-from dfgof.harness import Ecdf
-from dfgof.process import build_process
+from dfgof.process import Ecdf, build_process
 
 
 def _reference_fmt(value) -> str:

@@ -7,13 +7,10 @@ from dfgof.errors import ConfigError, NumericalError
 from dfgof.harness import (
     STATISTICS,
     AlternativeSpec,
-    Ecdf,
     ExperimentConfig,
     _draw_errors,
     bootstrap_residuals,
     covariate_design,
-    ecdf_sup_distance,
-    ecdf_vs_cdf_sup,
     fixed_geometry,
     pipeline_records,
     residual_statistics,
@@ -22,6 +19,7 @@ from dfgof.harness import (
     simulate_power,
 )
 from dfgof.model import Sample, build_model, fit
+from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup
 from dfgof.seeding import rng_for
 from dfgof.transport import generate_anchors
 
@@ -84,6 +82,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="amplitude"):
             AlternativeSpec(psi="x_squared", amplitude=float("nan"))
 
+    @pytest.mark.parametrize("times", [(1.5,), (0.5, float("nan"))])
+    def test_probe_times_outside_unit_interval_rejected(self, times):
+        with pytest.raises(ConfigError, match="probe_times"):
+            small_config(probe_times=times)
+
     def test_string_design_promoted_to_tuple(self):
         cfg = ExperimentConfig(design="uniform_0_2", model="simple_linear", n=30, reps=5, seed=1)
         assert cfg.design == ("uniform_0_2",)
@@ -94,10 +97,9 @@ class TestEcdf:
         ecdf = simulate_null(small_config(reps=1))
         assert ecdf.size == 1
 
-    def test_value_at_and_quantile(self):
+    def test_sorted_values_and_quantile(self):
         ecdf = Ecdf(np.array([3.0, 1.0, 2.0]))
         assert np.array_equal(ecdf.sorted_values, [1.0, 2.0, 3.0])
-        assert ecdf.value_at(2.0) == pytest.approx(2 / 3)
         assert ecdf.quantile(0.5) == 2.0
         assert ecdf.quantile(1.0) == 3.0
 
@@ -148,7 +150,7 @@ class TestRunExperiment:
     def test_records_cover_both_processes(self):
         res = run_experiment(small_config())
         for kind in ("transformed", "raw"):
-            for stat in ("ks_abs", "ks_plus", "cvm"):
+            for stat in STATISTICS:
                 assert f"{kind}.{stat}" in res.columns
 
     def test_probe_values_match_process_definition(self):
@@ -188,7 +190,7 @@ class TestRunExperiment:
         cfg = small_config(reps=200)
         res = run_experiment(cfg)
         assert res.failures == 1
-        assert res.reps_used == 199
+        assert len(res.columns["transformed.ks_abs"]) == 199
 
 
 class TestSimulate:

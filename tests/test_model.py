@@ -4,6 +4,7 @@ import pytest
 from dfgof.errors import NumericalError, RankDeficiencyError
 from dfgof.model import (
     FitResult,
+    RegressionModel,
     Sample,
     ascending_scan_order,
     build_model,
@@ -20,6 +21,13 @@ def exp_model():
         mean=lambda th, x: np.exp(th[0] * x[:, 0]),
         grad=lambda th, x: (x[:, 0] * np.exp(th[0] * x[:, 0]))[:, None],
         d=1,
+    )
+
+
+def _linear_model(design):
+    """A model linear in theta whose gradient columns are ``design(x)``."""
+    return RegressionModel(
+        kind="linear", d=2, mean=lambda th, x: design(x) @ th, grad=lambda th, x: design(x), linear=True
     )
 
 
@@ -69,7 +77,7 @@ class TestFitLinear:
 
     def test_rank_deficient_design_rejected(self):
         sample = Sample(np.linspace(0, 1, 8), np.zeros(8))
-        model = build_model("basis_linear", funcs=[lambda x: x[:, 0], lambda x: 2.0 * x[:, 0]])
+        model = _linear_model(lambda x: np.column_stack([x[:, 0], 2.0 * x[:, 0]]))
         with pytest.raises(RankDeficiencyError):
             fit_linear(model, sample)
 
@@ -153,7 +161,7 @@ class TestScoreBasis:
 
     def test_duplicated_gradient_columns_rejected(self):
         sample = Sample(np.linspace(0.1, 1, 10), np.zeros(10))
-        model = build_model("basis_linear", funcs=[lambda x: x[:, 0], lambda x: x[:, 0]])
+        model = _linear_model(lambda x: np.column_stack([x[:, 0], x[:, 0]]))
         bad_fit = FitResult(
             theta_hat=np.zeros(2),
             residuals=np.zeros(10),

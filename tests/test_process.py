@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dfgof.basis import make_basis
+from dfgof.basis import legendre_shifted, make_basis
 from dfgof.process import DOMINANCE_BLOCK, build_process, kolmogorov_cdf, ks_statistics, limit_covariance
+from dfgof.transport import AnchorSet
 
 
 class TestBuildProcess:
@@ -16,9 +17,9 @@ class TestBuildProcess:
 
     def test_single_jump(self):
         proc = build_process(np.array([3.0]), np.array([0.5]))
-        assert proc.value_at(0.4) == 0.0
-        assert proc.value_at(0.5) == pytest.approx(3.0)
-        assert proc.value_at(0.9) == pytest.approx(3.0)
+        # zero before the jump at 0.5, the whole residual from there on
+        assert np.array_equal(proc.eval_points[:, 0], [0.0, 0.5])
+        assert proc.eval_values == pytest.approx([0.0, 3.0])
 
     def test_rank_time_partial_sums(self):
         rng = np.random.default_rng(0)
@@ -63,16 +64,14 @@ class TestBuildProcess:
         residuals = rng.standard_normal((n, m))
         proc = build_process(residuals, scan, grid=9)
         assert proc.eval_values.shape == (proc.eval_points.shape[0], m)
-        stats = {s.name: s for s in ks_statistics(proc)}
+        stats = ks_statistics(proc)
         for j in range(m):
             one = build_process(residuals[:, j], scan, grid=9)
             assert np.allclose(proc.eval_points, one.eval_points)
             assert np.allclose(proc.eval_values[:, j], one.eval_values, rtol=0.0, atol=1e-13)
             assert np.array_equal(proc.column(j).eval_values, proc.eval_values[:, j])
-            for s in ks_statistics(one):
-                assert stats[s.name].value[j] == pytest.approx(s.value, rel=1e-12)
-                if s.argmax is not None:
-                    assert np.array_equal(stats[s.name].argmax[j], s.argmax)
+            for name, value in ks_statistics(one).items():
+                assert stats[name][j] == pytest.approx(value, rel=1e-12)
 
     def test_empty_bivariate_process(self):
         proc = build_process(np.zeros(0), np.zeros((0, 2)), grid=4)
@@ -155,43 +154,36 @@ class TestDominanceSums:
 
 
 class TestKsStatistics:
-    def _stats(self, proc):
-        return {s.name: s for s in ks_statistics(proc)}
-
     def test_zero_process(self):
-        stats = self._stats(build_process(np.zeros(4), np.arange(1, 5) / 4))
-        assert stats["ks_abs"].value == 0.0
-        assert stats["ks_plus"].value == 0.0
-        assert stats["cvm"].value == 0.0
+        stats = ks_statistics(build_process(np.zeros(4), np.arange(1, 5) / 4))
+        assert stats["ks_abs"] == 0.0
+        assert stats["ks_plus"] == 0.0
 
     def test_single_jump_signs(self):
-        down = self._stats(build_process(np.array([-2.0]), np.array([0.5])))
-        assert down["ks_abs"].value == pytest.approx(2.0)
-        assert down["ks_plus"].value == pytest.approx(0.0)  # the t=0 baseline
-        up = self._stats(build_process(np.array([2.0]), np.array([0.5])))
-        assert up["ks_plus"].value == pytest.approx(2.0)
-        assert np.allclose(up["ks_plus"].argmax, [0.5])
+        down = ks_statistics(build_process(np.array([-2.0]), np.array([0.5])))
+        assert down["ks_abs"] == pytest.approx(2.0)
+        assert down["ks_plus"] == pytest.approx(0.0)  # the t=0 baseline
+        up = ks_statistics(build_process(np.array([2.0]), np.array([0.5])))
+        assert up["ks_plus"] == pytest.approx(2.0)
 
     def test_hand_values(self):
         # contributions chosen so the partial sums are 0.1, -0.3, 0.2
         n = 3
         partial = np.array([0.1, -0.3, 0.2])
         residuals = np.diff(np.concatenate([[0.0], partial])) * np.sqrt(n)
-        stats = self._stats(build_process(residuals, np.arange(1, n + 1) / n))
-        assert stats["ks_abs"].value == pytest.approx(0.3)
-        assert stats["ks_plus"].value == pytest.approx(0.2)
-        # cvm averages over the evaluations, which include the zero baseline
-        assert stats["cvm"].value == pytest.approx((0.0 + 0.01 + 0.09 + 0.04) / 4)
+        stats = ks_statistics(build_process(residuals, np.arange(1, n + 1) / n))
+        assert stats["ks_abs"] == pytest.approx(0.3)
+        assert stats["ks_plus"] == pytest.approx(0.2)
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(3)
         for seed in range(20):
             r = np.random.default_rng(seed).standard_normal(25)
             proc = build_process(r, np.arange(1, 26) / 25)
-            stats = self._stats(proc)
+            stats = ks_statistics(proc)
             final = proc.eval_values[-1]
-            assert stats["ks_abs"].value >= stats["ks_plus"].value
-            assert stats["ks_plus"].value >= max(final, 0.0)
+            assert stats["ks_abs"] >= stats["ks_plus"]
+            assert stats["ks_plus"] >= max(final, 0.0)
 
 
 class TestKolmogorovCdf:
@@ -284,3 +276,20 @@ class TestLimitCovariance:
         basis = make_basis(1, 1)
         with pytest.raises(ValueError):
             limit_covariance([1.2], [0.5], basis)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("scan points", lambda bad: build_process(np.ones(3), np.array([bad, 0.5, 1.0]))),
+        ("scan points", lambda bad: build_process(np.ones(3), np.array([[0.5, bad], [0.5, 0.5], [1.0, 1.0]]))),
+        ("points", lambda bad: limit_covariance([bad], [0.5], make_basis(1, 1))),
+        ("points", lambda bad: legendre_shifted(2, np.array([0.5, bad]))),
+        ("anchor coordinates", lambda bad: AnchorSet(np.array([[bad, 0.5], [0.5, 0.5]]), "halton")),
+    ],
+    ids=["build_process_p1", "build_process_p2", "limit_covariance", "legendre_shifted", "AnchorSet"],
+)
+def test_non_finite_unit_cube_input_rejected(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} contain non-finite entries$"):
+        call(bad)

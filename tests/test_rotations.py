@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dfgof.errors import RankDeficiencyError, SingularMatrixError
 from dfgof.rotations import (
     OrthonormalSet,
+    RotationPlan,
     apply_plan,
     build_plan,
     gram_schmidt,
@@ -19,6 +20,11 @@ E2 = np.array([0.0, 1.0])
 
 def random_orthonormal(rng, count, length):
     return gram_schmidt(rng.standard_normal((count, length)))
+
+
+def inverse(plan):
+    # each reflection is an involution, so the rows in reverse order undo the plan
+    return RotationPlan(sources=plan.sources[::-1], images=plan.images[::-1])
 
 
 def random_unit(rng, length):
@@ -97,7 +103,7 @@ class TestBuildPlan:
         plan = build_plan(s, s)
         v = rng.standard_normal(6)
         assert np.allclose(apply_plan(plan, v), v, atol=1e-12)
-        assert np.allclose(apply_plan(plan.reversed(), v), v, atol=1e-12)
+        assert np.allclose(apply_plan(inverse(plan), v), v, atol=1e-12)
 
     def test_forward_matches_explicit_matrix_composition(self):
         # oracle: materialize each reflection as a dense matrix and multiply
@@ -111,7 +117,7 @@ class TestBuildPlan:
             u = np.eye(8) if gap < 1e-12 else np.eye(8) - np.outer(a - b, a - b) / gap
             k = u @ k
         for j in range(3):
-            assert np.allclose(k @ target.vectors[j], source.vectors[j], atol=1e-10)
+            assert np.allclose(k @ source.vectors[j], target.vectors[j], atol=1e-10)
         # reverse-order product is the inverse map
         kinv = np.eye(8)
         for a, b in zip(plan.sources[::-1], plan.images[::-1]):
@@ -119,7 +125,7 @@ class TestBuildPlan:
             u = np.eye(8) if gap < 1e-12 else np.eye(8) - np.outer(a - b, a - b) / gap
             kinv = u @ kinv
         for j in range(3):
-            assert np.allclose(kinv @ source.vectors[j], target.vectors[j], atol=1e-10)
+            assert np.allclose(kinv @ target.vectors[j], source.vectors[j], atol=1e-10)
         assert np.allclose(apply_plan(plan, np.eye(8)), k, atol=1e-12)
 
     def test_size_mismatch_rejected(self):
@@ -137,7 +143,7 @@ class TestBuildPlan:
 
 class TestApplyPlan:
     def test_forward_and_inverse_map_the_sets(self):
-        # many random instances: forward target_k -> source_k, inverse back
+        # many random instances: the plan maps source_k -> target_k, its inverse back
         failures = 0
         for seed in range(120):
             rng = np.random.default_rng(seed)
@@ -146,11 +152,11 @@ class TestApplyPlan:
             source = random_orthonormal(rng, d, n)
             target = random_orthonormal(rng, d, n)
             plan = build_plan(source, target)
-            fwd = apply_plan(plan, target.vectors.T)
-            inv = apply_plan(plan.reversed(), source.vectors.T)
-            if not np.allclose(fwd, source.vectors.T, atol=1e-9):
+            fwd = apply_plan(plan, source.vectors.T)
+            inv = apply_plan(inverse(plan), target.vectors.T)
+            if not np.allclose(fwd, target.vectors.T, atol=1e-9):
                 failures += 1
-            if not np.allclose(inv, target.vectors.T, atol=1e-9):
+            if not np.allclose(inv, source.vectors.T, atol=1e-9):
                 failures += 1
         assert failures == 0
 
@@ -162,7 +168,7 @@ class TestApplyPlan:
         v = rng.standard_normal(12)
         w = apply_plan(plan, v)
         assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-9
-        assert np.allclose(apply_plan(plan.reversed(), w), v, atol=1e-9)
+        assert np.allclose(apply_plan(inverse(plan), w), v, atol=1e-9)
 
     def test_orthogonal_complement_is_fixed(self):
         rng = np.random.default_rng(29)
@@ -175,7 +181,7 @@ class TestApplyPlan:
         q, _ = np.linalg.qr(span.T, mode="complete")
         v = q[:, 4:] @ (q[:, 4:].T @ v)
         assert np.allclose(apply_plan(plan, v), v, atol=1e-10)
-        assert np.allclose(apply_plan(plan.reversed(), v), v, atol=1e-10)
+        assert np.allclose(apply_plan(inverse(plan), v), v, atol=1e-10)
 
     def test_matrix_representation_is_orthogonal(self):
         rng = np.random.default_rng(31)
