@@ -25,7 +25,6 @@ from .model import (
     FitResult,
     RegressionModel,
     Sample,
-    ascending_scan_order,
     build_model,
     fit,
     fit_gauss_newton,
@@ -76,7 +75,6 @@ __all__ = [
     "StepProcess",
     "TransformedResiduals",
     "apply_plan",
-    "ascending_scan_order",
     "brute_force_assignment",
     "build_model",
     "build_plan",

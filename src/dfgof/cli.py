@@ -401,7 +401,7 @@ def _cmd_test(args) -> None:
     anchors = fixed_anchors(sample.n, sample.p, args.anchors, args.seed) if sample.p >= 2 else None
     geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors, grid=args.grid)
     residuals = bootstrap_residuals(
-        model, sample, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
+        model, geometry, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
     )
     stats, observed_procs = residual_statistics(geometry, residuals)
     key = f"{args.process}.{args.statistic}"

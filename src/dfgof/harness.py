@@ -12,16 +12,17 @@ whatever the execution order or worker count.  Fit failures are counted
 and the replication is dropped; more than 1% failures aborts the run.
 
 The per-sample pipeline has two halves.  ``fixed_geometry`` holds all that
-is fixed given X and the fitted score span: scan order and scan points
-(for p >= 2 the rescale and the optimal assignment) and the score and
-reference sets.  The second half evaluates residuals on that geometry,
-building the reflection plan between the two sets once and applying it to
-one residual vector (``pipeline_processes``) or to every column of a
-matrix (``residual_statistics``).  A simulation
-replication draws a fresh X and runs both halves once; the
-``dfgof test`` bootstrap keeps X fixed, builds the geometry once and
-evaluates the observed residual and all bootstrap residuals together as
-the columns of one matrix (``bootstrap_residuals``).
+is fixed given X and the fitted score span: the scan points (for p >= 2
+the rescale and the optimal assignment) and the score and reference sets.
+Every residual, score and reference vector stays in data row order; only
+the scan points differ between p = 1 and p >= 2.  The second half
+evaluates residuals on that geometry, building the reflection plan between
+the two sets once and applying it to one residual vector
+(``pipeline_processes``) or to every column of a matrix
+(``residual_statistics``).  A simulation replication draws a fresh X and
+runs both halves once; the ``dfgof test`` bootstrap keeps X fixed, builds
+the geometry once and evaluates the observed residual and all bootstrap
+residuals together as the columns of one matrix (``bootstrap_residuals``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .basis import make_basis, sample_on_points
 from .errors import ConfigError, NumericalError, RankDeficiencyError, SingularMatrixError
-from .model import FitResult, RegressionModel, Sample, ascending_scan_order, build_model, fit, score_basis
+from .model import FitResult, RegressionModel, Sample, build_model, fit, score_basis
 from .process import Ecdf, StepProcess, build_process, ks_statistics
 from .rotations import OrthonormalSet
 from .seeding import rng_for, seed_sequence
@@ -242,15 +243,13 @@ def _variant_tag(config: ExperimentConfig) -> str:
 @dataclass(frozen=True, eq=False)
 class Geometry:
     """What the residual evaluation of one sample needs that is fixed given
-    X and the fitted score span.
+    X and the fitted score span, indexed by data row.
 
-    ``scan_order`` puts data rows in scan order (p = 1; None for p >= 2,
-    where data order is kept).  ``points`` scan the transformed process
-    (empirical-CDF times, or the matched anchors) and ``raw_points`` the
-    raw one (the same times, or the rescaled covariates).
+    ``points`` scan the transformed process (empirical-CDF times, or the
+    matched anchors) and ``raw_points`` the raw one (the same times, or
+    the rescaled covariates).
     """
 
-    scan_order: np.ndarray | None
     points: np.ndarray
     raw_points: np.ndarray
     score_set: OrthonormalSet
@@ -266,39 +265,28 @@ def fixed_geometry(
     anchor_set: AnchorSet | None = None,
     grid: int | None = None,
 ) -> Geometry:
-    """Scan geometry and score and reference sets of one fitted sample.
+    """Scan points and score and reference sets of one fitted sample.
 
-    For p = 1 the scan runs over the empirical-CDF times of the covariate
-    (i/n without ties); for p >= 2 an anchor set of matching size is
-    required and the covariates are matched to it by the optimal
-    assignment.  For linear model kinds nothing here depends on the
-    response, so one geometry serves every response drawn on the same X.
+    For p = 1 each row is scanned at the empirical-CDF time of its
+    covariate (i/n without ties; tied covariates share the time of their
+    last copy, so the process and the reference set see no tie order).
+    For p >= 2 an anchor set of matching size is required and each row is
+    scanned at the anchor the optimal assignment matches it to.  For
+    linear model kinds nothing here depends on the response, so one
+    geometry serves every response drawn on the same X.
     """
     n, p = sample.n, sample.p
-    basis = make_basis(p, model.d)
     if p == 1:
-        scan = ascending_scan_order(sample.X)
-        # empirical-CDF times: tied covariates share the time of their last
-        # copy, so the process and the reference set see no tie order
-        x_sorted = sample.X[scan, 0]
-        points = raw_points = np.searchsorted(x_sorted, x_sorted, side="right") / n
-        score_set = score_basis(model, fitres, sample, scan)
+        x = sample.X[:, 0]
+        points = raw_points = np.searchsorted(np.sort(x), x, side="right") / n
     else:
         if anchor_set is None:
             raise ValueError("p >= 2 requires an anchor set")
-        scan = None
         raw_points, _, _ = rescale_unit_cube(sample.X)
         points = transported_points(solve_assignment(raw_points, anchor_set), anchor_set)
-        score_set = score_basis(model, fitres, sample)
-    reference_set = sample_on_points(basis, points)
-    return Geometry(scan, points, raw_points, score_set, reference_set, grid)
-
-
-def _scanned(geometry: Geometry, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transformed and raw residuals in scan order: one reflection plan maps
-    a vector or every column of a matrix."""
-    raw = residuals if geometry.scan_order is None else residuals[geometry.scan_order]
-    return transform_residuals(raw, geometry.score_set, geometry.reference_set).values, raw
+    score_set = score_basis(model, fitres, sample)
+    reference_set = sample_on_points(make_basis(p, model.d), points)
+    return Geometry(points, raw_points, score_set, reference_set, grid)
 
 
 def _processes(geometry: Geometry, transformed: np.ndarray, raw: np.ndarray) -> dict[str, StepProcess]:
@@ -323,12 +311,12 @@ def residual_statistics(
     EVAL_COLUMNS columns at a time, so that memory does not grow with the
     number of lattice points times m.
     """
-    transformed, raw = _scanned(geometry, residuals)
+    transformed = transform_residuals(residuals, geometry.score_set, geometry.reference_set).values
     stats: dict[str, list[np.ndarray]] = {}
     first = None
     for start in range(0, residuals.shape[1], EVAL_COLUMNS):
         cols = slice(start, start + EVAL_COLUMNS)
-        procs = _processes(geometry, transformed[:, cols], raw[:, cols])
+        procs = _processes(geometry, transformed[:, cols], residuals[:, cols])
         if first is None:
             first = {kind: proc.column(0) for kind, proc in procs.items()}
         for key, values in process_statistics(procs).items():
@@ -338,30 +326,30 @@ def residual_statistics(
 
 
 def bootstrap_residuals(
-    model: RegressionModel, sample: Sample, fitres: FitResult, *, seed: int, reps: int, error_law: str
+    model: RegressionModel, geometry: Geometry, fitres: FitResult, *, seed: int, reps: int, error_law: str
 ) -> np.ndarray:
     """(n, reps + 1) residual matrix of a parametric bootstrap at the fitted
     parameter on the observed X.
 
-    Column 0 holds the observed residuals.  Column b holds the least-squares
-    residuals of null_mean + eps_b, where eps_b is drawn from the stream
-    rng_for(seed, "bootstrap", b - 1); one least-squares solve fits all
-    bootstrap columns on the fixed design.  Linear model kinds only: their
-    design, and with it the geometry, does not change between replicates.
+    Column 0 holds the observed residuals.  Column b holds
+    eps_b - S^T (S eps_b), with S the vectors of ``geometry.score_set`` and
+    eps_b drawn from the stream rng_for(seed, "bootstrap", b - 1): the
+    least-squares residuals of null_mean + eps_b, as the null mean lies in
+    the score span.  Linear model kinds only: their score span, and with
+    it the geometry, does not change between replicates.
     """
     if not model.linear:
         raise ConfigError(f"the bootstrap needs a linear model kind, got {model.kind!r}")
     if error_law not in ERROR_LAWS:
         raise ConfigError(f"unknown error law {error_law!r}; known: {ERROR_LAWS}")
-    out = np.empty((sample.n, reps + 1))
+    n = fitres.residuals.shape[0]
+    out = np.empty((n, reps + 1))
     out[:, 0] = fitres.residuals
     for b in range(reps):
-        out[:, b + 1] = _draw_errors(error_law, sample.n, rng_for(seed, "bootstrap", b))
+        out[:, b + 1] = _draw_errors(error_law, n, rng_for(seed, "bootstrap", b))
+    scores = geometry.score_set.vectors
     boot = out[:, 1:]
-    boot += np.asarray(model.mean(fitres.theta_hat, sample.X), dtype=float)[:, None]
-    design = np.asarray(model.grad(fitres.theta_hat, sample.X), dtype=float)
-    theta, _, _, _ = np.linalg.lstsq(design, boot, rcond=None)
-    boot -= design @ theta
+    boot -= scores.T @ (scores @ boot)
     return out
 
 
@@ -380,7 +368,8 @@ def pipeline_processes(
     anchors (transformed) or the rescaled covariates (raw).
     """
     geometry = fixed_geometry(model, sample, fitres, anchor_set=anchor_set, grid=grid)
-    return _processes(geometry, *_scanned(geometry, fitres.residuals))
+    transformed = transform_residuals(fitres.residuals, geometry.score_set, geometry.reference_set).values
+    return _processes(geometry, transformed, fitres.residuals)
 
 
 def pipeline_records(

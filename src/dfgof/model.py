@@ -6,7 +6,9 @@ smooth models ("custom") are fitted by damped Gauss-Newton.  The score
 basis is the set of n-vectors obtained by whitening the gradient columns
 with the inverse square root of the information matrix and scaling by
 1/sqrt(n); after an exact Gram-Schmidt cleanup it is the orthonormal basis
-of the gradient span that the residual rotation consumes.
+of the gradient span that the residual rotation consumes.  Its entries
+follow the data rows for every covariate dimension: the scan geometry is
+carried by the scan points alone.
 
 Custom models must be pure functions of (theta, X): no hidden mutable
 state, so fits may run concurrently.
@@ -248,37 +250,13 @@ def fit(model: RegressionModel, sample: Sample, theta0=None, **gn_options) -> Fi
     return fit_gauss_newton(model, sample, theta0, **gn_options)
 
 
-def ascending_scan_order(x: np.ndarray) -> np.ndarray:
-    """Scan order for one covariate dimension: ascending covariate value,
-    ties broken by original index.  For p >= 2 the identity order is used
-    (the transported anchor points carry the geometry instead)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        if x.shape[1] != 1:
-            return np.arange(x.shape[0])
-        x = x[:, 0]
-    return np.argsort(x, kind="stable")
+def score_basis(model: RegressionModel, fitres: FitResult, sample: Sample) -> OrthonormalSet:
+    """Orthonormal basis of the fitted gradient span, indexed by data row.
 
-
-def score_basis(
-    model: RegressionModel,
-    fitres: FitResult,
-    sample: Sample,
-    scan_order: np.ndarray | None = None,
-) -> OrthonormalSet:
-    """Orthonormal basis of the fitted gradient span, in scan order.
-
-    Builds the d vectors (info_matrix^{-1/2} grad(theta_hat, X_i)) / sqrt(n),
-    permutes entries into scan order, and applies Gram-Schmidt so the set is
-    exactly orthonormal at finite n.
+    Builds the d vectors (info_matrix^{-1/2} grad(theta_hat, X_i)) / sqrt(n)
+    and applies Gram-Schmidt so the set is exactly orthonormal at finite n.
     """
-    n = sample.n
-    if scan_order is None:
-        scan_order = np.arange(n)
-    scan_order = np.asarray(scan_order)
-    if not np.array_equal(np.sort(scan_order), np.arange(n)):
-        raise ValueError("scan_order must be a permutation of 0..n-1")
     whitener = inv_sqrt_spd(fitres.info_matrix)
     design = _design_matrix(model, fitres.theta_hat, sample)
-    columns = (design @ whitener) / np.sqrt(n)  # column k is the k-th score vector
-    return gram_schmidt(columns[scan_order].T)
+    columns = (design @ whitener) / np.sqrt(sample.n)  # column k is the k-th score vector
+    return gram_schmidt(columns.T)

@@ -34,7 +34,7 @@ from dfgof.harness import (
     covariate_design,
     run_experiment,
 )
-from dfgof.model import Sample, ascending_scan_order, build_model, fit, score_basis
+from dfgof.model import Sample, build_model, fit, score_basis
 from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup, kolmogorov_cdf
 from dfgof.seeding import rng_for, seed_sequence
 from dfgof.transform import transform_matrix
@@ -195,15 +195,14 @@ def test_exact_residual_covariance_identities():
             model = build_model(kind, probe)
             sample = Sample(x, model.mean(np.ones(model.d), x) + rng.standard_normal(n))
             fitres = fit(model, sample)
+            score = score_basis(model, fitres, sample)
             if model.p == 1 or model.p is None:
-                scan = ascending_scan_order(x)
-                score = score_basis(model, fitres, sample, scan)
-                reference = sample_on_points(make_basis(1, model.d), np.arange(1, n + 1) / n)
+                times = np.searchsorted(np.sort(x[:, 0]), x[:, 0], side="right") / n
+                reference = sample_on_points(make_basis(1, model.d), times)
             else:
                 x01, _, _ = rescale_unit_cube(x)
                 anchors = generate_anchors(n, 2, "halton")
                 points = transported_points(solve_assignment(x01, anchors), anchors)
-                score = score_basis(model, fitres, sample)
                 reference = sample_on_points(make_basis(2, model.d), points)
             a = transform_matrix(score, reference)
             target = np.eye(n) - reference.vectors.T @ reference.vectors

@@ -295,7 +295,7 @@ class TestBatchedBootstrap:
         model, sample, anchors = _bootstrap_case(kind, 60, 4)
         observed_fit = fit(model, sample)
         geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
-        residuals = bootstrap_residuals(model, sample, observed_fit, seed=seed, reps=reps, error_law=law)
+        residuals = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law=law)
         assert residuals.shape == (sample.n, reps + 1)
         batch, first = residual_statistics(geometry, residuals)
 
@@ -323,5 +323,7 @@ class TestBatchedBootstrap:
     def test_nonlinear_model_rejected(self):
         model, sample, _ = _bootstrap_case("simple_linear", 30, 5)
         custom = build_model("custom", mean=model.mean, grad=model.grad, d=1)
+        fitres = fit(model, sample)
+        geometry = fixed_geometry(model, sample, fitres)
         with pytest.raises(ConfigError, match="linear"):
-            bootstrap_residuals(custom, sample, fit(model, sample), seed=1, reps=3, error_law="normal")
+            bootstrap_residuals(custom, geometry, fitres, seed=1, reps=3, error_law="normal")

@@ -6,7 +6,6 @@ from dfgof.model import (
     FitResult,
     RegressionModel,
     Sample,
-    ascending_scan_order,
     build_model,
     fit,
     fit_gauss_newton,
@@ -141,9 +140,8 @@ class TestScoreBasis:
         sample = Sample(x, 2.0 * x + rng.standard_normal(25))
         model = build_model("simple_linear")
         result = fit(model, sample)
-        scan = ascending_scan_order(sample.X)
-        out = score_basis(model, result, sample, scan)
-        expected = x[scan] / np.linalg.norm(x)
+        out = score_basis(model, result, sample)
+        expected = x / np.linalg.norm(x)
         assert np.allclose(out.vectors[0], expected, atol=1e-12)
 
     def test_centered_linear_gives_constant_and_centered_unit(self):
@@ -152,11 +150,10 @@ class TestScoreBasis:
         sample = Sample(x, 1.0 + x + rng.standard_normal(30))
         model = build_model("centered_linear", sample)
         result = fit(model, sample)
-        scan = ascending_scan_order(sample.X)
-        out = score_basis(model, result, sample, scan)
+        out = score_basis(model, result, sample)
         n = 30
         assert np.allclose(out.vectors[0], np.ones(n) / np.sqrt(n), atol=1e-12)
-        centered = x[scan] - x.mean()
+        centered = x - x.mean()
         assert np.allclose(out.vectors[1], centered / np.linalg.norm(centered), atol=1e-12)
 
     def test_duplicated_gradient_columns_rejected(self):
@@ -171,13 +168,6 @@ class TestScoreBasis:
         )
         with pytest.raises(NumericalError):
             score_basis(model, bad_fit, sample)
-
-    def test_invalid_scan_order_rejected(self):
-        sample = Sample(np.linspace(0.1, 1, 10), np.zeros(10))
-        model = build_model("simple_linear")
-        result = fit(model, sample)
-        with pytest.raises(ValueError, match="permutation"):
-            score_basis(model, result, sample, np.zeros(10, dtype=int))
 
 
 class TestInvariants:
@@ -220,11 +210,3 @@ class TestInvariants:
                 numeric = (model.mean(theta + bump, x) - model.mean(theta - bump, x)) / (2 * step)
                 scale = np.maximum(np.abs(grad[:, k]), 1.0)
                 assert np.max(np.abs(numeric - grad[:, k]) / scale) < 1e-5
-
-    def test_scan_order_sorts_with_stable_ties(self):
-        x = np.array([0.5, 0.2, 0.5, 0.1])
-        assert np.array_equal(ascending_scan_order(x), np.array([3, 1, 0, 2]))
-
-    def test_scan_order_identity_for_two_dimensions(self):
-        x = np.random.default_rng(0).uniform(size=(6, 2))
-        assert np.array_equal(ascending_scan_order(x), np.arange(6))

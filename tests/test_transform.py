@@ -16,10 +16,10 @@ def fitted_univariate(seed, n, kind="simple_linear"):
     theta = np.ones(d)
     sample = Sample(x, model.mean(theta, probe.X) + rng.standard_normal(n))
     result = fit(model, sample)
-    order = np.argsort(x, kind="stable")
-    score = score_basis(model, result, sample, order)
-    reference = sample_on_points(make_basis(1, d), np.arange(1, n + 1) / n)
-    return result.residuals[order], score, reference
+    score = score_basis(model, result, sample)
+    # data-order empirical-CDF times, as the pipeline scans them
+    reference = sample_on_points(make_basis(1, d), np.searchsorted(np.sort(x), x, side="right") / n)
+    return result.residuals, score, reference
 
 
 class TestTransformResiduals:
@@ -137,9 +137,8 @@ class TestMonteCarloCovariance:
             grad=lambda th, xx: (xx[:, 0] * np.exp(th[0] * xx[:, 0]))[:, None],
             d=1,
         )
-        order = np.argsort(x, kind="stable")
         basis = make_basis(1, 1)
-        times = np.arange(1, n + 1) / n
+        times = np.searchsorted(np.sort(x), x, side="right") / n
         reference = sample_on_points(basis, times)
         theta_true = np.array([0.5])
         mean_true = model.mean(theta_true, x[:, None])
@@ -152,8 +151,8 @@ class TestMonteCarloCovariance:
             fitres = fit_gauss_newton(model, sample, theta_true, max_iter=30)
             if not fitres.converged:
                 continue
-            score = score_basis(model, fitres, sample, order)
-            values = transform_residuals(fitres.residuals[order], score, reference).values[:10]
+            score = score_basis(model, fitres, sample)
+            values = transform_residuals(fitres.residuals, score, reference).values[:10]
             block += np.outer(values, values)
             used += 1
         assert used > 0.99 * reps
