@@ -20,7 +20,7 @@ import configparser
 import itertools
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,15 +67,6 @@ _ALTERNATIVE_KEYS = ("psi", "amplitude", "local_scaling")
 _INT_KEYS = {"n", "reps", "seed", "grid"}
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str | None
-    output_dir: Path
-    seed: int | None
-    overrides: tuple[tuple[str, str], ...]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -213,32 +204,23 @@ def _resolve_outdir(args) -> Path:
     return path
 
 
-def _collect_overrides(args, names) -> tuple[tuple[str, str], ...]:
-    pairs = []
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            pairs.append((name, str(value)))
-    return tuple(pairs)
-
-
 def _write_manifest(outdir: Path, config: ExperimentConfig) -> None:
     write_text_atomic(outdir / "manifest.cfg", echo_config(config))
 
 
-def _summary_header(manifest: RunManifest, workers: int | None = None) -> list[str]:
+def _summary_header(command: str, args, outdir: Path, seed: int, override_names: tuple[str, ...]) -> list[str]:
+    """Opening lines of a simulation summary: what ran, where, and which
+    flags overrode the config file."""
     lines = [
-        f"command: {manifest.command}",
-        f"output_dir: {manifest.output_dir}",
+        f"command: {command}",
+        f"output_dir: {outdir}",
+        f"config: {args.config}",
+        f"seed: {seed}",
+        f"workers: {args.workers}",
     ]
-    if manifest.config_path is not None:
-        lines.append(f"config: {manifest.config_path}")
-    if manifest.seed is not None:
-        lines.append(f"seed: {manifest.seed}")
-    if workers is not None:
-        lines.append(f"workers: {workers}")
-    if manifest.overrides:
-        lines.append("overrides: " + ", ".join(f"{k}={v}" for k, v in manifest.overrides))
+    overrides = [(name, getattr(args, name)) for name in override_names if getattr(args, name) is not None]
+    if overrides:
+        lines.append("overrides: " + ", ".join(f"{k}={v}" for k, v in overrides))
     return lines
 
 
@@ -264,13 +246,6 @@ def _cmd_simulate(args) -> None:
     if config.alternative is not None:
         raise ConfigError("'simulate' runs the null only; use 'power' for configs with an [alternative]")
     outdir = _resolve_outdir(args)
-    manifest = RunManifest(
-        command="simulate",
-        config_path=str(args.config),
-        output_dir=outdir,
-        seed=config.seed,
-        overrides=_collect_overrides(args, ("seed", "reps", "n", "design", "statistic", "process")),
-    )
     delim = args.delimiter
     results = {}
     files = []
@@ -289,7 +264,8 @@ def _cmd_simulate(args) -> None:
             files.append(plot_path.name)
 
     basis = make_basis(config.p, config.d)
-    lines = _summary_header(manifest, args.workers)
+    overridable = ("seed", "reps", "n", "design", "statistic", "process")
+    lines = _summary_header("simulate", args, outdir, config.seed, overridable)
     lines.append(f"basis: {basis.describe()}")
     lines.append(f"statistic: {config.process}.{config.statistic}")
     for design_id, res in results.items():
@@ -325,17 +301,9 @@ def _cmd_power(args) -> None:
     if config.alternative is None:
         raise ConfigError("'power' requires an [alternative] section or --psi/--amplitude flags")
     outdir = _resolve_outdir(args)
-    manifest = RunManifest(
-        command="power",
-        config_path=str(args.config),
-        output_dir=outdir,
-        seed=config.seed,
-        overrides=_collect_overrides(
-            args, ("seed", "reps", "n", "design", "statistic", "process", "psi", "amplitude")
-        ),
-    )
     delim = args.delimiter
-    lines = _summary_header(manifest, args.workers)
+    overridable = ("seed", "reps", "n", "design", "statistic", "process", "psi", "amplitude")
+    lines = _summary_header("power", args, outdir, config.seed, overridable)
     basis = make_basis(config.p, config.d)
     lines.append(f"basis: {basis.describe()}")
     lines.append(f"statistic: {config.process}.{config.statistic}")

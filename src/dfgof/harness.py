@@ -32,6 +32,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -335,8 +336,12 @@ def bootstrap_residuals(
     eps_b - S^T (S eps_b), with S the vectors of ``geometry.score_set`` and
     eps_b drawn from the stream rng_for(seed, "bootstrap", b - 1): the
     least-squares residuals of null_mean + eps_b, as the null mean lies in
-    the score span.  Linear model kinds only: their score span, and with
-    it the geometry, does not change between replicates.
+    the score span.  The k-th draw goes to the row at scan position k
+    (scan points in lexicographic order), so the columns do not depend on
+    the row order of the data: the scan points of p >= 2 are distinct
+    anchors, and the reflections treat the rows of a p = 1 tie group
+    alike.  Linear model kinds only: their score span, and with it the
+    geometry, does not change between replicates.
     """
     if not model.linear:
         raise ConfigError(f"the bootstrap needs a linear model kind, got {model.kind!r}")
@@ -345,8 +350,9 @@ def bootstrap_residuals(
     n = fitres.residuals.shape[0]
     out = np.empty((n, reps + 1))
     out[:, 0] = fitres.residuals
+    scan = np.lexsort(geometry.points.reshape(n, -1).T[::-1])
     for b in range(reps):
-        out[:, b + 1] = _draw_errors(error_law, n, rng_for(seed, "bootstrap", b))
+        out[scan, b + 1] = _draw_errors(error_law, n, rng_for(seed, "bootstrap", b))
     scores = geometry.score_set.vectors
     boot = out[:, 1:]
     boot -= scores.T @ (scores @ boot)
@@ -426,10 +432,6 @@ def _replication(config: ExperimentConfig, design_id: str, index: int) -> dict[s
     )
 
 
-def _replication_star(args) -> dict[str, float] | None:
-    return _replication(*args)
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Per-replication statistic columns for one design."""
@@ -461,13 +463,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         raise ConfigError(f"run_experiment needs exactly one design, got {config.design}")
     design_id = config.design[0]
     start = time.perf_counter()
-    tasks = [(config, design_id, i) for i in range(config.reps)]
     if workers <= 1:
-        records = [_replication(*t) for t in tasks]
+        records = [_replication(config, design_id, i) for i in range(config.reps)]
     else:
         chunk = max(1, config.reps // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_replication_star, tasks, chunksize=chunk))
+            records = list(
+                pool.map(_replication, repeat(config), repeat(design_id), range(config.reps), chunksize=chunk)
+            )
     kept = [r for r in records if r is not None]
     failures = len(records) - len(kept)
     if failures > MAX_FAILURE_FRACTION * config.reps:

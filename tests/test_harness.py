@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfgof.errors import ConfigError, NumericalError
@@ -21,7 +21,7 @@ from dfgof.harness import (
 from dfgof.model import Sample, build_model, fit
 from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup
 from dfgof.seeding import rng_for
-from dfgof.transport import generate_anchors
+from dfgof.transport import DENSE_MAX, generate_anchors
 
 
 def small_config(**kw):
@@ -261,6 +261,110 @@ class TestTiedCovariates:
             for other in records[1:]:
                 assert other[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
 
+    def test_bootstrap_pvalues_do_not_depend_on_row_order(self):
+        # the same tied data: the bootstrap draws follow the scan positions,
+        # so the null statistics and the p-value must not move either
+        rng = np.random.default_rng(12)
+        n = 200
+        x = rng.integers(0, 5, size=n).astype(float)
+        y = 1.0 + 0.5 * x + rng.standard_normal(n)
+        _assert_bootstrap_row_order_free("centered_linear", x, y, anchors=None)
+
+
+def _bootstrap_statistics(kind, x, y, anchors, *, seed=3, reps=40):
+    """Every statistic of the observed column and the bootstrap columns, as
+    ``dfgof test`` computes them."""
+    sample = Sample(x, y)
+    model = build_model(kind, sample)
+    observed_fit = fit(model, sample)
+    geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
+    residuals = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law="normal")
+    return residual_statistics(geometry, residuals)[0]
+
+
+def _assert_same_statistics(reference, other, rel=1e-9):
+    """Each statistic agrees to ``rel`` of its process's sup norm: a path
+    that never rises above its start has a ks_plus of rounding size."""
+    assert set(other) == set(reference)
+    for key, value in reference.items():
+        scale = np.abs(reference[key.replace("ks_plus", "ks_abs")])
+        assert np.all(np.abs(np.asarray(other[key]) - value) <= rel * scale), key
+
+
+def _assert_bootstrap_row_order_free(kind, x, y, anchors):
+    n = x.shape[0]
+    stats = [_bootstrap_statistics(kind, x, y, anchors)]
+    for k in range(3):
+        perm = np.random.default_rng(k).permutation(n)
+        stats.append(_bootstrap_statistics(kind, x[perm], y[perm], anchors))
+    for other in stats[1:]:
+        _assert_same_statistics(stats[0], other)
+        for key, values in other.items():
+            assert _pvalue(values[1:], values[0]) == _pvalue(stats[0][key][1:], stats[0][key][0]), key
+
+
+def test_bivariate_bootstrap_pvalues_do_not_depend_on_row_order():
+    # above DENSE_MAX, where the assignment is warm-started; continuous
+    # covariates, so no two rows coincide
+    n = 300
+    assert n > DENSE_MAX
+    x = covariate_design("beta_dep_a", n, seed=6)
+    y = 1.0 + x.sum(axis=1) + np.random.default_rng(6).standard_normal(n)
+    _assert_bootstrap_row_order_free("bilinear2d", x, y, generate_anchors(n, 2, "halton"))
+
+
+def _records(kind, x, y):
+    sample = Sample(x, y)
+    model = build_model(kind, sample)
+    anchors = generate_anchors(sample.n, 2, "halton") if sample.p == 2 else None
+    return pipeline_records(model, sample, fit(model, sample), anchor_set=anchors)
+
+
+class TestPipelineInvariance:
+    """pipeline_records statistics under a row permutation and under a
+    per-coordinate affine rescale x -> a x + b with a > 0."""
+
+    @settings(max_examples=8)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 200),
+        tied=st.booleans(),
+        scale=st.floats(0.1, 10.0),
+        shift=st.floats(-10.0, 10.0),
+    )
+    def test_univariate(self, seed, n, tied, scale, shift):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 5, size=n).astype(float) if tied else rng.uniform(0.5, 2.0, size=n)
+        y = 1.0 + 0.5 * x + rng.standard_normal(n)
+        perm = rng.permutation(n)
+        base = _records("centered_linear", x, y)
+        _assert_same_statistics(base, _records("centered_linear", x[perm], y[perm]))
+        _assert_same_statistics(base, _records("centered_linear", scale * x + shift, y))
+
+    @pytest.mark.parametrize("n", [60, DENSE_MAX + 44])
+    @settings(max_examples=4)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    )
+    def test_bivariate(self, seed, n, scale, shift):
+        # continuous covariates from a drawn seed: no two rows coincide
+        x = covariate_design("beta_dep_a", n, seed=seed)
+        rng = np.random.default_rng(seed)
+        y = 1.0 + x.sum(axis=1) + rng.standard_normal(n)
+        perm = rng.permutation(n)
+        base = _records("bilinear2d", x, y)
+        _assert_same_statistics(base, _records("bilinear2d", x[perm], y[perm]))
+        # the rescale leaves the fit, the assignment and the raw process
+        # alone, but the whitened score basis of the rescaled x is another
+        # orthonormal basis of the same span, and the reflection chain
+        # depends on the basis: the transformed statistics move by about
+        # 1% (ROADMAP item 5)
+        raw = {key: value for key, value in base.items() if key.startswith("raw.")}
+        rescaled = _records("bilinear2d", x * np.array(scale) + np.array(shift), y)
+        _assert_same_statistics(raw, {key: rescaled[key] for key in raw})
+
 
 def _bootstrap_case(kind, n, seed):
     """A null sample of a CLI model kind; tied_linear is centered_linear on
@@ -300,9 +404,14 @@ class TestBatchedBootstrap:
         batch, first = residual_statistics(geometry, residuals)
 
         null_mean = model.mean(observed_fit.theta_hat, sample.X)
+        # draw k goes to the row at scan position k: the k-th scan point in
+        # lexicographic order (rows of a tie in row order)
+        points = geometry.points.reshape(sample.n, -1)
+        scan = sorted(range(sample.n), key=lambda i: (tuple(points[i]), i))
         records = [pipeline_records(model, sample, observed_fit, anchor_set=anchors)]
         for b in range(reps):
-            eps = _draw_errors(law, sample.n, rng_for(seed, "bootstrap", b))
+            eps = np.empty(sample.n)
+            eps[scan] = _draw_errors(law, sample.n, rng_for(seed, "bootstrap", b))
             boot = Sample(sample.X, null_mean + eps)
             records.append(pipeline_records(model, boot, fit(model, boot), anchor_set=anchors))
 
