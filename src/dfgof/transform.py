@@ -45,9 +45,9 @@ def transform_residuals(
 
     Builds the reflection chain carrying score_k -> ref_k and applies it.
     ``residuals`` must be indexed consistently with the vectors of both sets
-    (the pipeline keeps all three in data row order); it is one vector or an (n, m) matrix whose
-    columns are mapped alike, so that many residual vectors on one design
-    share one chain.  ``studentize`` additionally divides each column
+    (the pipeline keeps all three in data row order); it is one vector or
+    an (n, m) matrix whose columns are mapped alike, so that many residual
+    vectors on one design share one chain.  ``studentize`` additionally divides each column
     by the sample standard deviation of its input residuals (off by
     default: the error variance is taken as known and equal to one).
     """

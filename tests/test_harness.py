@@ -243,13 +243,19 @@ class TestSimulate:
 
 
 class TestTiedCovariates:
-    def test_statistics_do_not_depend_on_row_order(self):
-        # five distinct covariate values: every statistic must be the same
-        # whatever order the tied rows come in
+    """Five distinct covariate values: every statistic, and the bootstrap
+    p-value, must be the same whatever order the tied rows come in."""
+
+    @staticmethod
+    def _data():
         rng = np.random.default_rng(12)
         n = 200
         x = rng.integers(0, 5, size=n).astype(float)
-        y = 1.0 + 0.5 * x + rng.standard_normal(n)
+        return x, 1.0 + 0.5 * x + rng.standard_normal(n)
+
+    def test_statistics_do_not_depend_on_row_order(self):
+        x, y = self._data()
+        n = x.shape[0]
         records = []
         for k in range(4):
             perm = np.random.default_rng(k).permutation(n)
@@ -262,12 +268,7 @@ class TestTiedCovariates:
                 assert other[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
 
     def test_bootstrap_pvalues_do_not_depend_on_row_order(self):
-        # the same tied data: the bootstrap draws follow the scan positions,
-        # so the null statistics and the p-value must not move either
-        rng = np.random.default_rng(12)
-        n = 200
-        x = rng.integers(0, 5, size=n).astype(float)
-        y = 1.0 + 0.5 * x + rng.standard_normal(n)
+        x, y = self._data()
         _assert_bootstrap_row_order_free("centered_linear", x, y, anchors=None)
 
 
