@@ -55,11 +55,14 @@ def legendre_shifted(k: int, t):
         raise ValueError(f"index k must be in [1, {MAX_INDEX}], got {k}")
     t_arr = np.asarray(t, dtype=float)
     check_unit_cube("points", np.atleast_1d(t_arr), tol=1e-9)
-    m = k - 1
-    u = 2.0 * t_arr - 1.0
-    p = _legendre_values(m, np.atleast_1d(u))[m]
-    out = np.sqrt(2 * m + 1) * p
+    out = _legendre_orthonormal(k - 1, np.atleast_1d(t_arr))
     return float(out[0]) if t_arr.ndim == 0 else out
+
+
+def _legendre_orthonormal(m: int, t: np.ndarray) -> np.ndarray:
+    """Orthonormal shifted Legendre polynomial of degree m at points t
+    already checked to lie in [0, 1]."""
+    return np.sqrt(2 * m + 1) * _legendre_values(m, 2.0 * t - 1.0)[m]
 
 
 def _cumulative_factor(m: int, x: np.ndarray) -> np.ndarray:
@@ -105,21 +108,24 @@ class ReferenceBasis:
     degrees: tuple[tuple[int, ...], ...]
 
     def _points(self, points) -> np.ndarray:
+        """(n, p) points, or a (B, n, p) stack, checked to lie in the cube."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[1] != self.p:
+        if pts.ndim not in (2, 3) or pts.shape[-1] != self.p:
             raise ValueError(f"expected points of dimension {self.p}, got shape {pts.shape}")
         check_unit_cube("points", pts, tol=1e-9)
         return pts
 
+    def _evaluate(self, k: int, pts: np.ndarray) -> np.ndarray:
+        out = np.ones(pts.shape[:-1])
+        for j, m in enumerate(self.degrees[k]):
+            out *= _legendre_orthonormal(m, pts[..., j])
+        return out
+
     def evaluate_one(self, k: int, points) -> np.ndarray:
         """Values of basis function k (0-based) at the given points."""
-        pts = self._points(points)
-        out = np.ones(pts.shape[0])
-        for j, m in enumerate(self.degrees[k]):
-            out *= legendre_shifted(m + 1, pts[:, j])
-        return out
+        return self._evaluate(k, self._points(points))
 
     def cumulative_one(self, k: int, points) -> np.ndarray:
         """Q_k(x): integral of basis function k over the box {z <= x}."""
@@ -155,11 +161,12 @@ def sample_on_points(basis: ReferenceBasis, points) -> OrthonormalSet:
     resulting vectors are orthonormal only up to a discretization error, so
     a Gram-Schmidt pass removes that error exactly.  The first (constant)
     vector's direction is preserved.  Raises on rank deficiency, e.g. when
-    too many points coincide.
+    too many points coincide.  A (B, n, p) stack of point sets gives a
+    stacked set, one per sample.
     """
     pts = basis._points(points)
-    n = pts.shape[0]
+    n = pts.shape[-2]
     if n < basis.d:
         raise ValueError(f"need at least d={basis.d} points, got {n}")
-    rows = np.stack([basis.evaluate_one(k, pts) for k in range(basis.d)]) / np.sqrt(n)
+    rows = np.stack([basis._evaluate(k, pts) for k in range(basis.d)], axis=-2) / np.sqrt(n)
     return gram_schmidt(rows)

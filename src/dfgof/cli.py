@@ -39,6 +39,7 @@ from .harness import (
     bootstrap_residuals,
     fixed_anchors,
     fixed_geometry,
+    process_statistics,
     residual_statistics,
     run_experiment,
     simulate_power,
@@ -371,9 +372,9 @@ def _cmd_test(args) -> None:
     residuals = bootstrap_residuals(
         model, geometry, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
     )
-    stats, observed_procs = residual_statistics(geometry, residuals)
+    stats, observed_procs = residual_statistics(geometry, residuals, args.process)
     key = f"{args.process}.{args.statistic}"
-    observed = {k: float(v[0]) for k, v in stats.items()}
+    observed = process_statistics(observed_procs)
     observed_stat = observed[key]
     boot_stats = stats[key][1:]
     pvalue = (1.0 + float(np.sum(boot_stats >= observed_stat))) / (args.reps + 1.0)
@@ -551,7 +552,7 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

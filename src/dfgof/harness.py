@@ -6,10 +6,22 @@ residuals onto the reference basis, standardizes the covariates by optimal
 transport when p >= 2, and records Kolmogorov-Smirnov style statistics of
 both the transformed and the untransformed residual process.
 
-Replications are independent: the RNG stream of replication i is derived
-from (seed, design id, variant tag, i), so results are bit-identical
-whatever the execution order or worker count.  Fit failures are counted
-and the replication is dropped; more than 1% failures aborts the run.
+Replications run in blocks of ``BLOCK`` consecutive indices: block b holds
+replications b * BLOCK up to (b + 1) * BLOCK - 1, the last block fewer.
+Replication i draws X and then its errors from its own RNG stream, derived
+from (seed, design id, variant tag, i), and each block stacks its draws
+along a leading sample axis.  Fit, score and reference sets, reflection
+chains, both processes, their statistics and the probes then run once per
+block over that axis, and every sample gets the numbers it would get on its
+own.  The block boundaries depend on the replication count alone, never on
+the worker count: the process pool hands out whole blocks, so results are
+bit-identical for any number of workers.  Per-sample Python work is left
+where the data force it: each replication's stream, draws and centering
+constants, and for p >= 2 the optimal assignment and the dominance sweep of
+each sample.  A block in which a sample fails (rank-deficient fit, too few
+distinct covariate values) is evaluated again one sample at a time, the
+failing samples are dropped and counted; more than 1% failures aborts the
+run.
 
 The per-sample pipeline has two halves.  ``fixed_geometry`` holds all that
 is fixed given X and the fitted score span: the scan points (for p >= 2
@@ -19,10 +31,11 @@ the scan points differ between p = 1 and p >= 2.  The second half
 evaluates residuals on that geometry, building the reflection plan between
 the two sets once and applying it to one residual vector
 (``pipeline_processes``) or to every column of a matrix
-(``residual_statistics``).  A simulation replication draws a fresh X and
-runs both halves once; the ``dfgof test`` bootstrap keeps X fixed, builds
-the geometry once and evaluates the observed residual and all bootstrap
-residuals together as the columns of one matrix (``bootstrap_residuals``).
+(``residual_statistics``).  Both take one sample or a stack.  A simulation
+block runs both halves once on its stack; the ``dfgof test`` bootstrap
+keeps X fixed, builds the geometry once and evaluates the observed residual
+and all bootstrap residuals together as the columns of one matrix
+(``bootstrap_residuals``).
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ import numpy as np
 from .basis import make_basis, sample_on_points
 from .errors import ConfigError, NumericalError, RankDeficiencyError, SingularMatrixError
 from .model import FitResult, RegressionModel, Sample, build_model, fit, score_basis
-from .process import Ecdf, StepProcess, build_process, ks_statistics
+from .process import Ecdf, StepProcess, build_process, ks_statistics, tie_last
 from .rotations import OrthonormalSet
 from .seeding import rng_for, seed_sequence
 from .transform import transform_residuals
@@ -71,6 +84,9 @@ STATISTICS = ("ks_abs", "ks_plus")
 PROCESS_KINDS = ("transformed", "raw")
 ANCHOR_MODES = ("halton", "random")
 MAX_FAILURE_FRACTION = 0.01
+# Replications evaluated together as one stack; blocks start at multiples of
+# BLOCK whatever the worker count.
+BLOCK = 64
 # Residual columns whose processes are built together: bounds the
 # (evaluation points x columns) arrays whatever the number of columns.
 EVAL_COLUMNS = 8
@@ -211,13 +227,13 @@ def _draw_errors(law: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _psi_values(psi: str, x: np.ndarray) -> np.ndarray:
     if psi == "x_squared":
-        return x[:, 0] ** 2
+        return x[..., 0] ** 2
     if psi == "x2_squared":
-        return x[:, 1] ** 2
+        return x[..., 1] ** 2
     if psi == "x2_cubed":
-        return x[:, 1] ** 3
+        return x[..., 1] ** 3
     if psi == "sin_half_pi_x2":
-        return np.sin(0.5 * math.pi * x[:, 1])
+        return np.sin(0.5 * math.pi * x[..., 1])
     raise ConfigError(f"unknown psi id {psi!r}")
 
 
@@ -244,11 +260,12 @@ def _variant_tag(config: ExperimentConfig) -> str:
 @dataclass(frozen=True, eq=False)
 class Geometry:
     """What the residual evaluation of one sample needs that is fixed given
-    X and the fitted score span, indexed by data row.
+    X and the fitted score span, indexed by data row; for a stacked sample
+    every field but ``grid`` has a leading sample axis.
 
     ``points`` scan the transformed process (empirical-CDF times, or the
     matched anchors) and ``raw_points`` the raw one (the same times, or
-    the rescaled covariates).
+    the rescaled covariates), both (n, p).
     """
 
     points: np.ndarray
@@ -256,6 +273,25 @@ class Geometry:
     score_set: OrthonormalSet
     reference_set: OrthonormalSet
     grid: int | None
+
+
+def _ecdf_times(x: np.ndarray, d: int) -> np.ndarray:
+    """Empirical-CDF time of every entry of each row of a (B, n) stack: the
+    share of the row's entries <= it.  Raises RankDeficiencyError when a
+    row takes d or fewer distinct values: the score span then holds every
+    tie-group indicator and the process vanishes at all its times."""
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1, kind="stable")
+    ranked = np.take_along_axis(x, order, axis=-1)
+    distinct = 1 + np.count_nonzero(ranked[:, 1:] != ranked[:, :-1], axis=-1)
+    if np.any(distinct <= d):
+        raise RankDeficiencyError(
+            f"the covariate takes {int(distinct.min())} distinct values, not more than the "
+            f"d = {d} fitted parameters: the residual process would vanish at every scan time"
+        )
+    times = np.empty(x.shape)
+    np.put_along_axis(times, order, (tie_last(ranked) + 1) / n, axis=-1)
+    return times
 
 
 def fixed_geometry(
@@ -266,35 +302,35 @@ def fixed_geometry(
     anchor_set: AnchorSet | None = None,
     grid: int | None = None,
 ) -> Geometry:
-    """Scan points and score and reference sets of one fitted sample.
+    """Scan points and score and reference sets of one fitted sample, or of
+    each sample of a stack.
 
     For p = 1 each row is scanned at the empirical-CDF time of its
     covariate (i/n without ties; tied covariates share the time of their
-    last copy, so the process and the reference set see no tie order).
-    For p >= 2 an anchor set of matching size is required and each row is
-    scanned at the anchor the optimal assignment matches it to.  For
-    linear model kinds nothing here depends on the response, so one
-    geometry serves every response drawn on the same X.
+    last copy, so the process and the reference set see no tie order);
+    a covariate with no more than d distinct values raises
+    RankDeficiencyError.  For p >= 2 an anchor set of matching size is
+    required and each row is scanned at the anchor the optimal assignment
+    matches it to, one assignment per sample.  For linear model kinds
+    nothing here depends on the response, so one geometry serves every
+    response drawn on the same X.
     """
-    n, p = sample.n, sample.p
-    if p == 1:
-        x = sample.X[:, 0]
-        points = raw_points = np.searchsorted(np.sort(x), x, side="right") / n
+    xs = sample.X if sample.stacked else sample.X[None]
+    if sample.p == 1:
+        points = raw_points = _ecdf_times(xs[..., 0], model.d)[..., None]
     else:
         if anchor_set is None:
             raise ValueError("p >= 2 requires an anchor set")
-        raw_points, _, _ = rescale_unit_cube(sample.X)
-        points = transported_points(solve_assignment(raw_points, anchor_set), anchor_set)
+        raw_points = np.empty(xs.shape)
+        points = np.empty(xs.shape)
+        for x, raw, scan in zip(xs, raw_points, points):
+            raw[:], _, _ = rescale_unit_cube(x)
+            scan[:] = transported_points(solve_assignment(raw, anchor_set), anchor_set)
+    if not sample.stacked:
+        points, raw_points = points[0], raw_points[0]
     score_set = score_basis(model, fitres, sample)
-    reference_set = sample_on_points(make_basis(p, model.d), points)
+    reference_set = sample_on_points(make_basis(sample.p, model.d), points)
     return Geometry(points, raw_points, score_set, reference_set, grid)
-
-
-def _processes(geometry: Geometry, transformed: np.ndarray, raw: np.ndarray) -> dict[str, StepProcess]:
-    return {
-        "transformed": build_process(transformed, geometry.points, grid=geometry.grid),
-        "raw": build_process(raw, geometry.raw_points, grid=geometry.grid),
-    }
 
 
 def process_statistics(procs: dict[str, StepProcess]) -> dict[str, float | np.ndarray]:
@@ -303,26 +339,37 @@ def process_statistics(procs: dict[str, StepProcess]) -> dict[str, float | np.nd
 
 
 def residual_statistics(
-    geometry: Geometry, residuals: np.ndarray
+    geometry: Geometry, residuals: np.ndarray, process: str
 ) -> tuple[dict[str, np.ndarray], dict[str, StepProcess]]:
-    """Every statistic of every column of an (n, m) residual matrix, and the
+    """Statistics of ``process`` for every column of an (n, m) residual
+    matrix on one geometry, keyed "{process}.{statistic}", and both
     processes of column 0.
 
     One rotation maps the whole matrix; the processes are then built
     EVAL_COLUMNS columns at a time, so that memory does not grow with the
-    number of lattice points times m.
+    number of lattice points times m.  The other process is built for the
+    first block only, the one that holds column 0: built on that column
+    alone, its p = 2 leaf sums would round differently.
     """
-    transformed = transform_residuals(residuals, geometry.score_set, geometry.reference_set).values
+    if process not in PROCESS_KINDS:
+        raise ConfigError(f"unknown process kind {process!r}; known: {PROCESS_KINDS}")
+    columns = {
+        "transformed": transform_residuals(residuals, geometry.score_set, geometry.reference_set).values,
+        "raw": residuals,
+    }
+    points = {"transformed": geometry.points, "raw": geometry.raw_points}
     stats: dict[str, list[np.ndarray]] = {}
-    first = None
+    first = {}
     for start in range(0, residuals.shape[1], EVAL_COLUMNS):
         cols = slice(start, start + EVAL_COLUMNS)
-        procs = _processes(geometry, transformed[:, cols], residuals[:, cols])
-        if first is None:
-            first = {kind: proc.column(0) for kind, proc in procs.items()}
-        for key, values in process_statistics(procs).items():
-            stats.setdefault(key, []).append(values)
-        del procs  # keep one block of processes alive, not two
+        for kind in PROCESS_KINDS if start == 0 else (process,):
+            proc = build_process(columns[kind][:, cols], points[kind], grid=geometry.grid)
+            if start == 0:
+                first[kind] = proc.column(0)
+            if kind == process:
+                for name, values in ks_statistics(proc).items():
+                    stats.setdefault(f"{kind}.{name}", []).append(values)
+            del proc  # keep one block's process alive, not two
     return {key: np.concatenate(parts) for key, parts in stats.items()}, first
 
 
@@ -367,7 +414,8 @@ def pipeline_processes(
     anchor_set: AnchorSet | None = None,
     grid: int | None = None,
 ):
-    """Transformed and raw residual processes for one fitted sample.
+    """Transformed and raw residual processes for one fitted sample, or
+    stacked processes for a fitted stack.
 
     For p = 1 the scan runs over empirical-CDF times; for p >= 2 an anchor
     set of matching size is required and the scan runs over the matched
@@ -375,7 +423,24 @@ def pipeline_processes(
     """
     geometry = fixed_geometry(model, sample, fitres, anchor_set=anchor_set, grid=grid)
     transformed = transform_residuals(fitres.residuals, geometry.score_set, geometry.reference_set).values
-    return _processes(geometry, transformed, fitres.residuals)
+    if sample.p == 1:
+        # both processes scan the same times: one sort serves the two columns
+        both = build_process(np.stack([transformed, fitres.residuals], axis=-1), geometry.points)
+        return {"transformed": both.column(0), "raw": both.column(1)}
+    return {
+        "transformed": build_process(transformed, geometry.points, grid=grid),
+        "raw": build_process(fitres.residuals, geometry.raw_points, grid=grid),
+    }
+
+
+def _probe(proc: StepProcess, t: float) -> float | np.ndarray:
+    """p = 1 process value at time t: the value at the last evaluation
+    point <= t (the first point if none is)."""
+    times = proc.eval_points[..., 0]
+    last = np.maximum(np.count_nonzero(times <= t, axis=-1) - 1, 0)
+    if not proc.stacked:
+        return float(proc.eval_values[last])
+    return np.take_along_axis(proc.eval_values, last[:, None], axis=1)[:, 0]
 
 
 def pipeline_records(
@@ -386,30 +451,30 @@ def pipeline_records(
     anchor_set: AnchorSet | None = None,
     grid: int | None = None,
     probe_times: tuple[float, ...] = (),
-) -> dict[str, float]:
+) -> dict[str, float] | dict[str, np.ndarray]:
     """Statistics of the transformed and raw residual processes for one
-    fitted sample."""
+    fitted sample (floats), or for each sample of a fitted stack (arrays
+    with one entry per sample)."""
     procs = pipeline_processes(model, sample, fitres, anchor_set=anchor_set, grid=grid)
     record = process_statistics(procs)
-    proc_t = procs["transformed"]
     for i, t in enumerate(probe_times):
-        idx = int(np.searchsorted(proc_t.eval_points[:, 0], t, side="right")) - 1
-        record[f"probe.{i}"] = float(proc_t.eval_values[max(idx, 0)])
+        record[f"probe.{i}"] = _probe(procs["transformed"], t)
     return record
 
 
-def _replication(config: ExperimentConfig, design_id: str, index: int) -> dict[str, float] | None:
-    """One simulation replication; None marks an excluded fit failure.
-
-    Stream discipline: covariates are drawn first, then errors, from the
-    replication's own generator.
-    """
+def _draws(config: ExperimentConfig, design_id: str, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Covariates and then errors of replication ``index``, from its own
+    generator."""
     rng = rng_for(config.seed, "design", design_id, _variant_tag(config), "rep", index)
     x = _sample_design(design_id, config.n, rng)
-    errors = _draw_errors(config.error_law, config.n, rng)
+    return x, _draw_errors(config.error_law, config.n, rng)
 
-    probe_sample = Sample(x, np.zeros(config.n))
-    model = build_model(config.model, probe_sample)
+
+def _stack_records(config: ExperimentConfig, draws: list[tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Records of a stack of replications, one entry per draw."""
+    x = np.stack([xi for xi, _ in draws])
+    errors = np.stack([ei for _, ei in draws])
+    model = build_model(config.model, Sample(x, np.zeros(errors.shape)))
     theta = np.asarray(config.theta_true if config.theta_true is not None else np.ones(model.d))
     signal = np.asarray(model.mean(theta, x), dtype=float)
     if config.alternative is not None:
@@ -418,18 +483,34 @@ def _replication(config: ExperimentConfig, design_id: str, index: int) -> dict[s
             amp /= math.sqrt(config.n)
         signal = signal + amp * _psi_values(config.alternative.psi, x)
     sample = Sample(x, signal + errors)
-
-    try:
-        fitres = fit(model, sample)
-    except (RankDeficiencyError, SingularMatrixError):
-        return None
-    if not fitres.converged:
-        return None
-
+    fitres = fit(model, sample)
     anchor_set = fixed_anchors(config.n, config.p, config.anchors, config.seed) if config.p >= 2 else None
     return pipeline_records(
         model, sample, fitres, anchor_set=anchor_set, grid=config.grid, probe_times=config.probe_times
     )
+
+
+def _block(config: ExperimentConfig, design_id: str, start: int) -> tuple[dict[str, np.ndarray], int]:
+    """Records of the block of replications from ``start`` (a multiple of
+    BLOCK) and the number of its replications dropped.
+
+    The block is evaluated as one stack.  If some sample fails, each sample
+    is evaluated again as a stack of one, which gives it the same numbers,
+    and the failing ones are dropped.
+    """
+    draws = [_draws(config, design_id, i) for i in range(start, min(start + BLOCK, config.reps))]
+    try:
+        return _stack_records(config, draws), 0
+    except (RankDeficiencyError, SingularMatrixError):
+        pass
+    kept = []
+    for draw in draws:
+        try:
+            kept.append(_stack_records(config, [draw]))
+        except (RankDeficiencyError, SingularMatrixError):
+            continue
+    columns = {key: np.concatenate([record[key] for record in kept]) for key in kept[0]} if kept else {}
+    return columns, len(draws) - len(kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,24 +536,23 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications of a single-design config.
 
-    With workers > 1 replications are distributed over a process pool;
-    results are collected by replication index, so output is bit-identical
-    for any worker count.
+    Replications run in blocks of BLOCK; with workers > 1 the blocks are
+    distributed over a process pool.  Results are collected in replication
+    order, and the blocks do not depend on the worker count, so output is
+    bit-identical for any worker count.
     """
     if len(config.design) != 1:
         raise ConfigError(f"run_experiment needs exactly one design, got {config.design}")
     design_id = config.design[0]
     start = time.perf_counter()
+    starts = range(0, config.reps, BLOCK)
     if workers <= 1:
-        records = [_replication(config, design_id, i) for i in range(config.reps)]
+        blocks = [_block(config, design_id, s) for s in starts]
     else:
-        chunk = max(1, config.reps // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(_replication, repeat(config), repeat(design_id), range(config.reps), chunksize=chunk)
-            )
-    kept = [r for r in records if r is not None]
-    failures = len(records) - len(kept)
+            blocks = list(pool.map(_block, repeat(config), repeat(design_id), starts))
+    failures = sum(dropped for _, dropped in blocks)
+    kept = [columns for columns, _ in blocks if columns]
     if failures > MAX_FAILURE_FRACTION * config.reps:
         raise NumericalError(
             f"{failures} of {config.reps} replications failed to fit "
@@ -480,7 +560,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         )
     if not kept:
         raise NumericalError("all replications failed to fit")
-    columns = {key: np.array([r[key] for r in kept]) for key in kept[0]}
+    columns = {key: np.concatenate([part[key] for part in kept]) for key in kept[0]}
     return ExperimentResult(
         config=config, columns=columns, failures=failures, elapsed=time.perf_counter() - start
     )

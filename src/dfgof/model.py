@@ -10,6 +10,11 @@ of the gradient span that the residual rotation consumes.  Its entries
 follow the data rows for every covariate dimension: the scan geometry is
 carried by the scan points alone.
 
+A ``Sample`` may also hold a stack of B samples of equal size along a
+leading axis.  Linear kinds built on such a stack bind each sample's own
+centering constants, and ``fit`` and ``score_basis`` then run once over
+the whole stack, giving each sample the result it gets on its own.
+
 Custom models must be pure functions of (theta, X): no hidden mutable
 state, so fits may run concurrently.
 """
@@ -27,7 +32,8 @@ from .rotations import OrthonormalSet, gram_schmidt, inv_sqrt_spd
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """Covariate matrix X (n rows, p columns) and response vector Y (length n)."""
+    """Covariate matrix X (n rows, p columns) and response vector Y (length n),
+    or a stack of B of them: X of shape (B, n, p) and Y of shape (B, n)."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -37,24 +43,28 @@ class Sample:
         y = np.asarray(self.Y, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        if x.ndim != 2:
-            raise ValueError(f"X must be a 2-D (n, p) matrix, got ndim={x.ndim}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValueError(f"Y must be 1-D of length {x.shape[0]}, got shape {y.shape}")
+        if x.ndim not in (2, 3):
+            raise ValueError(f"X must be a 2-D (n, p) matrix or a (B, n, p) stack, got ndim={x.ndim}")
+        if y.shape != x.shape[:-1]:
+            raise ValueError(f"Y must have shape {x.shape[:-1]}, got shape {y.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("sample contains non-finite entries")
-        if x.shape[0] < x.shape[1] + 1:
-            raise ValueError(f"need n >= p + 1 observations, got n={x.shape[0]}, p={x.shape[1]}")
+        if x.shape[-2] < x.shape[-1] + 1:
+            raise ValueError(f"need n >= p + 1 observations, got n={x.shape[-2]}, p={x.shape[-1]}")
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
 
     @property
+    def stacked(self) -> bool:
+        return self.X.ndim == 3
+
+    @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
+        return self.X.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +73,9 @@ class RegressionModel:
 
     mean(theta, X) returns the length-n vector of mean values; grad(theta, X)
     returns the (n, d) matrix of partial derivatives.  ``linear`` marks
-    kinds whose gradient does not depend on theta (closed-form fit).
+    kinds whose gradient does not depend on theta (closed-form fit).  The
+    built-in kinds also take a (B, n, p) stack of X with theta of shape
+    (d,) or (B, d), and return (B, n) and (B, n, d).
     """
 
     kind: str
@@ -76,6 +88,9 @@ class RegressionModel:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
+    """Fitted parameter, residuals and information matrix; for a stacked
+    sample each field gains the leading sample axis."""
+
     theta_hat: np.ndarray
     residuals: np.ndarray
     info_matrix: np.ndarray  # (1/n) sum of grad_i grad_i^T at theta_hat
@@ -95,29 +110,37 @@ def build_model(
 
     Kinds that center covariates ("centered_linear", "bilinear2d") bind the
     centering constants from ``sample`` at construction time, so the model
-    is a fixed function thereafter.
+    is a fixed function thereafter; a stacked sample binds each sample's
+    own constants.
     """
+
+    def coef(th, k):  # parameter k, broadcast over the rows of its sample
+        return th[..., k, None]
+
+    def centre(values):
+        return values.mean(axis=-1, keepdims=True)
+
     if kind == "simple_linear":
         return RegressionModel(
             kind=kind,
             d=1,
-            mean=lambda th, x: th[0] * x[:, 0],
-            grad=lambda th, x: x[:, :1].copy(),
+            mean=lambda th, x: coef(th, 0) * x[..., 0],
+            grad=lambda th, x: x[..., :1].copy(),
             p=1,
             linear=True,
         )
     if kind == "centered_linear":
         if sample is None:
             raise ValueError("centered_linear requires a sample to bind the covariate mean")
-        c = float(sample.X[:, 0].mean())
+        c = centre(sample.X[..., 0])
 
         def _grad(th, x, c=c):
-            return np.column_stack([np.ones(x.shape[0]), x[:, 0] - c])
+            return np.stack([np.ones(x.shape[:-1]), x[..., 0] - c], axis=-1)
 
         return RegressionModel(
             kind=kind,
             d=2,
-            mean=lambda th, x, c=c: th[0] + th[1] * (x[:, 0] - c),
+            mean=lambda th, x, c=c: coef(th, 0) + coef(th, 1) * (x[..., 0] - c),
             grad=_grad,
             p=1,
             linear=True,
@@ -127,20 +150,23 @@ def build_model(
             raise ValueError("bilinear2d requires a sample to bind the centering constants")
         if sample.p != 2:
             raise ConfigError(f"bilinear2d needs 2 covariate columns, the data have {sample.p}")
-        c1 = float(sample.X[:, 0].mean())
-        c2 = float(sample.X[:, 1].mean())
-        c12 = float((sample.X[:, 0] * sample.X[:, 1]).mean())
+        c1 = centre(sample.X[..., 0])
+        c2 = centre(sample.X[..., 1])
+        c12 = centre(sample.X[..., 0] * sample.X[..., 1])
 
         def _grad2(th, x, c1=c1, c2=c2, c12=c12):
-            return np.column_stack(
-                [np.ones(x.shape[0]), x[:, 0] - c1, x[:, 1] - c2, x[:, 0] * x[:, 1] - c12]
+            return np.stack(
+                [np.ones(x.shape[:-1]), x[..., 0] - c1, x[..., 1] - c2, x[..., 0] * x[..., 1] - c12], axis=-1
             )
 
         return RegressionModel(
             kind=kind,
             d=4,
             mean=lambda th, x, c1=c1, c2=c2, c12=c12: (
-                th[0] + th[1] * (x[:, 0] - c1) + th[2] * (x[:, 1] - c2) + th[3] * (x[:, 0] * x[:, 1] - c12)
+                coef(th, 0)
+                + coef(th, 1) * (x[..., 0] - c1)
+                + coef(th, 2) * (x[..., 1] - c2)
+                + coef(th, 3) * (x[..., 0] * x[..., 1] - c12)
             ),
             grad=_grad2,
             p=2,
@@ -155,23 +181,33 @@ def build_model(
 
 def _design_matrix(model: RegressionModel, theta: np.ndarray, sample: Sample) -> np.ndarray:
     g = np.asarray(model.grad(theta, sample.X), dtype=float)
-    if g.shape != (sample.n, model.d):
-        raise ValueError(f"grad returned shape {g.shape}, expected {(sample.n, model.d)}")
+    expected = sample.X.shape[:-1] + (model.d,)
+    if g.shape != expected:
+        raise ValueError(f"grad returned shape {g.shape}, expected {expected}")
     return g
 
 
 def fit_linear(model: RegressionModel, sample: Sample) -> FitResult:
-    """Closed-form least squares for kinds whose mean is linear in theta."""
+    """Closed-form least squares for kinds whose mean is linear in theta.
+
+    Solves through the thin SVD of the design, one per sample of a stack.
+    Like ``numpy.linalg.lstsq``, singular values up to machine epsilon
+    times max(n, d) times the largest count as zero; a design of lower
+    rank than d raises :class:`RankDeficiencyError`.
+    """
     if not model.linear:
         raise ValueError(f"fit_linear requires a linear model kind, got {model.kind!r}")
     if sample.n < model.d + 1:
         raise ValueError(f"need n >= d + 1 observations, got n={sample.n}, d={model.d}")
     design = _design_matrix(model, np.zeros(model.d), sample)
-    theta, _, rank, _ = np.linalg.lstsq(design, sample.Y, rcond=None)
-    if rank < model.d:
-        raise RankDeficiencyError(f"design matrix has rank {rank} < d = {model.d}")
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = np.sum(s > np.finfo(float).eps * max(sample.n, model.d) * s[..., :1], axis=-1)
+    if np.any(rank < model.d):
+        raise RankDeficiencyError(f"design matrix has rank {int(rank.min())} < d = {model.d}")
+    coords = (np.swapaxes(u, -1, -2) @ sample.Y[..., None])[..., 0] / s
+    theta = (np.swapaxes(vt, -1, -2) @ coords[..., None])[..., 0]
     residuals = sample.Y - np.asarray(model.mean(theta, sample.X), dtype=float)
-    info = design.T @ design / sample.n
+    info = np.swapaxes(design, -1, -2) @ design / sample.n
     return FitResult(theta_hat=theta, residuals=residuals, info_matrix=info, converged=True, iterations=0)
 
 
@@ -242,9 +278,12 @@ def fit_gauss_newton(
 
 
 def fit(model: RegressionModel, sample: Sample, theta0=None, **gn_options) -> FitResult:
-    """Dispatch to the closed-form or Gauss-Newton fitter."""
+    """Dispatch to the closed-form or Gauss-Newton fitter.  A stacked
+    sample needs a linear kind."""
     if model.linear:
         return fit_linear(model, sample)
+    if sample.stacked:
+        raise ValueError(f"a stacked sample needs a linear model kind, got {model.kind!r}")
     if theta0 is None:
         theta0 = np.zeros(model.d)
     return fit_gauss_newton(model, sample, theta0, **gn_options)
@@ -255,8 +294,9 @@ def score_basis(model: RegressionModel, fitres: FitResult, sample: Sample) -> Or
 
     Builds the d vectors (info_matrix^{-1/2} grad(theta_hat, X_i)) / sqrt(n)
     and applies Gram-Schmidt so the set is exactly orthonormal at finite n.
+    A stacked sample gives a stacked set, one basis per sample.
     """
     whitener = inv_sqrt_spd(fitres.info_matrix)
     design = _design_matrix(model, fitres.theta_hat, sample)
     columns = (design @ whitener) / np.sqrt(sample.n)  # column k is the k-th score vector
-    return gram_schmidt(columns.T)
+    return gram_schmidt(np.swapaxes(columns, -1, -2))

@@ -14,7 +14,11 @@ sums an n x n dominance mask in row blocks.
 A process may carry one residual vector or the m columns of an (n, m)
 residual matrix scanned by the same points; its contributions and
 evaluation values then gain a trailing column axis, and every statistic
-becomes a length-m array.
+becomes a length-m array.  A stack of B samples, each with its own scan
+points, gives a stacked process: every field gains a leading sample axis.
+At p = 1 its evaluation points are then t = 0 and all n sorted scan
+points, tied copies included, each copy carrying the value of its tie
+group, so every sample has n + 1 of them.
 
 Replicated statistics are summarized by their empirical distribution
 (``Ecdf``), compared with each other or with a reference law such as
@@ -42,7 +46,8 @@ DOMINANCE_BLOCK = 64
 
 @dataclass(frozen=True, eq=False)
 class StepProcess:
-    """Scan-ordered partial-sum process with its evaluations."""
+    """Scan-ordered partial-sum process with its evaluations (a stacked
+    process puts the sample axis in front of each field)."""
 
     scan_points: np.ndarray  # (n, p)
     contributions: np.ndarray  # residual / sqrt(n): (n,), or (n, m) for m residual columns
@@ -50,16 +55,20 @@ class StepProcess:
     eval_values: np.ndarray  # (k,), or (k, m)
 
     @property
+    def stacked(self) -> bool:
+        return self.eval_points.ndim == 3
+
+    @property
     def p(self) -> int:
-        return self.scan_points.shape[1]
+        return self.scan_points.shape[-1]
 
     def column(self, j: int) -> "StepProcess":
         """The process of residual column j of a matrix process."""
         return StepProcess(
             scan_points=self.scan_points,
-            contributions=self.contributions[:, j].copy(),
+            contributions=self.contributions[..., j].copy(),
             eval_points=self.eval_points,
-            eval_values=self.eval_values[:, j].copy(),
+            eval_values=self.eval_values[..., j].copy(),
         )
 
 
@@ -175,6 +184,31 @@ def _dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     return out
 
 
+def tie_last(sorted_values: np.ndarray) -> np.ndarray:
+    """For each position of ascending rows, the position of the last copy
+    of its value in the row (the row's tie group ends there)."""
+    n = sorted_values.shape[-1]
+    ends = np.ones(sorted_values.shape, dtype=bool)
+    ends[..., :-1] = sorted_values[..., 1:] != sorted_values[..., :-1]
+    marks = np.where(ends, np.arange(n), n)
+    return np.minimum.accumulate(marks[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _scan_values(scan: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = 1 evaluation of a (B, n) stack of scan times and (B, n, m)
+    contributions: t = 0 and the n sorted times of each sample, with the
+    partial sum up to the last copy of each time."""
+    order = np.argsort(scan, axis=-1, kind="stable")
+    times = np.take_along_axis(scan, order, axis=-1)
+    csum = np.cumsum(np.take_along_axis(contrib, order[..., None], axis=1), axis=1)
+    values = np.take_along_axis(csum, tie_last(times)[..., None], axis=1)
+    start = np.zeros((scan.shape[0], 1) + contrib.shape[2:])
+    if scan.shape[1]:
+        # t = 0 is a scan time of its own when some point sits there
+        start = np.where((times[:, :1] > 0.0)[..., None], start, values[:, :1])
+    return np.concatenate([np.zeros((scan.shape[0], 1)), times], axis=1), np.concatenate([start, values], axis=1)
+
+
 def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | None = None) -> StepProcess:
     """Build the partial-sum process of ``residuals`` scanned by ``scan_points``.
 
@@ -182,45 +216,51 @@ def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | No
     columns share the scan points.  scan_points must lie in [0,1]^p (rank
     times for p = 1, transported or rescaled covariates for p >= 2).
     ``grid`` is the per-axis lattice resolution for p >= 2 (default 64 for
-    p = 2).
+    p = 2).  A (B, n, p) stack of scan points with (B, n) or (B, n, m)
+    residuals builds the B processes at once as one stacked process.
     """
     residuals = np.asarray(residuals, dtype=float)
     scan = np.asarray(scan_points, dtype=float)
     if scan.ndim == 1:
         scan = scan[:, None]
-    if residuals.ndim not in (1, 2) or residuals.shape[0] != scan.shape[0]:
+    stacked = scan.ndim == 3
+    lead = scan.ndim - 1  # axes before the columns: (n,) or (B, n)
+    if residuals.ndim not in (lead, lead + 1) or residuals.shape[:lead] != scan.shape[:lead]:
         raise ValueError(
             f"residuals (shape {residuals.shape}) and scan points (shape {scan.shape}) do not match"
         )
     check_unit_cube("scan points", scan)
-    n, p = scan.shape
+    n, p = scan.shape[-2:]
     contrib = residuals / math.sqrt(n)
+    scans = scan if stacked else scan[None]
+    columns = contrib if stacked else contrib[None]
+    columns = columns if columns.ndim == 3 else columns[..., None]
 
     if p == 1:
-        order = np.argsort(scan[:, 0], kind="stable")
-        sorted_pts = scan[order, 0]
-        csum = np.cumsum(contrib[order], axis=0)
-        uniq = np.unique(sorted_pts)
-        last = np.searchsorted(sorted_pts, uniq, side="right") - 1
-        values = csum[last]
-        if uniq.size == 0 or uniq[0] > 0.0:
-            uniq = np.concatenate([[0.0], uniq])
-            values = np.concatenate([np.zeros((1,) + values.shape[1:]), values])
-        return StepProcess(
-            scan_points=scan, contributions=contrib, eval_points=uniq[:, None], eval_values=values
+        points, values = _scan_values(scans[..., 0], columns)
+        if not stacked:
+            # one evaluation point per distinct time
+            keep = np.append(points[0, 1:] != points[0, :-1], True)
+            points, values = points[:, keep], values[:, keep]
+        eval_points = points[..., None]
+    else:
+        m = grid if grid is not None else DEFAULT_GRID.get(p, 8)
+        if m < 2:
+            raise ValueError(f"grid resolution must be >= 2, got {m}")
+        if m**p > GRID_GUARD:
+            raise ValueError(f"lattice of {m}^{p} points exceeds the {GRID_GUARD} guard")
+        lattice = _lattice(p, m)
+        eval_points = np.concatenate([scans, np.broadcast_to(lattice, (scans.shape[0],) + lattice.shape)], axis=1)
+        values = np.stack(
+            [
+                np.concatenate([_dominance_sums(pts, cols), _lattice_values(pts, cols, m)])
+                for pts, cols in zip(scans, columns)
+            ]
         )
-
-    m = grid if grid is not None else DEFAULT_GRID.get(p, 8)
-    if m < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {m}")
-    if m**p > GRID_GUARD:
-        raise ValueError(f"lattice of {m}^{p} points exceeds the {GRID_GUARD} guard")
-    return StepProcess(
-        scan_points=scan,
-        contributions=contrib,
-        eval_points=np.vstack([scan, _lattice(p, m)]),
-        eval_values=np.concatenate([_dominance_sums(scan, contrib), _lattice_values(scan, contrib, m)]),
-    )
+    values = values.reshape(values.shape[:2] + contrib.shape[lead:])
+    if not stacked:
+        eval_points, values = eval_points[0], values[0]
+    return StepProcess(scan_points=scan, contributions=contrib, eval_points=eval_points, eval_values=values)
 
 
 def ks_statistics(proc: StepProcess) -> dict[str, float | np.ndarray]:
@@ -228,12 +268,13 @@ def ks_statistics(proc: StepProcess) -> dict[str, float | np.ndarray]:
     ks_abs = max |value| and ks_plus = max value over the evaluation points.
 
     For a matrix process each statistic is a length-m array, one entry per
-    residual column.
+    residual column; a stacked process puts the sample axis in front.
     """
     values = proc.eval_values
-    if values.shape[0] == 0:
+    axis = 1 if proc.stacked else 0
+    if values.shape[axis] == 0:
         raise ValueError("process has an empty evaluation set")
-    stats = {"ks_abs": np.abs(values).max(axis=0), "ks_plus": values.max(axis=0)}
+    stats = {"ks_abs": np.abs(values).max(axis=axis), "ks_plus": values.max(axis=axis)}
     if values.ndim == 1:
         return {name: float(value) for name, value in stats.items()}
     return stats

@@ -41,6 +41,33 @@ def _check_unit(name: str, v: np.ndarray) -> None:
         raise ValueError(f"{name} must have unit norm, got |{name}| = {nrm!r}")
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each sample's two vectors, for (B, n) stacks: one
+    BLAS dot per sample, the same call ``a @ b`` makes for one pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _reflect_stack(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Reflections swapping a[i] and b[i], applied to the columns of v[i],
+    for every sample i of (B, n) unit vectors and a (B, n, m) stack."""
+    gap = 1.0 - _dots(a, b)
+    degenerate = gap < DEGENERATE_GAP
+    d = a - b
+    coef = (d[:, None, :] @ v)[:, 0, :] / np.where(degenerate, 1.0, gap)[:, None]
+    out = v - d[:, :, None] * coef[:, None, :]
+    if degenerate.any():
+        out[degenerate] = v[degenerate]
+    return out
+
+
+def _as_columns(v: np.ndarray, stacked: bool) -> np.ndarray:
+    """v as a (B, n, m) stack: a single vector or matrix gains the sample
+    axis, and a vector per sample the column axis."""
+    if not stacked:
+        v = v[None]
+    return v[..., None] if v.ndim == 2 else v
+
+
 def reflect(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the reflection swapping unit vectors ``a`` and ``b`` to ``v``.
 
@@ -52,55 +79,62 @@ def reflect(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"a and b must be 1-D of equal length, got {a.shape} and {b.shape}")
-    if v.shape[0] != a.shape[0]:
+    if v.ndim not in (1, 2) or v.shape[0] != a.shape[0]:
         raise ValueError(f"v has leading dimension {v.shape[0]}, expected {a.shape[0]}")
     _check_unit("a", a)
     _check_unit("b", b)
+    return _reflect_stack(a[None], b[None], _as_columns(v, False))[0].reshape(v.shape)
 
-    gap = 1.0 - float(a @ b)
-    if gap < DEGENERATE_GAP:
-        return v.copy()
-    d = a - b
-    coef = np.tensordot(d, v, axes=(0, 0)) / gap
-    return v - np.multiply.outer(d, coef)
+
+def _gram_defects(vectors: np.ndarray) -> np.ndarray:
+    """Worst Gram defect of each set of a (B, k, n) stack."""
+    g = vectors @ np.swapaxes(vectors, -1, -2)
+    return np.abs(g - np.eye(vectors.shape[-2])).max(axis=(-2, -1), initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalSet:
-    """An ordered set of k orthonormal vectors of length n, stored as rows."""
+    """An ordered set of k orthonormal vectors of length n, stored as rows,
+    or a stack of B such sets along a leading sample axis."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.vectors, dtype=float)
-        if arr.ndim != 2:
+        if arr.ndim not in (2, 3):
             raise ValueError(f"vectors must be a 2-D (count, length) array, got ndim={arr.ndim}")
-        if arr.shape[0] > arr.shape[1]:
-            raise ValueError(f"cannot have {arr.shape[0]} orthonormal vectors of length {arr.shape[1]}")
+        if arr.shape[-2] > arr.shape[-1]:
+            raise ValueError(f"cannot have {arr.shape[-2]} orthonormal vectors of length {arr.shape[-1]}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("vectors contain non-finite entries")
         object.__setattr__(self, "vectors", arr)
-        defect = self.gram_defect()
+        defects = _gram_defects(arr if arr.ndim == 3 else arr[None])
+        object.__setattr__(self, "_defects", defects)
+        defect = float(defects.max(initial=0.0))
         if defect > INPUT_GRAM_TOL:
             raise ValueError(f"set is not orthonormal: max Gram defect {defect:.3e} > {INPUT_GRAM_TOL}")
 
     @property
+    def stacked(self) -> bool:
+        return self.vectors.ndim == 3
+
+    @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     @property
     def length(self) -> int:
-        return self.vectors.shape[1]
+        return self.vectors.shape[-1]
 
     def gram_defect(self) -> float:
-        g = self.vectors @ self.vectors.T
-        return float(np.abs(g - np.eye(self.count)).max())
+        """Worst Gram defect, over every set of a stack."""
+        return float(self._defects.max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class RotationPlan:
     """Reflection pairs, in the order they are applied, mapping one
-    orthonormal set onto another.
+    orthonormal set onto another (one plan per sample for a stack).
 
     Row j is the reflection swapping ``sources[j]`` and ``images[j]``; see
     :func:`build_plan` for which vectors these are.
@@ -114,18 +148,27 @@ class RotationPlan:
             raise ValueError("sources and images must have identical shape")
 
     @property
+    def stacked(self) -> bool:
+        return self.sources.ndim == 3
+
+    @property
     def count(self) -> int:
-        return self.sources.shape[0]
+        return self.sources.shape[-2]
 
     @property
     def length(self) -> int:
-        return self.sources.shape[1]
+        return self.sources.shape[-1]
 
 
-def _cleaned(s: OrthonormalSet) -> OrthonormalSet:
-    if s.gram_defect() > CLEAN_GRAM_TOL:
-        return gram_schmidt(s.vectors)
-    return s
+def _cleaned(s: OrthonormalSet) -> np.ndarray:
+    """The (B, k, n) vectors of ``s``, with the sets whose Gram defect
+    exceeds CLEAN_GRAM_TOL orthonormalized again."""
+    vectors = s.vectors if s.stacked else s.vectors[None]
+    dirty = s._defects > CLEAN_GRAM_TOL
+    if dirty.any():
+        vectors = vectors.copy()
+        vectors[dirty] = _orthonormalize(vectors[dirty])
+    return vectors
 
 
 def build_plan(source: OrthonormalSet, target: OrthonormalSet) -> RotationPlan:
@@ -135,36 +178,72 @@ def build_plan(source: OrthonormalSet, target: OrthonormalSet) -> RotationPlan:
     t_1] ... U[source_{k-1}, t_{k-1}] (applied first to last), that
     composition maps target_k -> source_k.  The plan stores the pairs
     (source_k, t_k) last k first, so applying its rows in order is the
-    inverse composition, source_k -> target_k.
+    inverse composition, source_k -> target_k.  Stacked sets give one
+    plan per sample.
     """
+    if source.stacked != target.stacked or source.vectors.shape[:-2] != target.vectors.shape[:-2]:
+        raise ValueError("source and target must both be single sets or stacks of the same size")
     if source.count != target.count:
         raise ValueError(f"set sizes differ: {source.count} != {target.count}")
     if source.length != target.length:
         raise ValueError(f"vector lengths differ: {source.length} != {target.length}")
-    source = _cleaned(source)
-    target = _cleaned(target)
-
-    d, n = source.count, source.length
-    srcs = np.empty((d, n))
-    imgs = np.empty((d, n))
-    for k in range(d):
-        image = target.vectors[k]
+    srcs = _cleaned(source)
+    targets = _cleaned(target)
+    imgs = np.empty_like(targets)
+    for k in range(srcs.shape[1]):
+        image = targets[:, k, :, None]
         for j in range(k):
-            image = reflect(srcs[j], imgs[j], image)
-        srcs[k] = source.vectors[k]
-        imgs[k] = image
-    return RotationPlan(sources=srcs[::-1], images=imgs[::-1])
+            image = _reflect_stack(srcs[:, j], imgs[:, j], image)
+        imgs[:, k] = image[..., 0]
+    srcs, imgs = srcs[:, ::-1], imgs[:, ::-1]
+    if not source.stacked:
+        srcs, imgs = srcs[0], imgs[0]
+    return RotationPlan(sources=srcs, images=imgs)
 
 
 def apply_plan(plan: RotationPlan, v: np.ndarray) -> np.ndarray:
-    """Apply the plan's reflections in row order to ``v`` (vector or matrix
-    of columns)."""
+    """Apply the plan's reflections in row order to ``v``: a vector or a
+    matrix of columns, or for a stacked plan a (B, n) or (B, n, m) stack
+    whose sample i the plan of sample i maps."""
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != plan.length:
-        raise ValueError(f"v has leading dimension {v.shape[0]}, expected {plan.length}")
-    out = v.copy()
-    for a, b in zip(plan.sources, plan.images):
-        out = reflect(a, b, out)
+    lead = 1 if plan.stacked else 0
+    if v.ndim not in (lead + 1, lead + 2) or v.shape[lead] != plan.length:
+        raise ValueError(f"v has shape {v.shape}, expected dimension {lead} of length {plan.length}")
+    if plan.stacked and v.shape[0] != plan.sources.shape[0]:
+        raise ValueError(f"v holds {v.shape[0]} samples, the plan {plan.sources.shape[0]}")
+    for name, rows in (("sources", plan.sources), ("images", plan.images)):
+        norms = np.linalg.norm(rows, axis=-1)
+        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+            raise ValueError(f"plan {name} must have unit norm")
+    pairs = (plan.sources, plan.images) if plan.stacked else (plan.sources[None], plan.images[None])
+    out = _as_columns(v, plan.stacked).copy()
+    for j in range(plan.count):
+        out = _reflect_stack(pairs[0][:, j], pairs[1][:, j], out)
+    return out.reshape(v.shape)
+
+
+def _orthonormalize(arr: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt with a re-orthogonalization pass over the k
+    vectors of every set of a (B, k, n) stack; see :func:`gram_schmidt`."""
+    _, k, n = arr.shape
+    if k > n:
+        raise RankDeficiencyError(f"{k} vectors of length {n} cannot be linearly independent")
+    out = np.empty(arr.shape)
+    for i in range(k):
+        u = arr[:, i].copy()
+        input_norm = np.sqrt(_dots(u, u))
+        for _ in range(2):
+            for j in range(i):
+                u -= _dots(out[:, j], u)[:, None] * out[:, j]
+        pivot = np.sqrt(_dots(u, u))
+        dependent = pivot < 1e-10 * np.maximum(input_norm, 1e-300)
+        if dependent.any():
+            b = int(np.argmax(dependent))
+            raise RankDeficiencyError(
+                f"vector {i} is linearly dependent on its predecessors "
+                f"(pivot {pivot[b]:.3e} vs input norm {input_norm[b]:.3e})"
+            )
+        out[:, i] = u / pivot[:, None]
     return out
 
 
@@ -172,52 +251,46 @@ def gram_schmidt(vectors: Sequence[np.ndarray] | np.ndarray) -> OrthonormalSet:
     """Orthonormalize ``vectors`` in order, preserving span and the
     direction of the first vector.
 
-    Uses modified Gram-Schmidt with a re-orthogonalization pass, so output
-    Gram defects are at machine-precision level.  Raises
-    :class:`RankDeficiencyError` naming the first vector whose component
-    orthogonal to its predecessors is below ``1e-10`` times its norm.
+    ``vectors`` holds k vectors of length n, or a (B, k, n) stack of such
+    sets, each orthonormalized on its own.  Uses modified Gram-Schmidt with
+    a re-orthogonalization pass, so output Gram defects are at
+    machine-precision level.  Raises :class:`RankDeficiencyError` naming
+    the first vector whose component orthogonal to its predecessors is
+    below ``1e-10`` times its norm.
     """
     arr = np.array(vectors, dtype=float)
-    if arr.ndim != 2:
+    if arr.ndim not in (2, 3):
         raise ValueError(f"expected a list of equal-length vectors, got ndim={arr.ndim}")
-    k, n = arr.shape
-    if k > n:
-        raise RankDeficiencyError(f"{k} vectors of length {n} cannot be linearly independent")
-    out = np.empty((k, n))
-    for i in range(k):
-        input_norm = float(np.linalg.norm(arr[i]))
-        u = arr[i].copy()
-        for _ in range(2):
-            for j in range(i):
-                u -= (out[j] @ u) * out[j]
-        pivot = float(np.linalg.norm(u))
-        if pivot < 1e-10 * max(input_norm, 1e-300):
-            raise RankDeficiencyError(
-                f"vector {i} is linearly dependent on its predecessors "
-                f"(pivot {pivot:.3e} vs input norm {input_norm:.3e})"
-            )
-        out[i] = u / pivot
-    return OrthonormalSet(out)
+    if arr.ndim == 3:
+        return OrthonormalSet(_orthonormalize(arr))
+    return OrthonormalSet(_orthonormalize(arr[None])[0])
 
 
 def inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
     """Inverse symmetric square root of a symmetric positive definite matrix.
 
     Returns symmetric N with N @ m @ N = I, computed from the symmetric
-    eigendecomposition.  Raises :class:`SingularMatrixError` when the
-    smallest eigenvalue is below 1e-12 times the largest.
+    eigendecomposition; a (B, d, d) stack gives one root per sample.
+    Raises :class:`SingularMatrixError` when the smallest eigenvalue is
+    below 1e-12 times the largest.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if float(np.abs(m - m.T).max()) > 1e-8 * max(scale, 1.0):
+    stack = m if m.ndim == 3 else m[None]
+    scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    asym = np.abs(stack - np.swapaxes(stack, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asym > 1e-8 * np.maximum(scale, 1.0)):
         raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh(m)
-    w_max = float(w.max()) if w.size else 0.0
-    if w_max <= 0.0 or float(w.min()) <= 1e-12 * w_max:
+    w, v = np.linalg.eigh(stack)
+    w_max = w.max(axis=-1, initial=-np.inf)
+    w_min = w.min(axis=-1, initial=np.inf)
+    singular = (w_max <= 0.0) | (w_min <= 1e-12 * w_max)
+    if singular.any():
+        b = int(np.argmax(singular))
         raise SingularMatrixError(
-            f"matrix is singular or indefinite to working precision (eigenvalues in [{w.min():.3e}, {w_max:.3e}])"
+            f"matrix is singular or indefinite to working precision (eigenvalues in [{w_min[b]:.3e}, {w_max[b]:.3e}])"
         )
-    n = (v / np.sqrt(w)) @ v.T
-    return (n + n.T) / 2.0
+    n = (v / np.sqrt(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
+    out = (n + np.swapaxes(n, -1, -2)) / 2.0
+    return out if m.ndim == 3 else out[0]

@@ -11,18 +11,23 @@ worker counts.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 
+@lru_cache(maxsize=256)
+def _hash_label(label: str) -> int:
+    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+
+
 def _encode(label) -> int:
     if isinstance(label, (int, np.integer)):
         return int(label) & _MASK64
     if isinstance(label, str):
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
+        return _hash_label(label)
     raise TypeError(f"cannot derive a seed from {type(label).__name__!r}")
 
 

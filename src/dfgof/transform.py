@@ -47,21 +47,24 @@ def transform_residuals(
     ``residuals`` must be indexed consistently with the vectors of both sets
     (the pipeline keeps all three in data row order); it is one vector or
     an (n, m) matrix whose columns are mapped alike, so that many residual
-    vectors on one design share one chain.  ``studentize`` additionally divides each column
-    by the sample standard deviation of its input residuals (off by
-    default: the error variance is taken as known and equal to one).
+    vectors on one design share one chain.  For stacked sets, one pair per
+    sample, it is a (B, n) or (B, n, m) stack and each sample gets its
+    own chain.  ``studentize`` additionally divides each column by the
+    sample standard deviation of its input residuals (off by default: the
+    error variance is taken as known and equal to one).
     """
     residuals = np.asarray(residuals, dtype=float)
-    if residuals.ndim not in (1, 2):
+    lead = 1 if score_set.stacked else 0
+    if residuals.ndim not in (lead + 1, lead + 2):
         raise ValueError(f"residuals must be a vector or a matrix of columns, got shape {residuals.shape}")
-    if residuals.shape[0] != score_set.length:
+    if residuals.shape[lead] != score_set.length:
         raise ValueError(
-            f"residual length {residuals.shape[0]} does not match basis length {score_set.length}"
+            f"residual length {residuals.shape[lead]} does not match basis length {score_set.length}"
         )
     plan = build_plan(score_set, reference_set)
     values = apply_plan(plan, residuals)
     if studentize:
-        values = values / np.std(residuals, ddof=1, axis=0)
+        values = values / np.std(residuals, ddof=1, axis=lead, keepdims=True)
     return TransformedResiduals(values=values, plan=plan)
 
 

@@ -228,6 +228,20 @@ class TestTestCommand:
         data.write_text("1,2\n2,4\n3,6\n4,8\n")
         assert run(["test", str(data), "--model", "simple_linear", "-o", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        ("model", "x", "distinct"),
+        [("simple_linear", np.full(300, 3.0), 1), ("centered_linear", np.arange(300) % 2.0, 2)],
+    )
+    def test_too_few_distinct_covariate_values_exit_two(self, tmp_path, capsys, model, x, distinct):
+        y = 1.0 + x + np.random.default_rng(3).standard_normal(x.shape[0])
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(f"{a},{b}" for a, b in zip(x, y)) + "\n")
+        code = run(["test", str(data), "--model", model, "--seed", "1", "--reps", "9", "-o", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "RankDeficiencyError" in err
+        assert f"takes {distinct} distinct values" in err
+
     def test_two_dimensional_pipeline_runs(self, tmp_path):
         data = _bilinear_file(tmp_path)
         out = tmp_path / "out"

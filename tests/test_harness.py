@@ -166,31 +166,31 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="exactly one design"):
             run_experiment(cfg)
 
-    def test_failure_fraction_guard(self, monkeypatch):
+    @staticmethod
+    def _first_replication_fails(monkeypatch):
+        """Replace the per-block unit by one whose replication 0 fails and
+        whose replication i records i."""
         import dfgof.harness as harness
 
-        calls = {"i": 0}
+        def failing(config, design_id, start):
+            kept = [i for i in range(start, min(start + harness.BLOCK, config.reps)) if i != 0]
+            dropped = min(harness.BLOCK, config.reps - start) - len(kept)
+            return {"transformed.ks_abs": np.array(kept, dtype=float)}, dropped
 
-        def failing(config, design_id, index):
-            calls["i"] += 1
-            return None if index == 0 else {"transformed.ks_abs": 1.0}
+        monkeypatch.setattr(harness, "_block", failing)
 
-        monkeypatch.setattr(harness, "_replication", failing)
+    def test_failure_fraction_guard(self, monkeypatch):
+        self._first_replication_fails(monkeypatch)
         cfg = small_config(reps=20)
         with pytest.raises(NumericalError, match="failed to fit"):
             run_experiment(cfg)  # 1/20 = 5% > 1%
 
     def test_failures_below_threshold_are_reported(self, monkeypatch):
-        import dfgof.harness as harness
-
-        def failing(config, design_id, index):
-            return None if index == 0 else {"transformed.ks_abs": float(index)}
-
-        monkeypatch.setattr(harness, "_replication", failing)
+        self._first_replication_fails(monkeypatch)
         cfg = small_config(reps=200)
         res = run_experiment(cfg)
         assert res.failures == 1
-        assert len(res.columns["transformed.ks_abs"]) == 199
+        assert np.array_equal(res.columns["transformed.ks_abs"], np.arange(1, 200))
 
 
 class TestSimulate:
@@ -280,7 +280,18 @@ def _bootstrap_statistics(kind, x, y, anchors, *, seed=3, reps=40):
     observed_fit = fit(model, sample)
     geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
     residuals = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law="normal")
-    return residual_statistics(geometry, residuals)[0]
+    return _all_statistics(geometry, residuals)[0]
+
+
+def _all_statistics(geometry, residuals):
+    """Statistics of both processes for every residual column, and the
+    processes of column 0."""
+    stats = {}
+    for kind in ("transformed", "raw"):
+        selected, first = residual_statistics(geometry, residuals, kind)
+        assert set(selected) == {f"{kind}.{stat}" for stat in STATISTICS}
+        stats.update(selected)
+    return stats, first
 
 
 def _assert_same_statistics(reference, other, rel=1e-9):
@@ -402,7 +413,7 @@ class TestBatchedBootstrap:
         geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
         residuals = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law=law)
         assert residuals.shape == (sample.n, reps + 1)
-        batch, first = residual_statistics(geometry, residuals)
+        batch, first = _all_statistics(geometry, residuals)
 
         null_mean = model.mean(observed_fit.theta_hat, sample.X)
         # draw k goes to the row at scan position k: the k-th scan point in
