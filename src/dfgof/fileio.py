@@ -35,15 +35,22 @@ def write_text_atomic(path, text: str) -> None:
 def write_table(path, header: list[str], rows, delimiter: str = ",", footer: str | None = None) -> None:
     """Header line, one line per row, optional footer line.
 
-    ``rows`` is any iterable of sequences, or a 2-D array.  Each row is
-    formatted by one %-format string, built once per distinct tuple of
-    value types.
+    ``rows`` is any iterable of sequences, or a 2-D array.  A float array
+    is formatted by one %-format call over all its values; other rows by
+    one %-format string per distinct tuple of value types.  Both give the
+    same bytes for the same values.
     """
+    joiner = delimiter.replace("%", "%%")
+    head = delimiter.join(header) + "\n"
+    tail = "" if footer is None else footer + "\n"
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        row_fmt = joiner.join(["%.17g"] * rows.shape[1]) + "\n"
+        write_text_atomic(path, head + (row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist()) + tail)
+        return
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     formats: dict[tuple, str] = {}
-    joiner = delimiter.replace("%", "%%")
-    lines = [delimiter.join(header)]
+    lines = []
     for row in rows:
         row = tuple(row)
         kinds = tuple(map(type, row))
@@ -53,10 +60,8 @@ def write_table(path, header: list[str], rows, delimiter: str = ",", footer: str
             fmt = formats[kinds] = joiner.join(
                 "%.17g" if issubclass(k, (float, np.floating)) else "%s" for k in kinds
             )
-        lines.append(fmt % row)
-    if footer is not None:
-        lines.append(footer)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+        lines.append(fmt % row + "\n")
+    write_text_atomic(path, head + "".join(lines) + tail)
 
 
 def write_ecdf(path, ecdf: Ecdf, delimiter: str = ",") -> None:

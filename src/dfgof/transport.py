@@ -30,8 +30,11 @@ from .basis import check_unit_cube
 BRUTE_FORCE_MAX = 8
 
 # problems up to this size are solved on the plain dense cost; larger ones
-# are warm-started from the duals of a problem a quarter of their size
-DENSE_MAX = 256
+# are warm-started from the duals of a coarse problem of grouped centroids
+DENSE_MAX = 184
+
+# points per coarse centroid of the warm start
+GROUP = 4
 
 # rows of cdist built at a time, so no second n x n matrix is ever held
 ROW_BLOCK = 64
@@ -78,23 +81,22 @@ class Assignment:
         object.__setattr__(self, "sigma", s)
 
 
-def _radical_inverse(i: int, base: int) -> float:
-    f = 1.0
-    x = 0.0
-    while i:
-        f /= base
-        x += f * (i % base)
-        i //= base
-    return x
-
-
 def _halton(n: int, p: int) -> np.ndarray:
     if p > len(_PRIMES):
         raise ValueError(f"halton anchors support p <= {len(_PRIMES)}, got {p}")
     pts = np.empty((n, p))
     for j in range(p):
+        # radical inverse of 1..n in base b, digit by digit for all indices
+        # at once; an index whose digits have run out adds f * 0 = 0.0
         base = _PRIMES[j]
-        pts[:, j] = [_radical_inverse(i, base) for i in range(1, n + 1)]
+        i = np.arange(1, n + 1)
+        f = 1.0
+        x = np.zeros(n)
+        while i.any():
+            f /= base
+            x += f * (i % base)
+            i //= base
+        pts[:, j] = x
     return pts
 
 
@@ -185,26 +187,80 @@ def _assignment_duals(cost: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, 
     return (matched - v)[sigma], v
 
 
+def _hilbert_order(points: np.ndarray) -> np.ndarray:
+    """Permutation sorting ``points`` along a p-dimensional Hilbert curve.
+
+    Coordinates are rescaled per axis onto [0, 1] and quantized to
+    ``bits = min(16, 64 // p)`` bits, so the index fits one uint64.
+    Skilling's transform (AIP Conf. Proc. 707, 2004) turns the quantized
+    axes into the curve's transposed index, whose bits interleave into the
+    key; the sort is stable, so equal keys (duplicate rows) keep row order.
+    """
+    n, p = points.shape
+    bits = min(16, 64 // p)
+    lo = points.min(axis=0)
+    span = points.max(axis=0) - lo
+    unit = (points - lo) / np.where(span > 0.0, span, 1.0)
+    axes = (unit * float(2**bits - 1)).astype(np.uint64)
+    zero, one = np.uint64(0), np.uint64(1)
+    # inverse undo, from the top bit down: where axis i has the bit, invert
+    # the low bits of axis 0, else exchange the low bits of axes 0 and i
+    for level in range(bits - 1, 0, -1):
+        q = one << np.uint64(level)
+        low = q - one
+        for i in range(p):
+            hit = (axes[:, i] & q) != 0
+            swap = np.where(hit, zero, (axes[:, 0] ^ axes[:, i]) & low)
+            axes[:, 0] ^= np.where(hit, low, swap)
+            axes[:, i] ^= swap
+    # Gray encode
+    for i in range(1, p):
+        axes[:, i] ^= axes[:, i - 1]
+    flip = np.zeros(n, dtype=np.uint64)
+    for level in range(bits - 1, 0, -1):
+        q = one << np.uint64(level)
+        flip ^= np.where((axes[:, p - 1] & q) != 0, q - one, zero)
+    axes ^= flip[:, None]
+    key = np.zeros(n, dtype=np.uint64)
+    for level in range(bits - 1, -1, -1):
+        for i in range(p):
+            key = (key << one) | ((axes[:, i] >> np.uint64(level)) & one)
+    return np.argsort(key, kind="stable")
+
+
+def _group_centroids(points: np.ndarray) -> np.ndarray:
+    """Centroids of GROUP consecutive points along the Hilbert curve.
+
+    ceil(n / GROUP) groups; when GROUP does not divide n the last one is
+    smaller.  Both clouds of an n-point problem get the same group sizes.
+    """
+    ordered = points[_hilbert_order(points)]
+    starts = np.arange(0, ordered.shape[0], GROUP)
+    sizes = np.diff(np.append(starts, ordered.shape[0]))
+    return np.add.reduceat(ordered, starts, axis=0) / sizes[:, None]
+
+
 def _reduced_cost(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Dense cost minus warm-start duals, as the one n x n matrix built.
 
-    Duals come from the optimal assignment of a coarse problem: m = n // 4
-    rows taken at an even stride (a file sorted by x1 still gives a
-    stratified sample) against the first m anchors (a Halton prefix is a
-    Halton net, and random anchors are i.i.d.; a stride would trap x1 in a
-    quarter of [0, 1]).  They extend to every anchor and then every row by
-    c-transforms, v_j = min_coarse i (c_ij - u_i), u_i = min_j (c_ij - v_j),
-    so every reduced entry is >= 0 and every row has a 0.
+    Duals come from the optimal assignment of a coarse problem: the
+    centroids of groups of GROUP points along a Hilbert curve, built for
+    the rows and for the anchors alike, so each coarse point stands for a
+    small compact patch of its cloud (Merigot 2011; Schmitzer 2016).  The
+    coarse problem is solved by ``_solve``, so large n recurse.  Its row
+    duals extend to every anchor and then every row by c-transforms,
+    v_j = min_coarse i (c_ij - u_i), u_i = min_j (c_ij - v_j), so every
+    reduced entry is >= 0 and every row has a 0.  A last column reduction
+    puts a 0 in every column as well.
     """
     from scipy.spatial.distance import cdist
 
     n = x.shape[0]
-    m = n // 4
-    xc = x[np.arange(m) * n // m]
-    ac = a[:m]
+    xc = _group_centroids(x)
+    ac = _group_centroids(a)
     u, _ = _assignment_duals(_cost_matrix(xc, ac), _solve(xc, ac))
     v = np.full(n, np.inf)
-    for b in _row_blocks(m):
+    for b in _row_blocks(xc.shape[0]):
         block = cdist(xc[b], a)
         block -= u[b, None]
         np.minimum(v, block.min(axis=0), out=v)
@@ -214,6 +270,7 @@ def _reduced_cost(x: np.ndarray, a: np.ndarray) -> np.ndarray:
         block -= v
         block -= block.min(axis=1, keepdims=True)
         _check_finite(block)
+    reduced -= reduced.min(axis=0)
     return reduced
 
 
@@ -229,15 +286,20 @@ def solve_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
 
     Solved by a shortest-augmenting-path algorithm on a dense n x n matrix
     (scipy's linear_sum_assignment).  Above DENSE_MAX points the matrix is
-    the cost minus dual potentials from a coarse problem of n // 4 points,
-    solved the same way: for every permutation the duals add the same
-    constant, so the minimizer is unchanged and the solver's augmenting
-    paths are shorter.  Deterministic for fixed input; among cost-ties the
-    returned permutation is whatever the solver picks, and may differ
-    between the plain and the warm-started matrix.  The reported cost is
-    the correctly-rounded sum of the matched Euclidean distances.
+    the cost minus dual potentials from a coarse problem, the centroids of
+    GROUP consecutive points along a Hilbert curve of each cloud, solved
+    the same way; after the potentials, every column is reduced to a
+    minimum of 0.  For every permutation the potentials and the reduction
+    subtract the same constant, so the minimizer is unchanged and the
+    solver's augmenting paths are shorter.  Deterministic for fixed input;
+    among cost-ties the returned permutation is whatever the solver picks,
+    and may differ between the plain and the warm-started matrix.  The
+    reported cost is the correctly-rounded sum of the matched Euclidean
+    distances.  Non-finite covariates raise ValueError.
     """
     x = _check_shapes(x, anchors)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("covariate points must be finite")
     sigma = _solve(x, anchors.points)
     return Assignment(sigma=sigma, cost=_total_cost(_matched_distances(x, anchors.points, sigma)))
 

@@ -50,6 +50,33 @@ class TestTableFormat:
         write_table(target, ["x1", "x2", "value"], rows, "\t")
         assert target.read_text() == _reference_table(["x1", "x2", "value"], [tuple(r) for r in rows], "\t")
 
+    @pytest.mark.parametrize("delimiter", [",", "%"])
+    def test_float_array_and_row_paths_write_the_same_bytes(self, tmp_path, delimiter):
+        rows = np.array(
+            [
+                [3.0, -0.0, 0.1 + 0.2],
+                [-7.0, 0.0, 1.0 / 3.0],
+                [2.0**53, 12345678.901234567, -1e-320],
+                [np.inf, np.nan, 0.30000000000000004],
+            ]
+        )
+        # ints where the array holds whole floats: %s and %.17g agree
+        mixed = [(3, -0.0, 0.1 + 0.2)] + [tuple(row) for row in rows.tolist()[1:]]
+        array_path, row_path, mixed_path = (tmp_path / name for name in ("a.csv", "r.csv", "m.csv"))
+        write_table(array_path, ["a", "b", "c"], rows, delimiter, footer="# end")
+        write_table(row_path, ["a", "b", "c"], (tuple(row) for row in rows.tolist()), delimiter, footer="# end")
+        write_table(mixed_path, ["a", "b", "c"], mixed, delimiter, footer="# end")
+        assert array_path.read_bytes() == row_path.read_bytes() == mixed_path.read_bytes()
+        assert array_path.read_text().splitlines()[1:3] == [
+            delimiter.join(["3", "-0", "0.30000000000000004"]),
+            delimiter.join(["-7", "0", "0.33333333333333331"]),
+        ]
+
+    def test_empty_float_array_writes_header_only(self, tmp_path):
+        target = tmp_path / "t.csv"
+        write_table(target, ["a", "b"], np.empty((0, 2)))
+        assert target.read_text() == "a,b\n"
+
     def test_integer_array_rows(self, tmp_path):
         rows = np.array([[0, 4], [1, -2]])
         target = tmp_path / "t.csv"

@@ -9,7 +9,11 @@ from dfgof.harness import covariate_design
 from dfgof.transport import (
     DENSE_MAX,
     AnchorSet,
+    GROUP,
     _assignment_duals,
+    _group_centroids,
+    _halton,
+    _hilbert_order,
     _reduced_cost,
     brute_force_assignment,
     generate_anchors,
@@ -22,6 +26,17 @@ from dfgof.transport import (
 def _ecdf_of_transported(assignment, anchors, x):
     """Empirical CDF of the transported covariates at x (componentwise <=)."""
     return float(np.all(transported_points(assignment, anchors) <= x, axis=1).mean())
+
+
+def _radical_inverse(i: int, base: int) -> float:
+    """Scalar radical inverse, digit by digit: the reference for _halton."""
+    f = 1.0
+    x = 0.0
+    while i:
+        f /= base
+        x += f * (i % base)
+        i //= base
+    return x
 
 
 def _dense_optimum(x, anchors):
@@ -40,6 +55,16 @@ class TestGenerateAnchors:
         out = generate_anchors(3, 2, "halton")
         assert np.allclose(out.points[:, 0], [0.5, 0.25, 0.75])
         assert np.allclose(out.points[:, 1], [1 / 3, 2 / 3, 1 / 9])
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (1000, 2), (5000, 3), (777, 15)])
+    def test_halton_matches_scalar_radical_inverse_bit_for_bit(self, n, p):
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+        reference = np.array([[_radical_inverse(i, primes[j]) for j in range(p)] for i in range(1, n + 1)])
+        assert _halton(n, p).tobytes() == reference.tobytes()
+
+    def test_halton_rejects_more_axes_than_primes(self):
+        with pytest.raises(ValueError, match="p <= 15"):
+            generate_anchors(4, 16, "halton")
 
     def test_random_is_deterministic_per_seed(self):
         a = generate_anchors(20, 2, "random", seed=42)
@@ -122,7 +147,7 @@ class TestWarmStartedSolve:
     """Above DENSE_MAX the dense solver runs on costs reduced by coarse duals."""
 
     @pytest.mark.parametrize("n", [DENSE_MAX + 1, 600, 1100])
-    @pytest.mark.parametrize("design", ["beta_dep_a", "beta_indep"])
+    @pytest.mark.parametrize("design", ["beta_dep_a", "beta_dep_b", "beta_indep"])
     @pytest.mark.parametrize("mode", ["halton", "random"])
     @pytest.mark.parametrize("order", ["iid", "x1_sorted"])
     def test_same_permutation_and_cost_as_dense(self, n, design, mode, order):
@@ -164,13 +189,49 @@ class TestWarmStartedSolve:
         assert reduced.min() >= -1e-12
         assert np.abs(reduced[np.arange(150), sigma]).max() <= 1e-12
 
-    def test_reduced_cost_is_nonnegative_with_a_zero_in_every_row(self):
-        x, _, _ = rescale_unit_cube(covariate_design("beta_dep_a", 400, seed=10))
-        anchors = generate_anchors(400, 2, "halton")
+    @pytest.mark.parametrize("n", [400, 1001])
+    def test_reduced_cost_is_nonnegative_with_a_zero_in_every_row_and_column(self, n):
+        x, _, _ = rescale_unit_cube(covariate_design("beta_dep_a", n, seed=10))
+        anchors = generate_anchors(n, 2, "halton")
         reduced = _reduced_cost(x, anchors.points)
-        assert reduced.shape == (400, 400)
+        assert reduced.shape == (n, n)
         assert reduced.min() == 0.0
         assert np.all(reduced.min(axis=1) == 0.0)
+        assert np.all(reduced.min(axis=0) == 0.0)
+
+    @pytest.mark.parametrize("n", [4 * 50, 4 * 50 + 1, 4 * 50 + 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_hilbert_order_is_a_deterministic_permutation(self, n, p):
+        x = np.random.default_rng(n + p).beta(2.0, 5.0, size=(n, p))
+        order = _hilbert_order(x)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.array_equal(_hilbert_order(x.copy()), order)
+
+    def test_hilbert_order_visits_grid_cells_one_step_apart(self):
+        # on a 2^k grid consecutive points along the curve are neighbours
+        for p, side in ((2, 8), (3, 4)):
+            grid = np.stack(np.meshgrid(*[np.arange(side)] * p, indexing="ij"), axis=-1).reshape(-1, p)
+            steps = np.abs(np.diff(grid[_hilbert_order(grid.astype(float))], axis=0)).sum(axis=1)
+            assert np.all(steps == 1)
+
+    def test_hilbert_order_keeps_duplicate_rows_in_row_order_and_together(self):
+        base = np.random.default_rng(12).uniform(size=(30, 2))
+        x = np.repeat(base, 3, axis=0)
+        order = _hilbert_order(x)
+        assert np.array_equal(np.sort(order), np.arange(90))
+        # the copies of a row are adjacent and in row order
+        assert np.array_equal(order.reshape(30, 3), order.reshape(30, 3)[:, :1] + np.arange(3))
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_group_centroids_of_a_ragged_last_group(self, n):
+        x = np.random.default_rng(n).uniform(size=(n, 2))
+        centroids = _group_centroids(x)
+        assert centroids.shape == (-(-n // GROUP), 2)
+        ordered = x[_hilbert_order(x)]
+        assert np.allclose(centroids[-1], ordered[(centroids.shape[0] - 1) * GROUP :].mean(axis=0))
+        # every group mean weighted by its size gives the cloud's mean
+        sizes = np.minimum(GROUP, n - GROUP * np.arange(centroids.shape[0]))
+        assert np.allclose((centroids * sizes[:, None]).sum(axis=0), x.sum(axis=0))
 
     def test_dual_sweep_terminates_on_all_equal_costs(self):
         sigma = np.random.default_rng(5).permutation(40)
@@ -184,10 +245,13 @@ class TestWarmStartedSolve:
         u, v = _assignment_duals(cost, np.array([1, 0]))
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_rejected_above_dense_max(self):
+        # rejected before the Hilbert key casts coordinates to integers,
+        # so no invalid-cast warning is raised on the way
         n = DENSE_MAX + 10
         x = np.random.default_rng(6).uniform(0.0, 1.0, size=(n, 2))
-        x[n - 1, 0] = np.nan  # outside the strided coarse rows
+        x[n - 1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             solve_assignment(x, generate_anchors(n, 2, "halton"))
 
