@@ -40,7 +40,7 @@ from .process import (
     ks_statistics,
     limit_covariance,
 )
-from .rotations import OrthonormalSet, RotationPlan, apply_plan, build_plan, gram_schmidt, inv_sqrt_spd, reflect
+from .rotations import OrthonormalSet, RotationPlan, apply_plan, build_plan, gram_schmidt, reflect
 from .transform import TransformedResiduals, transform_matrix, transform_residuals
 from .transport import (
     AnchorSet,
@@ -86,7 +86,6 @@ __all__ = [
     "fit_linear",
     "generate_anchors",
     "gram_schmidt",
-    "inv_sqrt_spd",
     "kolmogorov_cdf",
     "ks_statistics",
     "legendre_shifted",

@@ -50,7 +50,7 @@ from itertools import repeat
 import numpy as np
 
 from .basis import make_basis, sample_on_points
-from .errors import ConfigError, NumericalError, RankDeficiencyError, SingularMatrixError
+from .errors import ConfigError, NumericalError, RankDeficiencyError
 from .model import FitResult, RegressionModel, Sample, build_model, fit, score_basis
 from .process import Ecdf, StepProcess, build_process, ks_statistics, tie_last
 from .rotations import OrthonormalSet
@@ -345,11 +345,10 @@ def residual_statistics(
     matrix on one geometry, keyed "{process}.{statistic}", and both
     processes of column 0.
 
-    One rotation maps the whole matrix; the processes are then built
-    EVAL_COLUMNS columns at a time, so that memory does not grow with the
-    number of lattice points times m.  The other process is built for the
-    first block only, the one that holds column 0: built on that column
-    alone, its p = 2 leaf sums would round differently.
+    One rotation maps the whole matrix; the processes of ``process`` are
+    then built EVAL_COLUMNS columns at a time, so that memory does not grow
+    with the number of lattice points times m.  The other process is built
+    for column 0 alone.
     """
     if process not in PROCESS_KINDS:
         raise ConfigError(f"unknown process kind {process!r}; known: {PROCESS_KINDS}")
@@ -358,18 +357,19 @@ def residual_statistics(
         "raw": residuals,
     }
     points = {"transformed": geometry.points, "raw": geometry.raw_points}
+    first = {
+        kind: build_process(columns[kind][:, :1], points[kind], grid=geometry.grid).column(0)
+        for kind in PROCESS_KINDS
+        if kind != process
+    }
     stats: dict[str, list[np.ndarray]] = {}
-    first = {}
     for start in range(0, residuals.shape[1], EVAL_COLUMNS):
-        cols = slice(start, start + EVAL_COLUMNS)
-        for kind in PROCESS_KINDS if start == 0 else (process,):
-            proc = build_process(columns[kind][:, cols], points[kind], grid=geometry.grid)
-            if start == 0:
-                first[kind] = proc.column(0)
-            if kind == process:
-                for name, values in ks_statistics(proc).items():
-                    stats.setdefault(f"{kind}.{name}", []).append(values)
-            del proc  # keep one block's process alive, not two
+        proc = build_process(columns[process][:, start : start + EVAL_COLUMNS], points[process], grid=geometry.grid)
+        if start == 0:
+            first[process] = proc.column(0)
+        for name, values in ks_statistics(proc).items():
+            stats.setdefault(f"{process}.{name}", []).append(values)
+        del proc  # keep one block's process alive, not two
     return {key: np.concatenate(parts) for key, parts in stats.items()}, first
 
 
@@ -501,13 +501,13 @@ def _block(config: ExperimentConfig, design_id: str, start: int) -> tuple[dict[s
     draws = [_draws(config, design_id, i) for i in range(start, min(start + BLOCK, config.reps))]
     try:
         return _stack_records(config, draws), 0
-    except (RankDeficiencyError, SingularMatrixError):
+    except RankDeficiencyError:
         pass
     kept = []
     for draw in draws:
         try:
             kept.append(_stack_records(config, [draw]))
-        except (RankDeficiencyError, SingularMatrixError):
+        except RankDeficiencyError:
             continue
     columns = {key: np.concatenate([record[key] for record in kept]) for key in kept[0]} if kept else {}
     return columns, len(draws) - len(kept)

@@ -3,12 +3,15 @@
 A model is a mean function m(theta, X) with its exact parameter gradient.
 Built-in kinds are linear in theta and fitted in closed form; arbitrary
 smooth models ("custom") are fitted by damped Gauss-Newton.  The score
-basis is the set of n-vectors obtained by whitening the gradient columns
-with the inverse square root of the information matrix and scaling by
-1/sqrt(n); after an exact Gram-Schmidt cleanup it is the orthonormal basis
-of the gradient span that the residual rotation consumes.  Its entries
-follow the data rows for every covariate dimension: the scan geometry is
-carried by the scan points alone.
+basis is the Gram-Schmidt orthonormalization of the gradient columns at
+the fitted parameter, taken in model order: the orthonormal basis of the
+gradient span that the residual rotation consumes.  Vector k is the
+normalized part of gradient column k orthogonal to columns 0..k-1, so a
+rescale of the covariates that maps each gradient column to a positive
+multiple of itself plus earlier columns keeps the basis: for the kinds
+with an intercept, any affine rescale of each covariate with a positive
+scale.  Its entries follow the data rows for every covariate dimension:
+the scan geometry is carried by the scan points alone.
 
 A ``Sample`` may also hold a stack of B samples of equal size along a
 leading axis.  Linear kinds built on such a stack bind each sample's own
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, RankDeficiencyError, SingularMatrixError
-from .rotations import OrthonormalSet, gram_schmidt, inv_sqrt_spd
+from .rotations import OrthonormalSet, gram_schmidt
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +91,11 @@ class RegressionModel:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted parameter, residuals and information matrix; for a stacked
-    sample each field gains the leading sample axis."""
+    """Fitted parameter, residuals and convergence report; for a stacked
+    sample the arrays gain the leading sample axis."""
 
     theta_hat: np.ndarray
     residuals: np.ndarray
-    info_matrix: np.ndarray  # (1/n) sum of grad_i grad_i^T at theta_hat
     converged: bool
     iterations: int
 
@@ -207,8 +209,7 @@ def fit_linear(model: RegressionModel, sample: Sample) -> FitResult:
     coords = (np.swapaxes(u, -1, -2) @ sample.Y[..., None])[..., 0] / s
     theta = (np.swapaxes(vt, -1, -2) @ coords[..., None])[..., 0]
     residuals = sample.Y - np.asarray(model.mean(theta, sample.X), dtype=float)
-    info = np.swapaxes(design, -1, -2) @ design / sample.n
-    return FitResult(theta_hat=theta, residuals=residuals, info_matrix=info, converged=True, iterations=0)
+    return FitResult(theta_hat=theta, residuals=residuals, converged=True, iterations=0)
 
 
 def fit_gauss_newton(
@@ -247,7 +248,7 @@ def fit_gauss_newton(
             break
         delta, _, rank, _ = np.linalg.lstsq(jac, resid, rcond=None)
         if rank < model.d:
-            raise SingularMatrixError(f"information matrix is singular at iterate {iterations}")
+            raise SingularMatrixError(f"Jacobian has rank {rank} < d = {model.d} at iterate {iterations}")
         lam = 1.0
         improved = False
         for _ in range(60):
@@ -266,12 +267,9 @@ def fit_gauss_newton(
     if max_iter == 0:
         iterations = 0
 
-    jac = _design_matrix(model, theta, sample)
-    info = jac.T @ jac / sample.n
     return FitResult(
         theta_hat=theta,
         residuals=sample.Y - np.asarray(model.mean(theta, sample.X), dtype=float),
-        info_matrix=info,
         converged=converged,
         iterations=iterations,
     )
@@ -292,11 +290,10 @@ def fit(model: RegressionModel, sample: Sample, theta0=None, **gn_options) -> Fi
 def score_basis(model: RegressionModel, fitres: FitResult, sample: Sample) -> OrthonormalSet:
     """Orthonormal basis of the fitted gradient span, indexed by data row.
 
-    Builds the d vectors (info_matrix^{-1/2} grad(theta_hat, X_i)) / sqrt(n)
-    and applies Gram-Schmidt so the set is exactly orthonormal at finite n.
-    A stacked sample gives a stacked set, one basis per sample.
+    Gram-Schmidt of the gradient columns grad(theta_hat, X)[:, k] in model
+    order k = 0, ..., d - 1, so score vectors 0..k span what gradient
+    columns 0..k span.  A stacked sample gives a stacked set, one basis per
+    sample.
     """
-    whitener = inv_sqrt_spd(fitres.info_matrix)
     design = _design_matrix(model, fitres.theta_hat, sample)
-    columns = (design @ whitener) / np.sqrt(sample.n)  # column k is the k-th score vector
-    return gram_schmidt(np.swapaxes(columns, -1, -2))
+    return gram_schmidt(np.swapaxes(design, -1, -2))

@@ -104,8 +104,9 @@ def _planar_dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     dominated exactly by the points at earlier positions whose x1 rank is
     <= its own, plus its exact duplicates at later positions.  The
     positions are padded to leaf * 2**levels with zero contributions.
-    Leaves of at most DOMINANCE_LEAF positions are summed by brute force
-    in one batched product of their small masks.  Each merge level then
+    Leaves of at most DOMINANCE_LEAF positions are summed by brute force,
+    one leaf position at a time over all leaves, so each column's sums
+    round the same whatever the number of columns.  Each merge level then
     sorts every block by (x1 rank, half), left half first on equal ranks,
     and one cumulative sum adds the block's left-half contributions to its
     right-half points (Bentley 1980, multidimensional divide-and-conquer).
@@ -133,7 +134,11 @@ def _planar_dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     padded[:n] = cols[order]
     leaf_rank = rank.reshape(-1, leaf)
     below = (leaf_rank[:, None, :] <= leaf_rank[:, :, None]) & np.tri(leaf, dtype=bool)
-    sums = np.einsum("bij,bjm->bim", below.astype(float), padded.reshape(-1, leaf, m)).reshape(size, m)
+    blocks = padded.reshape(-1, leaf, m)
+    sums = np.zeros(blocks.shape)
+    for j in range(leaf):  # one fixed summation order, whatever m is
+        sums += below[:, :, j, None] * blocks[:, None, j, :]
+    sums = sums.reshape(size, m)
 
     merged = np.arange(size)  # positions; each block of the level sorted by (rank, half)
     stride = 2 * n  # above 2 * rank + 1 for every rank < n

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RankDeficiencyError, SingularMatrixError
+from .errors import RankDeficiencyError
 
 UNIT_NORM_TOL = 1e-10
 # Below this value of 1 - <a, b> the two vectors are treated as equal and
@@ -265,32 +265,3 @@ def gram_schmidt(vectors: Sequence[np.ndarray] | np.ndarray) -> OrthonormalSet:
         return OrthonormalSet(_orthonormalize(arr))
     return OrthonormalSet(_orthonormalize(arr[None])[0])
 
-
-def inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
-    """Inverse symmetric square root of a symmetric positive definite matrix.
-
-    Returns symmetric N with N @ m @ N = I, computed from the symmetric
-    eigendecomposition; a (B, d, d) stack gives one root per sample.
-    Raises :class:`SingularMatrixError` when the smallest eigenvalue is
-    below 1e-12 times the largest.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    stack = m if m.ndim == 3 else m[None]
-    scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
-    asym = np.abs(stack - np.swapaxes(stack, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    if np.any(asym > 1e-8 * np.maximum(scale, 1.0)):
-        raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh(stack)
-    w_max = w.max(axis=-1, initial=-np.inf)
-    w_min = w.min(axis=-1, initial=np.inf)
-    singular = (w_max <= 0.0) | (w_min <= 1e-12 * w_max)
-    if singular.any():
-        b = int(np.argmax(singular))
-        raise SingularMatrixError(
-            f"matrix is singular or indefinite to working precision (eigenvalues in [{w_min[b]:.3e}, {w_max[b]:.3e}])"
-        )
-    n = (v / np.sqrt(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
-    out = (n + np.swapaxes(n, -1, -2)) / 2.0
-    return out if m.ndim == 3 else out[0]

@@ -39,7 +39,6 @@ def transform_residuals(
     residuals: np.ndarray,
     score_set: OrthonormalSet,
     reference_set: OrthonormalSet,
-    studentize: bool = False,
 ) -> TransformedResiduals:
     """Map raw residuals to distribution-free residuals.
 
@@ -49,9 +48,7 @@ def transform_residuals(
     an (n, m) matrix whose columns are mapped alike, so that many residual
     vectors on one design share one chain.  For stacked sets, one pair per
     sample, it is a (B, n) or (B, n, m) stack and each sample gets its
-    own chain.  ``studentize`` additionally divides each column by the
-    sample standard deviation of its input residuals (off by default: the
-    error variance is taken as known and equal to one).
+    own chain.
     """
     residuals = np.asarray(residuals, dtype=float)
     lead = 1 if score_set.stacked else 0
@@ -62,10 +59,7 @@ def transform_residuals(
             f"residual length {residuals.shape[lead]} does not match basis length {score_set.length}"
         )
     plan = build_plan(score_set, reference_set)
-    values = apply_plan(plan, residuals)
-    if studentize:
-        values = values / np.std(residuals, ddof=1, axis=lead, keepdims=True)
-    return TransformedResiduals(values=values, plan=plan)
+    return TransformedResiduals(values=apply_plan(plan, residuals), plan=plan)
 
 
 def transform_matrix(score_set: OrthonormalSet, reference_set: OrthonormalSet) -> np.ndarray:

@@ -205,6 +205,15 @@ def _bilinear_file(tmp_path):
     return data
 
 
+def _constant_x2_file(tmp_path):
+    rng = np.random.default_rng(5)
+    x1 = rng.uniform(0, 1, 100)
+    y = 1 + x1 + 0.1 * rng.standard_normal(100)
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(f"{a},0.3,{c}" for a, c in zip(x1, y)) + "\n")
+    return data
+
+
 class TestTestCommand:
     def test_noiseless_linear_data_gives_pvalue_one(self, tmp_path, capsys):
         x = np.linspace(0.5, 2.0, 24)
@@ -266,6 +275,14 @@ class TestTestCommand:
         argv = ["test", str(_bilinear_file(tmp_path)), "--model", "bilinear2d", "--seed", "9", "--reps", "19"]
         assert run(argv + ["-o", str(tmp_path / "out")]) == 0
         assert calls == [(30, 2)]
+
+    @pytest.mark.parametrize("command", ["test", "fit"])
+    def test_constant_second_covariate_exits_two(self, tmp_path, capsys, command):
+        argv = [command, str(_constant_x2_file(tmp_path)), "--model", "bilinear2d", "--seed", "1"]
+        assert run(argv + ["-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "RankDeficiencyError" in err
+        assert "design matrix has rank 2 < d = 4" in err
 
     @pytest.mark.parametrize("command", ["test", "fit"])
     def test_unknown_model_exits_one(self, tmp_path, capsys, command):

@@ -156,13 +156,23 @@ class TestScoreBasis:
         centered = x - x.mean()
         assert np.allclose(out.vectors[1], centered / np.linalg.norm(centered), atol=1e-12)
 
+    def test_bilinear2d_matches_thin_qr_in_model_order(self):
+        rng = np.random.default_rng(10)
+        x = rng.uniform(0.0, 3.0, size=(40, 2))
+        probe = Sample(x, np.zeros(40))
+        model = build_model("bilinear2d", probe)
+        sample = Sample(x, model.mean(np.ones(4), probe.X) + rng.standard_normal(40))
+        out = score_basis(model, fit(model, sample), sample)
+        q, r = np.linalg.qr(model.grad(np.zeros(4), x))
+        q = q * np.sign(np.diag(r))  # R with a positive diagonal fixes Q
+        assert np.abs(out.vectors - q.T).max() < 1e-12
+
     def test_duplicated_gradient_columns_rejected(self):
         sample = Sample(np.linspace(0.1, 1, 10), np.zeros(10))
         model = _linear_model(lambda x: np.column_stack([x[:, 0], x[:, 0]]))
         bad_fit = FitResult(
             theta_hat=np.zeros(2),
             residuals=np.zeros(10),
-            info_matrix=np.ones((2, 2)),
             converged=True,
             iterations=0,
         )

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dfgof.errors import RankDeficiencyError, SingularMatrixError
+from dfgof.errors import RankDeficiencyError
 from dfgof.rotations import (
     OrthonormalSet,
     RotationPlan,
     apply_plan,
     build_plan,
     gram_schmidt,
-    inv_sqrt_spd,
     reflect,
 )
 
@@ -226,27 +225,3 @@ class TestGramSchmidt:
         first = vectors[0] / np.linalg.norm(vectors[0])
         assert np.allclose(out.vectors[0], first, atol=1e-12)
 
-
-class TestInvSqrtSpd:
-    def test_identity(self):
-        assert np.allclose(inv_sqrt_spd(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        out = inv_sqrt_spd(np.diag([4.0, 9.0]))
-        assert np.allclose(out, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-    def test_random_spd_residual(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((3, 3))
-        m = a @ a.T + 0.5 * np.eye(3)
-        n = inv_sqrt_spd(m)
-        assert np.allclose(n, n.T, atol=1e-14)
-        assert np.abs(n @ m @ n - np.eye(3)).max() < 1e-9
-
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            inv_sqrt_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            inv_sqrt_spd(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -71,20 +71,13 @@ class TestTransformResiduals:
         back = apply_plan(inverse, out.values)
         assert np.abs(back - residuals).max() < 1e-9
 
-    def test_studentize_divides_by_sample_std(self):
-        residuals, score, reference = fitted_univariate(7, 30)
-        raw = transform_residuals(residuals, score, reference)
-        scaled = transform_residuals(residuals, score, reference, studentize=True)
-        assert np.allclose(scaled.values, raw.values / np.std(residuals, ddof=1), atol=1e-12)
-
-    @pytest.mark.parametrize("studentize", [False, True])
-    def test_matrix_columns_match_vector_transforms(self, studentize):
+    def test_matrix_columns_match_vector_transforms(self):
         residuals, score, reference = fitted_univariate(9, 40, "centered_linear")
         rng = np.random.default_rng(9)
         matrix = np.column_stack([residuals, rng.standard_normal((40, 3))])
-        out = transform_residuals(matrix, score, reference, studentize=studentize)
+        out = transform_residuals(matrix, score, reference)
         for j in range(matrix.shape[1]):
-            one = transform_residuals(matrix[:, j], score, reference, studentize=studentize).values
+            one = transform_residuals(matrix[:, j], score, reference).values
             assert np.allclose(out.values[:, j], one, rtol=0.0, atol=1e-14)
 
     def test_length_mismatch_rejected(self):
