@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfgof.errors import NumericalError, RankDeficiencyError
+from dfgof.errors import NumericalError, RankDeficiencyError, SingularMatrixError
 from dfgof.model import (
     FitResult,
     RegressionModel,
@@ -124,6 +124,17 @@ class TestGaussNewton:
         assert result.iterations == 0
         assert result.theta_hat[0] == 0.25
 
+    def test_rank_deficient_jacobian_names_the_rank(self):
+        x = np.linspace(0.1, 1.0, 10)
+        model = RegressionModel(
+            kind="custom",
+            d=2,
+            mean=lambda th, xx: (th[0] + th[1]) * xx[:, 0],
+            grad=lambda th, xx: np.column_stack([xx[:, 0], xx[:, 0]]),
+        )
+        with pytest.raises(SingularMatrixError, match=r"Jacobian has rank 1 < d = 2 at iterate 1"):
+            fit_gauss_newton(model, Sample(x, 2.0 * x + 0.1), np.zeros(2))
+
     def test_dispatcher_routes_by_kind(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 2, 30)
@@ -166,6 +177,27 @@ class TestScoreBasis:
         q, r = np.linalg.qr(model.grad(np.zeros(4), x))
         q = q * np.sign(np.diag(r))  # R with a positive diagonal fixes Q
         assert np.abs(out.vectors - q.T).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, scale, shift",
+        [
+            ("bilinear2d", (3.0, 0.2), (-5.0, 7.0)),
+            ("bilinear2d", (3.0, 0.2), (0.0, 0.0)),
+            ("bilinear2d", (1.0, 1.0), (-5.0, 7.0)),
+            ("centered_linear", (3.0,), (-5.0,)),
+        ],
+    )
+    def test_affine_rescale_with_positive_scales_keeps_the_basis(self, kind, scale, shift):
+        rng = np.random.default_rng(11)
+        p = len(scale)
+        x = rng.uniform(0.0, 3.0, size=(60, p))
+        y = x.sum(axis=1) + rng.standard_normal(60)
+        bases = []
+        for xx in (x, x * np.array(scale) + np.array(shift)):
+            sample = Sample(xx, y)
+            model = build_model(kind, sample)
+            bases.append(score_basis(model, fit(model, sample), sample).vectors)
+        assert np.abs(bases[1] - bases[0]).max() < 1e-10
 
     def test_duplicated_gradient_columns_rejected(self):
         sample = Sample(np.linspace(0.1, 1, 10), np.zeros(10))
