@@ -37,6 +37,7 @@ from .harness import (
     AlternativeSpec,
     ExperimentConfig,
     bootstrap_residuals,
+    check_grid,
     fixed_anchors,
     fixed_geometry,
     process_statistics,
@@ -65,6 +66,8 @@ _EXPERIMENT_KEYS = (
     "probe_times",
 )
 _ALTERNATIVE_KEYS = ("psi", "amplitude", "local_scaling")
+# [experiment] keys that simulate and power take as flags too
+_EXPERIMENT_FLAGS = ("seed", "reps", "n", "design", "statistic", "process")
 _INT_KEYS = {"n", "reps", "seed", "grid"}
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -226,19 +229,11 @@ def _summary_header(command: str, args, outdir: Path, seed: int, override_names:
 
 
 def _experiment_overrides(args) -> dict:
-    over: dict = {}
-    if args.seed is not None:
-        over["seed"] = args.seed
-    if args.reps is not None:
-        over["reps"] = args.reps
-    if args.n is not None:
-        over["n"] = args.n
+    """The [experiment] keys the flags of ``_add_experiment`` set; unset
+    flags are None, which ``parse_config`` skips."""
+    over = {name: getattr(args, name) for name in _EXPERIMENT_FLAGS}
     if args.design is not None:
         over["design"] = tuple(part.strip() for part in args.design.split(",") if part.strip())
-    if getattr(args, "statistic", None) is not None:
-        over["statistic"] = args.statistic
-    if getattr(args, "process", None) is not None:
-        over["process"] = args.process
     return over
 
 
@@ -265,8 +260,7 @@ def _cmd_simulate(args) -> None:
             files.append(plot_path.name)
 
     basis = make_basis(config.p, config.d)
-    overridable = ("seed", "reps", "n", "design", "statistic", "process")
-    lines = _summary_header("simulate", args, outdir, config.seed, overridable)
+    lines = _summary_header("simulate", args, outdir, config.seed, _EXPERIMENT_FLAGS)
     lines.append(f"basis: {basis.describe()}")
     lines.append(f"statistic: {config.process}.{config.statistic}")
     for design_id, res in results.items():
@@ -289,26 +283,24 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_power(args) -> None:
-    over = _experiment_overrides(args)
-    config = parse_config(args.config, over)
-    if args.psi is not None or args.amplitude is not None:
-        base = config.alternative or AlternativeSpec(psi="x2_cubed", amplitude=1.0)
-        alt = AlternativeSpec(
-            psi=args.psi if args.psi is not None else base.psi,
-            amplitude=args.amplitude if args.amplitude is not None else base.amplitude,
-            local_scaling=bool(args.local_scaling) if args.local_scaling is not None else base.local_scaling,
-        )
-        config = replace(config, alternative=alt)
-    if config.alternative is None:
+    config = parse_config(args.config, _experiment_overrides(args))
+    alt = config.alternative
+    if alt is None and args.psi is None and args.amplitude is None:
         raise ConfigError("'power' requires an [alternative] section or --psi/--amplitude flags")
+    alt = alt or AlternativeSpec(psi="x2_cubed", amplitude=1.0)
+    alt = AlternativeSpec(
+        psi=args.psi if args.psi is not None else alt.psi,
+        amplitude=args.amplitude if args.amplitude is not None else alt.amplitude,
+        local_scaling=bool(args.local_scaling) or alt.local_scaling,
+    )
+    config = replace(config, alternative=alt)
     outdir = _resolve_outdir(args)
     delim = args.delimiter
-    overridable = ("seed", "reps", "n", "design", "statistic", "process", "psi", "amplitude")
+    overridable = _EXPERIMENT_FLAGS + ("psi", "amplitude", "local_scaling")
     lines = _summary_header("power", args, outdir, config.seed, overridable)
     basis = make_basis(config.p, config.d)
     lines.append(f"basis: {basis.describe()}")
     lines.append(f"statistic: {config.process}.{config.statistic}")
-    alt = config.alternative
     lines.append(
         f"alternative: psi={alt.psi} amplitude={_fmt_float(alt.amplitude)} local_scaling={alt.local_scaling}"
     )
@@ -364,7 +356,10 @@ def _cmd_fit(args) -> None:
 def _cmd_test(args) -> None:
     if args.seed is None:
         raise ConfigError("'test' requires --seed (Monte Carlo p-value must be reproducible)")
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     sample = load_sample(args.data, args.delimiter)
+    check_grid(args.grid, sample.p)
     model = build_model(args.model, sample)
     observed_fit = fit(model, sample)
     anchors = fixed_anchors(sample.n, sample.p, args.anchors, args.seed) if sample.p >= 2 else None
@@ -469,31 +464,29 @@ def _add_common(sub, seed_help="master seed"):
     sub.add_argument("--seed", type=int, default=None, help=seed_help)
 
 
+def _add_experiment(sub):
+    """The config file argument and the flags that override its [experiment] keys."""
+    sub.add_argument("config", help="experiment config file")
+    _add_common(sub)
+    sub.add_argument("--reps", type=int, default=None)
+    sub.add_argument("--n", type=int, default=None)
+    sub.add_argument("--design", default=None, help="comma-separated design ids (overrides config)")
+    sub.add_argument("--statistic", default=None)
+    sub.add_argument("--process", default=None)
+    sub.add_argument("--workers", type=int, default=1)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dfgof", description="Distribution-free goodness-of-fit testing for parametric regression.")
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     sim = subs.add_parser("simulate", help="simulate the null distribution of a statistic")
-    sim.add_argument("config", help="experiment config file")
-    _add_common(sim)
-    sim.add_argument("--reps", type=int, default=None)
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--design", default=None, help="comma-separated design ids (overrides config)")
-    sim.add_argument("--statistic", default=None)
-    sim.add_argument("--process", default=None)
-    sim.add_argument("--workers", type=int, default=1)
+    _add_experiment(sim)
     sim.add_argument("--plot-data", action="store_true", help="also write (value, reference cdf, level) columns")
     sim.set_defaults(handler=_cmd_simulate)
 
     pow_ = subs.add_parser("power", help="simulate an alternative against its paired null")
-    pow_.add_argument("config")
-    _add_common(pow_)
-    pow_.add_argument("--reps", type=int, default=None)
-    pow_.add_argument("--n", type=int, default=None)
-    pow_.add_argument("--design", default=None)
-    pow_.add_argument("--statistic", default=None)
-    pow_.add_argument("--process", default=None)
-    pow_.add_argument("--workers", type=int, default=1)
+    _add_experiment(pow_)
     pow_.add_argument("--psi", default=None)
     pow_.add_argument("--amplitude", type=float, default=None)
     pow_.add_argument("--local-scaling", action="store_const", const=True, default=None)

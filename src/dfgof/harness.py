@@ -27,15 +27,15 @@ The per-sample pipeline has two halves.  ``fixed_geometry`` holds all that
 is fixed given X and the fitted score span: the scan points (for p >= 2
 the rescale and the optimal assignment) and the score and reference sets.
 Every residual, score and reference vector stays in data row order; only
-the scan points differ between p = 1 and p >= 2.  The second half
-evaluates residuals on that geometry, building the reflection plan between
-the two sets once and applying it to one residual vector
-(``pipeline_processes``) or to every column of a matrix
-(``residual_statistics``).  Both take one sample or a stack.  A simulation
-block runs both halves once on its stack; the ``dfgof test`` bootstrap
-keeps X fixed, builds the geometry once and evaluates the observed residual
-and all bootstrap residuals together as the columns of one matrix
-(``bootstrap_residuals``).
+the scan points differ between p = 1 and p >= 2.  ``residual_statistics``
+is the one evaluator of residuals on a geometry: one reflection plan per
+sample maps every column of a residual matrix, or of a stack of them, and
+a column gets the same numbers whatever the other columns are.  A
+simulation block evaluates its fitted residuals as one column
+(``pipeline_processes``).  The ``dfgof test`` bootstrap keeps X fixed,
+builds the geometry once and evaluates the observed residual and all
+bootstrap residuals as the columns of one matrix (``bootstrap_residuals``),
+so its observed statistics are what a simulation records for that sample.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from .basis import make_basis, sample_on_points
 from .errors import ConfigError, NumericalError, RankDeficiencyError
 from .model import FitResult, RegressionModel, Sample, build_model, fit, score_basis
-from .process import Ecdf, StepProcess, build_process, ks_statistics, tie_last
+from .process import GRID_GUARD, Ecdf, StepProcess, build_process, ks_statistics, tie_last
 from .rotations import OrthonormalSet
 from .seeding import rng_for, seed_sequence
 from .transform import transform_residuals
@@ -90,6 +90,17 @@ BLOCK = 64
 # Residual columns whose processes are built together: bounds the
 # (evaluation points x columns) arrays whatever the number of columns.
 EVAL_COLUMNS = 8
+
+
+def check_grid(grid: int | None, p: int) -> None:
+    """Reject a lattice resolution below 2, or one whose p-dimensional
+    lattice would exceed GRID_GUARD points (p = 1 scans no lattice)."""
+    if grid is None:
+        return
+    if grid < 2:
+        raise ConfigError(f"grid must be >= 2, got {grid}")
+    if p >= 2 and grid**p > GRID_GUARD:
+        raise ConfigError(f"a lattice of {grid}^{p} points exceeds the {GRID_GUARD} guard")
 
 
 @dataclass(frozen=True)
@@ -158,8 +169,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown anchor mode {self.anchors!r}; known: {ANCHOR_MODES}")
         if self.error_law not in ERROR_LAWS:
             raise ConfigError(f"unknown error law {self.error_law!r}; known: {ERROR_LAWS}")
-        if self.grid is not None and self.grid < 2:
-            raise ConfigError(f"grid must be >= 2, got {self.grid}")
+        check_grid(self.grid, p)
         if self.theta_true is not None:
             theta = tuple(float(v) for v in self.theta_true)
             if len(theta) != d:
@@ -264,8 +274,8 @@ class Geometry:
     every field but ``grid`` has a leading sample axis.
 
     ``points`` scan the transformed process (empirical-CDF times, or the
-    matched anchors) and ``raw_points`` the raw one (the same times, or
-    the rescaled covariates), both (n, p).
+    matched anchors) and ``raw_points`` the raw one (the same array at
+    p = 1, or the rescaled covariates), both (n, p).
     """
 
     points: np.ndarray
@@ -317,17 +327,15 @@ def fixed_geometry(
     """
     xs = sample.X if sample.stacked else sample.X[None]
     if sample.p == 1:
-        points = raw_points = _ecdf_times(xs[..., 0], model.d)[..., None]
+        points = raw_points = _ecdf_times(xs[..., 0], model.d).reshape(sample.X.shape)
     else:
         if anchor_set is None:
             raise ValueError("p >= 2 requires an anchor set")
-        raw_points = np.empty(xs.shape)
-        points = np.empty(xs.shape)
-        for x, raw, scan in zip(xs, raw_points, points):
+        raw_points = np.empty(sample.X.shape)
+        points = np.empty(sample.X.shape)
+        for x, raw, scan in zip(xs, raw_points.reshape(xs.shape), points.reshape(xs.shape)):
             raw[:], _, _ = rescale_unit_cube(x)
             scan[:] = transported_points(solve_assignment(raw, anchor_set), anchor_set)
-    if not sample.stacked:
-        points, raw_points = points[0], raw_points[0]
     score_set = score_basis(model, fitres, sample)
     reference_set = sample_on_points(make_basis(sample.p, model.d), points)
     return Geometry(points, raw_points, score_set, reference_set, grid)
@@ -342,13 +350,16 @@ def residual_statistics(
     geometry: Geometry, residuals: np.ndarray, process: str
 ) -> tuple[dict[str, np.ndarray], dict[str, StepProcess]]:
     """Statistics of ``process`` for every column of an (n, m) residual
-    matrix on one geometry, keyed "{process}.{statistic}", and both
+    matrix on one geometry, or of a (B, n, m) stack on a stacked geometry,
+    keyed "{process}.{statistic}" with the column axis last, and both
     processes of column 0.
 
-    One rotation maps the whole matrix; the processes of ``process`` are
-    then built EVAL_COLUMNS columns at a time, so that memory does not grow
-    with the number of lattice points times m.  The other process is built
-    for column 0 alone.
+    One reflection plan per sample maps every column, and a column gets
+    the same numbers whatever the other columns are.  Column 0 gets both
+    processes, built as one two-column process when they share their scan
+    points (p = 1).  Columns 1 to m - 1 get the processes of ``process``
+    alone, EVAL_COLUMNS at a time, so that memory does not grow with the
+    number of lattice points times m.
     """
     if process not in PROCESS_KINDS:
         raise ConfigError(f"unknown process kind {process!r}; known: {PROCESS_KINDS}")
@@ -357,20 +368,18 @@ def residual_statistics(
         "raw": residuals,
     }
     points = {"transformed": geometry.points, "raw": geometry.raw_points}
-    first = {
-        kind: build_process(columns[kind][:, :1], points[kind], grid=geometry.grid).column(0)
-        for kind in PROCESS_KINDS
-        if kind != process
-    }
-    stats: dict[str, list[np.ndarray]] = {}
-    for start in range(0, residuals.shape[1], EVAL_COLUMNS):
-        proc = build_process(columns[process][:, start : start + EVAL_COLUMNS], points[process], grid=geometry.grid)
-        if start == 0:
-            first[process] = proc.column(0)
-        for name, values in ks_statistics(proc).items():
-            stats.setdefault(f"{process}.{name}", []).append(values)
-        del proc  # keep one block's process alive, not two
-    return {key: np.concatenate(parts) for key, parts in stats.items()}, first
+    grid = geometry.grid
+    if geometry.points is geometry.raw_points:
+        both = build_process(np.stack([columns[kind][..., 0] for kind in PROCESS_KINDS], axis=-1), geometry.points)
+        first = {kind: both.column(j) for j, kind in enumerate(PROCESS_KINDS)}
+    else:
+        first = {kind: build_process(columns[kind][..., 0], points[kind], grid=grid) for kind in PROCESS_KINDS}
+    parts = [{name: np.asarray(value)[..., None] for name, value in ks_statistics(first[process]).items()}]
+    parts += [
+        ks_statistics(build_process(columns[process][..., start : start + EVAL_COLUMNS], points[process], grid=grid))
+        for start in range(1, residuals.shape[-1], EVAL_COLUMNS)
+    ]
+    return {f"{process}.{name}": np.concatenate([part[name] for part in parts], axis=-1) for name in parts[0]}, first
 
 
 def bootstrap_residuals(
@@ -415,22 +424,10 @@ def pipeline_processes(
     grid: int | None = None,
 ):
     """Transformed and raw residual processes for one fitted sample, or
-    stacked processes for a fitted stack.
-
-    For p = 1 the scan runs over empirical-CDF times; for p >= 2 an anchor
-    set of matching size is required and the scan runs over the matched
-    anchors (transformed) or the rescaled covariates (raw).
-    """
+    stacked processes for a fitted stack: ``residual_statistics`` of the
+    fitted residuals on the sample's ``fixed_geometry``."""
     geometry = fixed_geometry(model, sample, fitres, anchor_set=anchor_set, grid=grid)
-    transformed = transform_residuals(fitres.residuals, geometry.score_set, geometry.reference_set).values
-    if sample.p == 1:
-        # both processes scan the same times: one sort serves the two columns
-        both = build_process(np.stack([transformed, fitres.residuals], axis=-1), geometry.points)
-        return {"transformed": both.column(0), "raw": both.column(1)}
-    return {
-        "transformed": build_process(transformed, geometry.points, grid=grid),
-        "raw": build_process(fitres.residuals, geometry.raw_points, grid=grid),
-    }
+    return residual_statistics(geometry, fitres.residuals[..., None], "transformed")[1]
 
 
 def _probe(proc: StepProcess, t: float) -> float | np.ndarray:

@@ -48,24 +48,19 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _reflect_stack(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Reflections swapping a[i] and b[i], applied to the columns of v[i],
-    for every sample i of (B, n) unit vectors and a (B, n, m) stack."""
+    """Reflections swapping a[i] and b[i], applied to the rows of v[i],
+    for every sample i of (B, n) unit vectors and a C-contiguous (B, m, n)
+    stack.  Each <a - b, row> is one add.reduce along the contiguous last
+    axis, so a row rounds the same whatever m and B are (a BLAS product
+    does not)."""
     gap = 1.0 - _dots(a, b)
     degenerate = gap < DEGENERATE_GAP
     d = a - b
-    coef = (d[:, None, :] @ v)[:, 0, :] / np.where(degenerate, 1.0, gap)[:, None]
-    out = v - d[:, :, None] * coef[:, None, :]
+    coef = np.add.reduce(d[:, None, :] * v, axis=-1) / np.where(degenerate, 1.0, gap)[:, None]
+    out = v - coef[..., None] * d[:, None, :]
     if degenerate.any():
         out[degenerate] = v[degenerate]
     return out
-
-
-def _as_columns(v: np.ndarray, stacked: bool) -> np.ndarray:
-    """v as a (B, n, m) stack: a single vector or matrix gains the sample
-    axis, and a vector per sample the column axis."""
-    if not stacked:
-        v = v[None]
-    return v[..., None] if v.ndim == 2 else v
 
 
 def reflect(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -83,7 +78,7 @@ def reflect(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"v has leading dimension {v.shape[0]}, expected {a.shape[0]}")
     _check_unit("a", a)
     _check_unit("b", b)
-    return _reflect_stack(a[None], b[None], _as_columns(v, False))[0].reshape(v.shape)
+    return apply_plan(RotationPlan(sources=a[None], images=b[None]), v)
 
 
 def _gram_defects(vectors: np.ndarray) -> np.ndarray:
@@ -191,10 +186,10 @@ def build_plan(source: OrthonormalSet, target: OrthonormalSet) -> RotationPlan:
     targets = _cleaned(target)
     imgs = np.empty_like(targets)
     for k in range(srcs.shape[1]):
-        image = targets[:, k, :, None]
+        image = targets[:, k, None, :]
         for j in range(k):
             image = _reflect_stack(srcs[:, j], imgs[:, j], image)
-        imgs[:, k] = image[..., 0]
+        imgs[:, k] = image[:, 0]
     srcs, imgs = srcs[:, ::-1], imgs[:, ::-1]
     if not source.stacked:
         srcs, imgs = srcs[0], imgs[0]
@@ -216,10 +211,12 @@ def apply_plan(plan: RotationPlan, v: np.ndarray) -> np.ndarray:
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             raise ValueError(f"plan {name} must have unit norm")
     pairs = (plan.sources, plan.images) if plan.stacked else (plan.sources[None], plan.images[None])
-    out = _as_columns(v, plan.stacked).copy()
+    rows = v if plan.stacked else v[None]
+    # (B, m, n): the m columns of a matrix become rows, as _reflect_stack needs
+    rows = np.ascontiguousarray(rows[:, None, :] if rows.ndim == 2 else np.swapaxes(rows, 1, 2))
     for j in range(plan.count):
-        out = _reflect_stack(pairs[0][:, j], pairs[1][:, j], out)
-    return out.reshape(v.shape)
+        rows = _reflect_stack(pairs[0][:, j], pairs[1][:, j], rows)
+    return np.ascontiguousarray(np.swapaxes(rows, 1, 2)).reshape(v.shape)
 
 
 def _orthonormalize(arr: np.ndarray) -> np.ndarray:

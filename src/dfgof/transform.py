@@ -22,17 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotations import OrthonormalSet, RotationPlan, apply_plan, build_plan
+from .rotations import OrthonormalSet, apply_plan, build_plan
 
 DENSE_GUARD = 2000  # transform_matrix materializes an n x n array
 
 
 @dataclass(frozen=True, eq=False)
 class TransformedResiduals:
-    """Distribution-free residuals with the plan that produced them."""
+    """Distribution-free residuals."""
 
     values: np.ndarray
-    plan: RotationPlan
 
 
 def transform_residuals(
@@ -48,7 +47,8 @@ def transform_residuals(
     an (n, m) matrix whose columns are mapped alike, so that many residual
     vectors on one design share one chain.  For stacked sets, one pair per
     sample, it is a (B, n) or (B, n, m) stack and each sample gets its
-    own chain.
+    own chain.  A column gets the same numbers, bit for bit, whatever the
+    other columns and samples are.
     """
     residuals = np.asarray(residuals, dtype=float)
     lead = 1 if score_set.stacked else 0
@@ -58,8 +58,7 @@ def transform_residuals(
         raise ValueError(
             f"residual length {residuals.shape[lead]} does not match basis length {score_set.length}"
         )
-    plan = build_plan(score_set, reference_set)
-    return TransformedResiduals(values=apply_plan(plan, residuals), plan=plan)
+    return TransformedResiduals(values=apply_plan(build_plan(score_set, reference_set), residuals))
 
 
 def transform_matrix(score_set: OrthonormalSet, reference_set: OrthonormalSet) -> np.ndarray:

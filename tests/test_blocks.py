@@ -18,8 +18,6 @@ from dfgof.process import build_process, ks_statistics
 from dfgof.transform import transform_residuals
 from dfgof.transport import generate_anchors
 
-TOL = 1e-12
-
 
 def _records_by_index(result):
     return [{key: column[i] for key, column in result.columns.items()} for i in range(result.config.reps)]
@@ -81,9 +79,8 @@ def _stack_case(kind, n, size, seed, tied):
     return model, stack, singles, anchors
 
 
-def _close(stacked, single, what):
-    scale = max(1.0, float(np.abs(single).max(initial=0.0)))
-    assert np.abs(np.asarray(stacked) - single).max(initial=0.0) <= TOL * scale, what
+def _equal(stacked, single, what):
+    assert np.array_equal(stacked, single), what
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,30 +105,30 @@ def test_each_stacked_layer_matches_single_samples(kind, n, size, seed, tied):
     records = pipeline_records(model, stack, fitres, anchor_set=anchors, probe_times=(0.3, 0.9) if stack.p == 1 else ())
     for b, (single_model, sample) in enumerate(singles):
         one = fit(single_model, sample)
-        _close(fitres.theta_hat[b], one.theta_hat, "theta_hat")
-        _close(fitres.residuals[b], one.residuals, "residuals")
+        _equal(fitres.theta_hat[b], one.theta_hat, "theta_hat")
+        _equal(fitres.residuals[b], one.residuals, "residuals")
         one_scores = score_basis(single_model, one, sample)
-        _close(scores.vectors[b], one_scores.vectors, "score set")
+        _equal(scores.vectors[b], one_scores.vectors, "score set")
         one_geometry = fixed_geometry(single_model, sample, one, anchor_set=anchors)
         assert np.array_equal(geometry.points[b], one_geometry.points)
-        _close(references.vectors[b], one_geometry.reference_set.vectors, "reference set")
+        _equal(references.vectors[b], one_geometry.reference_set.vectors, "reference set")
         one_transformed = transform_residuals(one.residuals, one_scores, one_geometry.reference_set).values
-        _close(transformed[b], one_transformed, "transformed residuals")
+        _equal(transformed[b], one_transformed, "transformed residuals")
         one_process = build_process(one_transformed, one_geometry.points)
         # a stacked p = 1 process lists tied times once per copy; each copy
         # carries the value of its tie group
         times = process.eval_points[b]
         distinct = np.append(np.any(times[1:] != times[:-1], axis=1), True)
         assert np.array_equal(times[distinct], one_process.eval_points)
-        _close(process.eval_values[b][distinct], one_process.eval_values, "process values")
+        _equal(process.eval_values[b][distinct], one_process.eval_values, "process values")
         for name, value in ks_statistics(one_process).items():
-            _close(stats[name][b], value, name)
+            _equal(stats[name][b], value, name)
         one_records = pipeline_records(
             single_model, sample, one, anchor_set=anchors, probe_times=(0.3, 0.9) if stack.p == 1 else ()
         )
         assert records.keys() == one_records.keys()
         for key, value in one_records.items():
-            _close(records[key][b], value, key)
+            _equal(records[key][b], value, key)
 
 
 class TestFewDistinctCovariateValues:
@@ -185,7 +182,7 @@ def test_test_command_builds_the_unselected_process_once(monkeypatch):
     original = harness.build_process
 
     def counting(residuals, scan_points, grid=None):
-        calls.append(residuals.shape[1])
+        calls.append(residuals.shape)
         return original(residuals, scan_points, grid=grid)
 
     monkeypatch.setattr(harness, "build_process", counting)
@@ -199,5 +196,6 @@ def test_test_command_builds_the_unselected_process_once(monkeypatch):
     assert set(stats) == {"raw.ks_abs", "raw.ks_plus"}
     assert all(values.shape == (reps + 1,) for values in stats.values())
     assert set(first) == {"transformed", "raw"}
-    blocks = -(-(reps + 1) // harness.EVAL_COLUMNS)
-    assert len(calls) == blocks + 1
+    # column 0 builds both processes, columns 1..reps the raw one EVAL_COLUMNS at a time
+    assert len(calls) == 2 + -(-reps // harness.EVAL_COLUMNS) == 7
+    assert calls == [(n,)] * 2 + [(n, harness.EVAL_COLUMNS)] * 5

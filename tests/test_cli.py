@@ -176,6 +176,15 @@ class TestPowerCommand:
         cfg = write_config(tmp_path / "a.cfg", BASIC)
         assert run(["power", cfg, "-o", str(tmp_path / "o")]) == 1
 
+    def test_local_scaling_flag_alone_is_applied(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)
+        out = tmp_path / "out"
+        assert run(["power", cfg, "-o", str(out), "--local-scaling"]) == 0
+        assert "local_scaling = true" in (out / "manifest.cfg").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "overrides: local_scaling=True" in summary
+        assert "local_scaling=True" in summary.split("alternative: ")[1].splitlines()[0]
+
 
 class TestFitCommand:
     def test_fit_writes_theta_and_residuals(self, tmp_path, capsys):
@@ -260,6 +269,21 @@ class TestTestCommand:
         assert code == 0
         summary = (out / "summary.txt").read_text()
         assert "pvalue:" in summary
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--reps", "0"], "--reps must be >= 1, got 0"),
+            (["--reps", "-1"], "--reps must be >= 1, got -1"),
+            (["--grid", "1"], "grid must be >= 2, got 1"),
+            (["--grid", "2000"], "lattice of 2000^2 points exceeds"),
+        ],
+    )
+    def test_bad_bootstrap_flags_exit_one(self, tmp_path, capsys, flags, message):
+        argv = ["test", str(_bilinear_file(tmp_path)), "--model", "bilinear2d", "--seed", "9", *flags]
+        assert run(argv + ["-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
 
     def test_two_dimensional_bootstrap_solves_one_assignment(self, tmp_path, monkeypatch):
         import dfgof.harness as harness

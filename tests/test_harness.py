@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dfgof.errors import ConfigError, NumericalError
 from dfgof.harness import (
+    PROCESS_KINDS,
     STATISTICS,
     AlternativeSpec,
     ExperimentConfig,
@@ -13,6 +14,7 @@ from dfgof.harness import (
     covariate_design,
     fixed_geometry,
     pipeline_records,
+    process_statistics,
     residual_statistics,
     run_experiment,
     simulate_null,
@@ -86,6 +88,12 @@ class TestConfigValidation:
     def test_probe_times_outside_unit_interval_rejected(self, times):
         with pytest.raises(ConfigError, match="probe_times"):
             small_config(probe_times=times)
+
+    @pytest.mark.parametrize(("grid", "message"), [(1, "grid must be >= 2"), (1001, r"lattice of 1001\^2 points")])
+    def test_grid_checked(self, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(design=("beta_indep",), model="bilinear2d", n=30, reps=5, seed=1, grid=grid)
+        ExperimentConfig(design=("beta_indep",), model="bilinear2d", n=30, reps=5, seed=1, grid=1000)
 
     def test_string_design_promoted_to_tuple(self):
         cfg = ExperimentConfig(design="uniform_0_2", model="simple_linear", n=30, reps=5, seed=1)
@@ -435,6 +443,22 @@ class TestBatchedBootstrap:
             assert _pvalue(values[1:], values[0]) == _pvalue(reference[1:], reference[0]), key
         # the processes handed back for the dumps are those of the observed residuals
         assert np.abs(first["transformed"].eval_values).max() == batch["transformed.ks_abs"][0]
+
+    @pytest.mark.parametrize("kind", ["simple_linear", "tied_linear", "bilinear2d"])
+    def test_observed_column_is_the_simulation_record(self, kind):
+        # one evaluation path: column 0 of the bootstrap matrix gets what a
+        # simulation records for the sample, bit for bit, whatever B is
+        model, sample, anchors = _bootstrap_case(kind, 200, 9)
+        observed_fit = fit(model, sample)
+        record = pipeline_records(model, sample, observed_fit, anchor_set=anchors)
+        geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
+        for reps in (1, 7, 40):
+            residuals = bootstrap_residuals(model, geometry, observed_fit, seed=5, reps=reps, error_law="normal")
+            for process in PROCESS_KINDS:
+                stats, first = residual_statistics(geometry, residuals, process)
+                assert process_statistics(first) == record, (reps, process)
+                for key, values in stats.items():
+                    assert values[0] == record[key], (reps, key)
 
     def test_nonlinear_model_rejected(self):
         model, sample, _ = _bootstrap_case("simple_linear", 30, 5)

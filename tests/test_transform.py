@@ -3,7 +3,7 @@ import pytest
 
 from dfgof.basis import make_basis, sample_on_points
 from dfgof.model import Sample, build_model, fit, fit_gauss_newton, score_basis
-from dfgof.rotations import OrthonormalSet, RotationPlan, apply_plan, gram_schmidt
+from dfgof.rotations import OrthonormalSet, RotationPlan, apply_plan, build_plan, gram_schmidt
 from dfgof.transform import transform_matrix, transform_residuals
 
 
@@ -66,8 +66,9 @@ class TestTransformResiduals:
     def test_inverse_direction_recovers_input(self):
         residuals, score, reference = fitted_univariate(5, 40, "centered_linear")
         out = transform_residuals(residuals, score, reference)
+        plan = build_plan(score, reference)
         # each reflection is an involution: the rows in reverse order undo the plan
-        inverse = RotationPlan(sources=out.plan.sources[::-1], images=out.plan.images[::-1])
+        inverse = RotationPlan(sources=plan.sources[::-1], images=plan.images[::-1])
         back = apply_plan(inverse, out.values)
         assert np.abs(back - residuals).max() < 1e-9
 
@@ -78,7 +79,27 @@ class TestTransformResiduals:
         out = transform_residuals(matrix, score, reference)
         for j in range(matrix.shape[1]):
             one = transform_residuals(matrix[:, j], score, reference).values
-            assert np.allclose(out.values[:, j], one, rtol=0.0, atol=1e-14)
+            assert np.array_equal(out.values[:, j], one), j
+
+    @pytest.mark.parametrize("kind", ["simple_linear", "centered_linear", "bilinear2d"])
+    def test_stacked_sample_matches_that_sample_alone(self, kind):
+        # sample b of a (B, n, m) stack rounds as it does alone, column by column
+        rng = np.random.default_rng(13)
+        size, n, m = 5, 60, 9
+        x = rng.uniform(0.2, 2.0, (size, n, 2 if kind == "bilinear2d" else 1))
+        stack = Sample(x, rng.standard_normal((size, n)))
+        model = build_model(kind, stack)
+        fitres = fit(model, stack)
+        scores = score_basis(model, fitres, stack)
+        references = gram_schmidt(rng.standard_normal((size, model.d, n)))
+        matrix = np.concatenate([fitres.residuals[..., None], rng.standard_normal((size, n, m - 1))], axis=-1)
+        out = transform_residuals(matrix, scores, references).values
+        for b in range(size):
+            score = OrthonormalSet(scores.vectors[b])
+            reference = OrthonormalSet(references.vectors[b])
+            assert np.array_equal(out[b], transform_residuals(matrix[b], score, reference).values), b
+            for j in range(m):
+                assert np.array_equal(out[b, :, j], transform_residuals(matrix[b, :, j], score, reference).values)
 
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(8)
