@@ -20,7 +20,7 @@ import configparser
 import itertools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from .harness import (
     AlternativeSpec,
     ExperimentConfig,
     bootstrap_residuals,
-    check_grid,
     fixed_anchors,
     fixed_geometry,
     process_statistics,
@@ -46,27 +45,22 @@ from .harness import (
     simulate_power,
 )
 from .model import build_model, fit
-from .process import DEFAULT_GRID, Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup, kolmogorov_cdf, limit_covariance
+from .process import (
+    Ecdf,
+    ecdf_sup_distance,
+    ecdf_vs_cdf_sup,
+    kolmogorov_cdf,
+    lattice_resolution,
+    limit_covariance,
+)
 from .transport import rescale_unit_cube, solve_assignment
 
 OUTPUT_DIR_ENV = "DFGOF_OUTPUT_DIR"
 
-_EXPERIMENT_KEYS = (
-    "design",
-    "model",
-    "n",
-    "reps",
-    "seed",
-    "statistic",
-    "process",
-    "anchors",
-    "grid",
-    "error_law",
-    "theta_true",
-    "probe_times",
-)
-_ALTERNATIVE_KEYS = ("psi", "amplitude", "local_scaling")
-# [experiment] keys that simulate and power take as flags too
+_EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "alternative")
+_ALTERNATIVE_KEYS = tuple(f.name for f in fields(AlternativeSpec))
+# [experiment] keys that simulate and power take as flags too; power also
+# takes every [alternative] key as a flag
 _EXPERIMENT_FLAGS = ("seed", "reps", "n", "design", "statistic", "process")
 _INT_KEYS = {"n", "reps", "seed", "grid"}
 _TRUE = {"1", "true", "yes", "on"}
@@ -94,6 +88,10 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
 
 
+def _parse_design(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
 def _parse_float_tuple(key: str, raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in raw.split(",") if part.strip())
@@ -105,8 +103,9 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a sectioned key = value config file into an ExperimentConfig.
 
     Unknown sections or keys are errors (anti-typo contract); ``overrides``
-    (already-typed values, e.g. from command-line flags) replace file
-    values before validation.
+    (already-typed values, e.g. from command-line flags, keyed by
+    [experiment] or [alternative] key) replace file values before
+    validation, and None values are skipped.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     read = parser.read(path)
@@ -123,7 +122,7 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"unknown key {key!r} in [experiment]")
         if key == "design":
-            kwargs[key] = tuple(part.strip() for part in raw.split(",") if part.strip())
+            kwargs[key] = _parse_design(raw)
         elif key in _INT_KEYS:
             kwargs[key] = _parse_int(key, raw)
         elif key in ("theta_true", "probe_times"):
@@ -134,8 +133,8 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         else:
             kwargs[key] = raw.strip()
 
+    alt: dict = {}
     if parser.has_section("alternative"):
-        alt: dict = {}
         for key, raw in parser.items("alternative"):
             if key not in _ALTERNATIVE_KEYS:
                 raise ConfigError(f"unknown key {key!r} in [alternative]")
@@ -148,12 +147,14 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 alt[key] = _parse_bool(key, raw)
             else:
                 alt[key] = raw.strip()
+
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            (alt if key in _ALTERNATIVE_KEYS else kwargs)[key] = value
+    if alt:
         if "psi" not in alt or "amplitude" not in alt:
             raise ConfigError("[alternative] requires both psi and amplitude")
         kwargs["alternative"] = AlternativeSpec(**alt)
-
-    if overrides:
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
 
     missing = [k for k in ("design", "model", "n", "reps") if k not in kwargs]
     if missing:
@@ -171,7 +172,7 @@ def _fmt_float(v: float) -> str:
 
 
 def echo_config(config: ExperimentConfig) -> str:
-    """Render the full effective configuration as a re-parsable config file."""
+    """Render the configuration as a config file that parses back to it."""
     lines = [
         "[experiment]",
         f"design = {', '.join(config.design)}",
@@ -184,10 +185,9 @@ def echo_config(config: ExperimentConfig) -> str:
         f"anchors = {config.anchors}",
         f"error_law = {config.error_law}",
     ]
-    theta = config.theta_true if config.theta_true is not None else (1.0,) * config.d
-    lines.append(f"theta_true = {', '.join(_fmt_float(v) for v in theta)}")
-    if config.p >= 2:
-        lines.append(f"grid = {config.grid if config.grid is not None else DEFAULT_GRID.get(config.p, 8)}")
+    lines.append(f"theta_true = {', '.join(_fmt_float(v) for v in config.theta_true)}")
+    if config.grid is not None:
+        lines.append(f"grid = {config.grid}")
     if config.probe_times:
         lines.append(f"probe_times = {', '.join(_fmt_float(v) for v in config.probe_times)}")
     if config.alternative is not None:
@@ -228,17 +228,17 @@ def _summary_header(command: str, args, outdir: Path, seed: int, override_names:
     return lines
 
 
-def _experiment_overrides(args) -> dict:
-    """The [experiment] keys the flags of ``_add_experiment`` set; unset
-    flags are None, which ``parse_config`` skips."""
-    over = {name: getattr(args, name) for name in _EXPERIMENT_FLAGS}
+def _overrides(args, names: tuple[str, ...]) -> dict:
+    """The config keys the flags ``names`` set; unset flags are None, which
+    ``parse_config`` skips."""
+    over = {name: getattr(args, name) for name in names}
     if args.design is not None:
-        over["design"] = tuple(part.strip() for part in args.design.split(",") if part.strip())
+        over["design"] = _parse_design(args.design)
     return over
 
 
 def _cmd_simulate(args) -> None:
-    config = parse_config(args.config, _experiment_overrides(args))
+    config = parse_config(args.config, _overrides(args, _EXPERIMENT_FLAGS))
     if config.alternative is not None:
         raise ConfigError("'simulate' runs the null only; use 'power' for configs with an [alternative]")
     outdir = _resolve_outdir(args)
@@ -283,20 +283,13 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_power(args) -> None:
-    config = parse_config(args.config, _experiment_overrides(args))
+    overridable = _EXPERIMENT_FLAGS + _ALTERNATIVE_KEYS
+    config = parse_config(args.config, _overrides(args, overridable))
     alt = config.alternative
-    if alt is None and args.psi is None and args.amplitude is None:
+    if alt is None:
         raise ConfigError("'power' requires an [alternative] section or --psi/--amplitude flags")
-    alt = alt or AlternativeSpec(psi="x2_cubed", amplitude=1.0)
-    alt = AlternativeSpec(
-        psi=args.psi if args.psi is not None else alt.psi,
-        amplitude=args.amplitude if args.amplitude is not None else alt.amplitude,
-        local_scaling=bool(args.local_scaling) or alt.local_scaling,
-    )
-    config = replace(config, alternative=alt)
     outdir = _resolve_outdir(args)
     delim = args.delimiter
-    overridable = _EXPERIMENT_FLAGS + ("psi", "amplitude", "local_scaling")
     lines = _summary_header("power", args, outdir, config.seed, overridable)
     basis = make_basis(config.p, config.d)
     lines.append(f"basis: {basis.describe()}")
@@ -359,11 +352,11 @@ def _cmd_test(args) -> None:
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     sample = load_sample(args.data, args.delimiter)
-    check_grid(args.grid, sample.p)
+    grid = lattice_resolution(args.grid, sample.p)
     model = build_model(args.model, sample)
     observed_fit = fit(model, sample)
     anchors = fixed_anchors(sample.n, sample.p, args.anchors, args.seed) if sample.p >= 2 else None
-    geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors, grid=args.grid)
+    geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors, grid=grid)
     residuals = bootstrap_residuals(
         model, geometry, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
     )
@@ -487,6 +480,7 @@ def _build_parser() -> _Parser:
 
     pow_ = subs.add_parser("power", help="simulate an alternative against its paired null")
     _add_experiment(pow_)
+    # overrides of the [alternative] keys, which need both psi and amplitude
     pow_.add_argument("--psi", default=None)
     pow_.add_argument("--amplitude", type=float, default=None)
     pow_.add_argument("--local-scaling", action="store_const", const=True, default=None)

@@ -52,7 +52,7 @@ import numpy as np
 from .basis import make_basis, sample_on_points
 from .errors import ConfigError, NumericalError, RankDeficiencyError
 from .model import FitResult, RegressionModel, Sample, build_model, fit, score_basis
-from .process import GRID_GUARD, Ecdf, StepProcess, build_process, ks_statistics, tie_last
+from .process import Ecdf, StepProcess, build_process, ks_statistics, lattice_resolution, tie_last
 from .rotations import OrthonormalSet
 from .seeding import rng_for, seed_sequence
 from .transform import transform_residuals
@@ -92,17 +92,6 @@ BLOCK = 64
 EVAL_COLUMNS = 8
 
 
-def check_grid(grid: int | None, p: int) -> None:
-    """Reject a lattice resolution below 2, or one whose p-dimensional
-    lattice would exceed GRID_GUARD points (p = 1 scans no lattice)."""
-    if grid is None:
-        return
-    if grid < 2:
-        raise ConfigError(f"grid must be >= 2, got {grid}")
-    if p >= 2 and grid**p > GRID_GUARD:
-        raise ConfigError(f"a lattice of {grid}^{p} points exceeds the {GRID_GUARD} guard")
-
-
 @dataclass(frozen=True)
 class AlternativeSpec:
     """Mean shift psi added to the null mean, optionally scaled by 1/sqrt(n)."""
@@ -124,8 +113,10 @@ class ExperimentConfig:
 
     ``design`` may list several covariate designs; the simulation entry
     points run one design at a time (the CLI fans a multi-design config out
-    into one run per design).  All fields are plain values so configs can
-    be shipped to worker processes.
+    into one run per design).  A config holds its effective values: ``grid``
+    is resolved by ``lattice_resolution`` (None at p = 1), and a missing
+    ``theta_true`` becomes 1 per parameter.  All fields are plain values so
+    configs can be shipped to worker processes.
     """
 
     design: tuple[str, ...]
@@ -169,14 +160,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown anchor mode {self.anchors!r}; known: {ANCHOR_MODES}")
         if self.error_law not in ERROR_LAWS:
             raise ConfigError(f"unknown error law {self.error_law!r}; known: {ERROR_LAWS}")
-        check_grid(self.grid, p)
-        if self.theta_true is not None:
-            theta = tuple(float(v) for v in self.theta_true)
-            if len(theta) != d:
-                raise ConfigError(f"theta_true must have length d={d}, got {len(theta)}")
-            if not all(math.isfinite(v) for v in theta):
-                raise ConfigError("theta_true contains non-finite entries")
-            object.__setattr__(self, "theta_true", theta)
+        object.__setattr__(self, "grid", lattice_resolution(self.grid, p))
+        theta = (1.0,) * d if self.theta_true is None else tuple(float(v) for v in self.theta_true)
+        if len(theta) != d:
+            raise ConfigError(f"theta_true must have length d={d}, got {len(theta)}")
+        if not all(math.isfinite(v) for v in theta):
+            raise ConfigError("theta_true contains non-finite entries")
+        object.__setattr__(self, "theta_true", theta)
         if self.alternative is not None:
             if PSI_FUNCTIONS[self.alternative.psi] != p:
                 raise ConfigError(
@@ -369,11 +359,7 @@ def residual_statistics(
     }
     points = {"transformed": geometry.points, "raw": geometry.raw_points}
     grid = geometry.grid
-    if geometry.points is geometry.raw_points:
-        both = build_process(np.stack([columns[kind][..., 0] for kind in PROCESS_KINDS], axis=-1), geometry.points)
-        first = {kind: both.column(j) for j, kind in enumerate(PROCESS_KINDS)}
-    else:
-        first = {kind: build_process(columns[kind][..., 0], points[kind], grid=grid) for kind in PROCESS_KINDS}
+    first = {kind: build_process(columns[kind][..., 0], points[kind], grid=grid) for kind in PROCESS_KINDS}
     parts = [{name: np.asarray(value)[..., None] for name, value in ks_statistics(first[process]).items()}]
     parts += [
         ks_statistics(build_process(columns[process][..., start : start + EVAL_COLUMNS], points[process], grid=grid))
@@ -472,8 +458,7 @@ def _stack_records(config: ExperimentConfig, draws: list[tuple[np.ndarray, np.nd
     x = np.stack([xi for xi, _ in draws])
     errors = np.stack([ei for _, ei in draws])
     model = build_model(config.model, Sample(x, np.zeros(errors.shape)))
-    theta = np.asarray(config.theta_true if config.theta_true is not None else np.ones(model.d))
-    signal = np.asarray(model.mean(theta, x), dtype=float)
+    signal = np.asarray(model.mean(np.asarray(config.theta_true), x), dtype=float)
     if config.alternative is not None:
         amp = config.alternative.amplitude
         if config.alternative.local_scaling:

@@ -1,24 +1,24 @@
 """Partial-sum residual processes, test statistics and limit references.
 
-The residual process at x is the sum of residual contributions whose scan
-point is componentwise <= x, scaled by 1/sqrt(n).  In one dimension the
-scan points are the empirical-CDF times of the covariate (i/n without
-ties) and the process is evaluated exactly at t = 0 and every jump; in
-higher dimensions the supremum over the cube is approximated by evaluating
-at every scan point plus a regular lattice (its resolution is a config knob
-and is reported in outputs).  At p = 2 the values at the scan points come
-from a merge sweep over the points ordered by their second coordinate, in
-O(n log^2 n) time at worst and O(n) memory per residual column; p >= 3
-sums an n x n dominance mask in row blocks.
+The residual process at x is the sum of residuals whose scan point is
+componentwise <= x, scaled by 1/sqrt(n).  In one dimension the scan points
+are the empirical-CDF times of the covariate (i/n without ties) and the
+process is evaluated exactly at t = 0 and every jump; in higher dimensions
+the supremum over the cube is approximated by evaluating at every scan
+point plus a regular lattice, whose resolution ``lattice_resolution``
+fixes (a config key, reported in outputs).  At p = 2 the values at the
+scan points come from a merge sweep over the points ordered by their
+second coordinate, in O(n log^2 n) time at worst and O(n) memory per
+residual column; p >= 3 sums an n x n dominance mask in row blocks.
 
 A process may carry one residual vector or the m columns of an (n, m)
-residual matrix scanned by the same points; its contributions and
-evaluation values then gain a trailing column axis, and every statistic
-becomes a length-m array.  A stack of B samples, each with its own scan
-points, gives a stacked process: every field gains a leading sample axis.
-At p = 1 its evaluation points are then t = 0 and all n sorted scan
-points, tied copies included, each copy carrying the value of its tie
-group, so every sample has n + 1 of them.
+residual matrix scanned by the same points; its evaluation values then
+gain a trailing column axis, and every statistic becomes a length-m array.
+A stack of B samples, each with its own scan points, gives a stacked
+process: both fields gain a leading sample axis.  At p = 1 its evaluation
+points are then t = 0 and all n sorted scan points, tied copies included,
+each copy carrying the value of its tie group, so every sample has n + 1
+of them.
 
 Replicated statistics are summarized by their empirical distribution
 (``Ecdf``), compared with each other or with a reference law such as
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ReferenceBasis, check_unit_cube
+from .errors import ConfigError
 
 DEFAULT_GRID = {2: 64, 3: 16}
 GRID_GUARD = 1_000_000
@@ -44,32 +45,35 @@ DOMINANCE_LEAF = 16
 DOMINANCE_BLOCK = 64
 
 
+def lattice_resolution(grid: int | None, p: int) -> int | None:
+    """The per-axis lattice resolution a p-dimensional process is evaluated
+    on: None at p = 1, which scans no lattice (a grid given there is an
+    error), else ``grid`` or DEFAULT_GRID[p], at least 2 and with no more
+    than GRID_GUARD lattice points."""
+    if p == 1:
+        if grid is not None:
+            raise ConfigError(f"grid applies to p >= 2 only; a p = 1 process scans no lattice, got grid={grid}")
+        return None
+    m = grid if grid is not None else DEFAULT_GRID.get(p, 8)
+    if m < 2:
+        raise ConfigError(f"grid must be >= 2, got {m}")
+    if m**p > GRID_GUARD:
+        raise ConfigError(f"a lattice of {m}^{p} points exceeds the {GRID_GUARD} guard")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class StepProcess:
-    """Scan-ordered partial-sum process with its evaluations (a stacked
-    process puts the sample axis in front of each field)."""
+    """Evaluation points and partial-sum values of a residual process: (k, p)
+    points and (k,) values, or (k, m) for m residual columns; a stacked
+    process puts the sample axis in front of both."""
 
-    scan_points: np.ndarray  # (n, p)
-    contributions: np.ndarray  # residual / sqrt(n): (n,), or (n, m) for m residual columns
-    eval_points: np.ndarray  # (k, p)
-    eval_values: np.ndarray  # (k,), or (k, m)
+    eval_points: np.ndarray
+    eval_values: np.ndarray
 
     @property
     def stacked(self) -> bool:
         return self.eval_points.ndim == 3
-
-    @property
-    def p(self) -> int:
-        return self.scan_points.shape[-1]
-
-    def column(self, j: int) -> "StepProcess":
-        """The process of residual column j of a matrix process."""
-        return StepProcess(
-            scan_points=self.scan_points,
-            contributions=self.contributions[..., j].copy(),
-            eval_points=self.eval_points,
-            eval_values=self.eval_values[..., j].copy(),
-        )
 
 
 def _lattice(p: int, m: int) -> np.ndarray:
@@ -220,9 +224,9 @@ def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | No
     ``residuals`` is one vector of length n or an (n, m) matrix whose
     columns share the scan points.  scan_points must lie in [0,1]^p (rank
     times for p = 1, transported or rescaled covariates for p >= 2).
-    ``grid`` is the per-axis lattice resolution for p >= 2 (default 64 for
-    p = 2).  A (B, n, p) stack of scan points with (B, n) or (B, n, m)
-    residuals builds the B processes at once as one stacked process.
+    ``grid`` is resolved by ``lattice_resolution``.  A (B, n, p) stack of
+    scan points with (B, n) or (B, n, m) residuals builds the B processes
+    at once as one stacked process.
     """
     residuals = np.asarray(residuals, dtype=float)
     scan = np.asarray(scan_points, dtype=float)
@@ -236,6 +240,7 @@ def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | No
         )
     check_unit_cube("scan points", scan)
     n, p = scan.shape[-2:]
+    m = lattice_resolution(grid, p)
     contrib = residuals / math.sqrt(n)
     scans = scan if stacked else scan[None]
     columns = contrib if stacked else contrib[None]
@@ -249,11 +254,6 @@ def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | No
             points, values = points[:, keep], values[:, keep]
         eval_points = points[..., None]
     else:
-        m = grid if grid is not None else DEFAULT_GRID.get(p, 8)
-        if m < 2:
-            raise ValueError(f"grid resolution must be >= 2, got {m}")
-        if m**p > GRID_GUARD:
-            raise ValueError(f"lattice of {m}^{p} points exceeds the {GRID_GUARD} guard")
         lattice = _lattice(p, m)
         eval_points = np.concatenate([scans, np.broadcast_to(lattice, (scans.shape[0],) + lattice.shape)], axis=1)
         values = np.stack(
@@ -265,7 +265,7 @@ def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | No
     values = values.reshape(values.shape[:2] + contrib.shape[lead:])
     if not stacked:
         eval_points, values = eval_points[0], values[0]
-    return StepProcess(scan_points=scan, contributions=contrib, eval_points=eval_points, eval_values=values)
+    return StepProcess(eval_points=eval_points, eval_values=values)
 
 
 def ks_statistics(proc: StepProcess) -> dict[str, float | np.ndarray]:

@@ -58,14 +58,6 @@ class AnchorSet:
             raise ValueError("anchor points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
@@ -147,9 +139,9 @@ def _row_blocks(n: int):
 
 
 def _total_cost(distances: np.ndarray) -> float:
-    # correctly-rounded exact sum of the matched distances, independent of
+    # correctly-rounded exact sum of the matched distances, whatever the
     # addend order: cost-tied assignments report bit-identical totals
-    return math.fsum(sorted(distances))
+    return math.fsum(distances)
 
 
 def _matched_distances(x: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> np.ndarray:

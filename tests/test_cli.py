@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,10 @@ from dfgof.cli import echo_config, parse_config, run
 from dfgof.errors import ConfigError
 from dfgof.harness import AlternativeSpec
 from dfgof.process import Ecdf, ecdf_vs_cdf_sup, kolmogorov_cdf
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
 
 
 def write_config(path, text):
@@ -86,6 +92,23 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE))
         echoed = parse_config(write_config(tmp_path / "b.cfg", echo_config(cfg)))
         assert echo_config(echoed) == echo_config(cfg)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_manifest_is_the_config(self, tmp_path, path):
+        cfg = parse_config(path)
+        assert parse_config(write_config(tmp_path / "m.cfg", echo_config(cfg))) == cfg
+
+    def test_config_holds_effective_defaults(self, tmp_path):
+        text = BASIC.replace("uniform_0_2", "beta_indep").replace("simple_linear", "bilinear2d")
+        cfg = parse_config(write_config(tmp_path / "a.cfg", text))
+        assert cfg.grid == 64
+        assert cfg.theta_true == (1.0,) * 4
+        assert parse_config(write_config(tmp_path / "b.cfg", BASIC)).grid is None
+
+    def test_alternative_flags_override_file_values(self, tmp_path):
+        path = write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)
+        cfg = parse_config(path, {"amplitude": 2.0, "local_scaling": True, "psi": None})
+        assert cfg.alternative == AlternativeSpec(psi="x_squared", amplitude=2.0, local_scaling=True)
 
 
 class TestSimulateCommand:
@@ -176,6 +199,29 @@ class TestPowerCommand:
         cfg = write_config(tmp_path / "a.cfg", BASIC)
         assert run(["power", cfg, "-o", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("config", ["null_univariate", "null_bivariate"])
+    def test_amplitude_flag_alone_needs_psi(self, tmp_path, capsys, config):
+        cfg = str(CONFIG_DIR / f"{config}.cfg")
+        assert run(["power", cfg, "--reps", "5", "--amplitude", "2", "-o", str(tmp_path / "o")]) == 1
+        assert "requires both psi and amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_psi_and_amplitude_flags_make_the_alternative(self, tmp_path):
+        cfg = str(CONFIG_DIR / "null_bivariate.cfg")
+        out = tmp_path / "out"
+        argv = ["power", cfg, "--reps", "5", "--n", "30", "--psi", "x2_squared", "--amplitude", "2", "-o", str(out)]
+        assert run(argv) == 0
+        manifest = (out / "manifest.cfg").read_text()
+        assert "psi = x2_squared" in manifest and "amplitude = 2\n" in manifest
+        assert parse_config(out / "manifest.cfg").alternative == AlternativeSpec(psi="x2_squared", amplitude=2.0)
+
+    def test_flags_override_the_alternative_section(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)
+        out = tmp_path / "out"
+        assert run(["power", cfg, "--amplitude", "1.25", "-o", str(out)]) == 0
+        manifest = (out / "manifest.cfg").read_text()
+        assert "psi = x_squared" in manifest and "amplitude = 1.25\n" in manifest
+
     def test_local_scaling_flag_alone_is_applied(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)
         out = tmp_path / "out"
@@ -240,6 +286,15 @@ class TestTestCommand:
         dump = (out / "process_transformed.csv").read_text().splitlines()
         assert dump[0] == "x1,value"
         assert len(dump) == 26  # header + t=0 baseline + 24 jump times
+
+    def test_grid_rejected_at_p1(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 2, 40)
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(f"{a},{1 + a + b}" for a, b in zip(x, rng.standard_normal(40))) + "\n")
+        argv = ["test", str(data), "--model", "centered_linear", "--seed", "1", "--reps", "9", "--grid", "16"]
+        assert run(argv + ["-o", str(tmp_path / "o")]) == 1
+        assert "p >= 2 only" in capsys.readouterr().err
 
     def test_seed_required(self, tmp_path):
         data = tmp_path / "d.csv"

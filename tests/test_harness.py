@@ -94,6 +94,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(design=("beta_indep",), model="bilinear2d", n=30, reps=5, seed=1, grid=grid)
         ExperimentConfig(design=("beta_indep",), model="bilinear2d", n=30, reps=5, seed=1, grid=1000)
+        # p = 1 scans no lattice, so a grid there is an error, not ignored
+        with pytest.raises(ConfigError, match="p >= 2 only"):
+            ExperimentConfig(design=("uniform_0_2",), model="simple_linear", n=30, reps=5, seed=1, grid=16)
 
     def test_string_design_promoted_to_tuple(self):
         cfg = ExperimentConfig(design="uniform_0_2", model="simple_linear", n=30, reps=5, seed=1)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dfgof.basis import legendre_shifted, make_basis
+from dfgof.errors import ConfigError
 from dfgof.process import DOMINANCE_BLOCK, build_process, kolmogorov_cdf, ks_statistics, limit_covariance
 from dfgof.transport import AnchorSet
 
@@ -64,25 +65,29 @@ class TestBuildProcess:
         for n in (17, 70, 300, 701):
             scan = rng.uniform(0.0, 1.0, size=(n, p)) if p == 2 else np.arange(1, n + 1) / n
             residuals = rng.standard_normal((n, m))
-            proc = build_process(residuals, scan, grid=9)
+            grid = 9 if p == 2 else None
+            proc = build_process(residuals, scan, grid=grid)
             assert proc.eval_values.shape == (proc.eval_points.shape[0], m)
             stats = ks_statistics(proc)
             for j in range(m):
-                one = build_process(residuals[:, j], scan, grid=9)
+                one = build_process(residuals[:, j], scan, grid=grid)
                 assert np.array_equal(proc.eval_points, one.eval_points)
                 assert np.array_equal(proc.eval_values[:, j], one.eval_values)
-                assert np.array_equal(proc.column(j).eval_values, proc.eval_values[:, j])
                 for name, value in ks_statistics(one).items():
                     assert stats[name][j] == value
 
     def test_empty_bivariate_process(self):
         proc = build_process(np.zeros(0), np.zeros((0, 2)), grid=4)
-        assert proc.contributions.shape == (0,)
+        assert proc.eval_points.shape == (16, 2)
         assert np.array_equal(proc.eval_values, np.zeros(16))
 
     def test_grid_guard(self):
         with pytest.raises(ValueError, match="guard"):
             build_process(np.ones(2), np.array([[0.5, 0.5], [0.6, 0.6]]), grid=1500)
+
+    def test_grid_rejected_at_p1(self):
+        with pytest.raises(ConfigError, match="p >= 2 only"):
+            build_process(np.ones(2), np.array([0.5, 1.0]), grid=16)
 
     def test_monotone_rearrangement_invariance(self):
         # permuting observations together with their scan points leaves the path unchanged
@@ -104,7 +109,7 @@ def _brute_dominance(scan, contrib):
 def _assert_scan_values_match_brute_force(scan, residuals):
     proc = build_process(residuals, scan, grid=3)
     n = scan.shape[0]
-    expected = _brute_dominance(scan, proc.contributions)
+    expected = _brute_dominance(scan, residuals / np.sqrt(n))
     got = proc.eval_values[:n]
     assert got.shape == expected.shape
     scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
