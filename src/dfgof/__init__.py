@@ -33,12 +33,14 @@ from .model import (
 )
 from .process import (
     Ecdf,
+    ProcessPlan,
     StepProcess,
     build_process,
     ecdf_sup_distance,
     kolmogorov_cdf,
     ks_statistics,
     limit_covariance,
+    process_plan,
 )
 from .rotations import OrthonormalSet, RotationPlan, apply_plan, build_plan, gram_schmidt, reflect
 from .transform import TransformedResiduals, transform_matrix, transform_residuals
@@ -66,6 +68,7 @@ __all__ = [
     "NumericalError",
     "OrthonormalSet",
     "PowerResult",
+    "ProcessPlan",
     "RankDeficiencyError",
     "ReferenceBasis",
     "RegressionModel",
@@ -93,6 +96,7 @@ __all__ = [
     "make_basis",
     "pipeline_processes",
     "pipeline_records",
+    "process_plan",
     "reflect",
     "rescale_unit_cube",
     "run_experiment",

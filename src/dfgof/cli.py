@@ -20,7 +20,7 @@ import configparser
 import itertools
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,8 @@ from .transport import rescale_unit_cube, solve_assignment
 OUTPUT_DIR_ENV = "DFGOF_OUTPUT_DIR"
 
 _EXPERIMENT_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "alternative")
+# the defaults of the flags that set a config key outside a config file
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 _ALTERNATIVE_KEYS = tuple(f.name for f in fields(AlternativeSpec))
 # [experiment] keys that simulate and power take as flags too; power also
 # takes every [alternative] key as a flag
@@ -497,16 +499,16 @@ def _build_parser() -> _Parser:
     test.add_argument("--model", required=True, choices=tuple(MODEL_KINDS))
     _add_common(test, seed_help="master seed (required)")
     test.add_argument("--reps", type=int, default=200, help="null replications for the p-value")
-    test.add_argument("--statistic", default="ks_abs", choices=STATISTICS)
-    test.add_argument("--process", default="transformed", choices=PROCESS_KINDS)
-    test.add_argument("--anchors", default="halton", choices=ANCHOR_MODES)
+    test.add_argument("--statistic", default=_DEFAULTS["statistic"], choices=STATISTICS)
+    test.add_argument("--process", default=_DEFAULTS["process"], choices=PROCESS_KINDS)
+    test.add_argument("--anchors", default=_DEFAULTS["anchors"], choices=ANCHOR_MODES)
     test.add_argument("--grid", type=int, default=None)
-    test.add_argument("--error-law", default="normal", choices=ERROR_LAWS)
+    test.add_argument("--error-law", default=_DEFAULTS["error_law"], choices=ERROR_LAWS)
     test.set_defaults(handler=_cmd_test)
 
     asg = subs.add_parser("assign", help="optimal transport matching of a covariate file")
     asg.add_argument("data")
-    asg.add_argument("--anchors", default="halton", choices=ANCHOR_MODES)
+    asg.add_argument("--anchors", default=_DEFAULTS["anchors"], choices=ANCHOR_MODES)
     _add_common(asg)
     asg.set_defaults(handler=_cmd_assign)
 

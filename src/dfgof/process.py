@@ -20,6 +20,13 @@ points are then t = 0 and all n sorted scan points, tied copies included,
 each copy carrying the value of its tie group, so every sample has n + 1
 of them.
 
+What depends on the scan points alone is set up once by ``process_plan``
+and applied by ``build_process`` to any residuals on those points: at
+p = 1 the stable order of the times and the tie-last index, at p = 2 the
+merge sweep's order, ranks, leaf masks, per-level merge permutations and
+duplicate map, at p >= 2 the lattice bin of every point.  Building from a
+plan gives the same numbers, bit for bit, as building from the points.
+
 Replicated statistics are summarized by their empirical distribution
 (``Ecdf``), compared with each other or with a reference law such as
 ``kolmogorov_cdf`` by exact sup distances.
@@ -82,46 +89,56 @@ def _lattice(p: int, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def _lattice_values(scan: np.ndarray, contrib: np.ndarray, m: int) -> np.ndarray:
-    """Exact process values on the regular lattice via p-dimensional
-    cumulative sums: each contribution is binned at the smallest lattice
-    node componentwise >= its scan point.  Each residual column is binned
-    in its own bins, in row order, so a column's values do not depend on
-    the other columns."""
+def _lattice_bins(scan: np.ndarray, m: int) -> np.ndarray:
+    """Flat index of the lattice bin of each scan point: the smallest
+    lattice node componentwise >= it."""
     p = scan.shape[1]
     axis = np.linspace(0.0, 1.0, m)
     idx = np.stack([np.searchsorted(axis, scan[:, j], side="left") for j in range(p)], axis=1)
-    flat = np.ravel_multi_index(tuple(idx.T), (m,) * p)
-    cols = contrib[:, None] if contrib.ndim == 1 else contrib
+    return np.ravel_multi_index(tuple(idx.T), (m,) * p)
+
+
+def _lattice_values(bins: np.ndarray, cols: np.ndarray, m: int, p: int) -> np.ndarray:
+    """Exact process values on the regular lattice via p-dimensional
+    cumulative sums of the (n, width) contributions binned at ``bins``.
+    Each residual column is binned in its own bins, in row order, so a
+    column's values do not depend on the other columns."""
     width = cols.shape[1]
-    bins = (flat[:, None] * width + np.arange(width)).ravel()
-    box = np.bincount(bins, weights=cols.ravel(), minlength=m**p * width).reshape((m,) * p + (width,))
+    flat = (bins[:, None] * width + np.arange(width)).ravel()
+    box = np.bincount(flat, weights=cols.ravel(), minlength=m**p * width).reshape((m,) * p + (width,))
     for ax in range(p):
         box = np.cumsum(box, axis=ax)
-    return box.reshape((m**p,) + contrib.shape[1:])
+    return box.reshape(m**p, width)
 
 
-def _planar_dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Dominance sums of p = 2 scan points by a bottom-up merge sweep.
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """The merge sweep of one set of n >= 1 p = 2 scan points, set up once
+    for any residual columns.
 
-    The points are put in positions ordered by (x2, x1); a point is then
-    dominated exactly by the points at earlier positions whose x1 rank is
-    <= its own, plus its exact duplicates at later positions.  The
-    positions are padded to leaf * 2**levels with zero contributions.
-    Leaves of at most DOMINANCE_LEAF positions are summed by brute force,
-    one leaf position at a time over all leaves, so each column's sums
-    round the same whatever the number of columns.  Each merge level then
-    sorts every block by (x1 rank, half), left half first on equal ranks,
-    and one cumulative sum adds the block's left-half contributions to its
-    right-half points (Bentley 1980, multidimensional divide-and-conquer).
-    One stable sort of n keys per level, log2(n / DOMINANCE_LEAF) levels,
-    O(n) memory per residual column, and no BLAS call.
+    The points are put in positions ordered by (x2, x1), ``order``; a
+    point is then dominated exactly by the points at earlier positions
+    whose x1 rank is <= its own, plus its exact duplicates at later
+    positions.  The positions are padded to leaf * 2**levels with zero
+    contributions.  ``below`` holds the dominance inside each leaf of at
+    most DOMINANCE_LEAF positions.  Each merge level sorts every block by
+    (x1 rank, half), left half first on equal ranks; ``merges`` holds per
+    level that order, its right-half mask, the positions under that mask
+    and the half width.  ``last`` maps each position to the last copy of
+    its point when exact duplicates exist (Bentley 1980, multidimensional
+    divide-and-conquer).
     """
+
+    order: np.ndarray
+    below: np.ndarray
+    merges: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], ...]
+    last: np.ndarray | None
+
+
+def _sweep(scan: np.ndarray) -> _Sweep:
+    """One stable sort of n keys per merge level, log2(n / DOMINANCE_LEAF)
+    levels, O(n) memory per level."""
     n = scan.shape[0]
-    if n == 0:
-        return np.zeros(contrib.shape)
-    cols = contrib.reshape(n, -1)
-    m = cols.shape[1]
     x1, x2 = scan[:, 0], scan[:, 1]
     by_x1 = np.argsort(x1, kind="stable")
     ranked = x1[by_x1]
@@ -134,16 +151,10 @@ def _planar_dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     size = leaf << levels
     rank = np.zeros(size, dtype=np.int64)
     rank[:n] = rank1[order]
-    padded = np.zeros((size, m))
-    padded[:n] = cols[order]
     leaf_rank = rank.reshape(-1, leaf)
     below = (leaf_rank[:, None, :] <= leaf_rank[:, :, None]) & np.tri(leaf, dtype=bool)
-    blocks = padded.reshape(-1, leaf, m)
-    sums = np.zeros(blocks.shape)
-    for j in range(leaf):  # one fixed summation order, whatever m is
-        sums += below[:, :, j, None] * blocks[:, None, j, :]
-    sums = sums.reshape(size, m)
 
+    merges = []
     merged = np.arange(size)  # positions; each block of the level sorted by (rank, half)
     stride = 2 * n  # above 2 * rank + 1 for every rank < n
     half = leaf
@@ -152,44 +163,61 @@ def _planar_dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
         key = (halves >> 1) * stride + 2 * rank[merged] + (halves & 1)
         merged = merged[np.argsort(key, kind="stable")]
         right = (merged // half) % 2 == 1
+        merges.append((merged, right, merged[right], half))
+        half *= 2
+
+    s1, s2 = x1[order], x2[order]
+    dup = (s1[1:] == s1[:-1]) & (s2[1:] == s2[:-1])
+    last = None
+    if dup.any():
+        # an exact duplicate takes the value of its last copy, which sees all copies
+        ends = np.flatnonzero(~np.append(dup, False))
+        last = ends[np.searchsorted(ends, np.arange(n))]
+    return _Sweep(order, below, tuple(merges), last)
+
+
+def _sweep_sums(sweep: _Sweep, cols: np.ndarray) -> np.ndarray:
+    """Dominance sums of (n, m) contributions by a merge sweep: the leaves
+    are summed by brute force, one leaf position at a time over all
+    leaves, so each column's sums round the same whatever m is; each merge
+    level then adds, by one cumulative sum per block, the block's
+    left-half contributions to its right-half points.  No BLAS call."""
+    n, m = cols.shape
+    leaves, leaf, _ = sweep.below.shape
+    size = leaves * leaf
+    padded = np.zeros((size, m))
+    padded[:n] = cols[sweep.order]
+    blocks = padded.reshape(-1, leaf, m)
+    sums = np.zeros(blocks.shape)
+    for j in range(leaf):  # one fixed summation order, whatever m is
+        sums += sweep.below[:, :, j, None] * blocks[:, None, j, :]
+    sums = sums.reshape(size, m)
+    for merged, right, targets, half in sweep.merges:
         part = padded[merged]
         part[right] = 0.0
         part = np.cumsum(part.reshape(-1, 2 * half, m), axis=1).reshape(size, m)
-        sums[merged[right]] += part[right]
-        half *= 2
-
+        sums[targets] += part[right]
     sums = sums[:n]
-    s1, s2 = x1[order], x2[order]
-    dup = (s1[1:] == s1[:-1]) & (s2[1:] == s2[:-1])
-    if dup.any():
-        # an exact duplicate takes the value of its last copy, which sees all copies
-        last = np.flatnonzero(~np.append(dup, False))
-        sums = sums[last[np.searchsorted(last, np.arange(n))]]
+    if sweep.last is not None:
+        sums = sums[sweep.last]
     out = np.empty((n, m))
-    out[order] = sums
-    return out.reshape(contrib.shape)
+    out[sweep.order] = sums
+    return out
 
 
-def _dominance_sums(scan: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Process values at the scan points: at each point, the sum of the
-    contributions whose scan point is componentwise <= it.
-
-    ``contrib`` is a vector or an (n, m) matrix.  p = 2 runs the merge
-    sweep of ``_planar_dominance_sums``.  p >= 3, which no model kind
-    reaches, multiplies the boolean dominance mask by the contributions in
-    DOMINANCE_BLOCK row blocks; the mask is built one coordinate at a
-    time, so no (n, n, p) temporary is made.
-    """
+def _mask_sums(scan: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dominance sums of p >= 3 scan points (and of no points at all): the
+    boolean dominance mask times the contributions in DOMINANCE_BLOCK row
+    blocks; the mask is built one coordinate at a time, so no (n, n, p)
+    temporary is made."""
     n, p = scan.shape
-    if p == 2:
-        return _planar_dominance_sums(scan, contrib)
-    out = np.empty(contrib.shape)
+    out = np.empty(cols.shape)
     for start in range(0, n, DOMINANCE_BLOCK):
         rows = scan[start : start + DOMINANCE_BLOCK]
         mask = scan[None, :, 0] <= rows[:, None, 0]
         for j in range(1, p):
             mask &= scan[None, :, j] <= rows[:, None, j]
-        out[start : start + DOMINANCE_BLOCK] = mask @ contrib
+        out[start : start + DOMINANCE_BLOCK] = mask @ cols
     return out
 
 
@@ -203,69 +231,161 @@ def tie_last(sorted_values: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(marks[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _scan_values(scan: np.ndarray, contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p = 1 evaluation of a (B, n) stack of scan times and (B, n, m)
-    contributions: t = 0 and the n sorted times of each sample, with the
-    partial sum up to the last copy of each time."""
-    order = np.argsort(scan, axis=-1, kind="stable")
-    times = np.take_along_axis(scan, order, axis=-1)
-    csum = np.cumsum(np.take_along_axis(contrib, order[..., None], axis=1), axis=1)
-    values = np.take_along_axis(csum, tie_last(times)[..., None], axis=1)
-    start = np.zeros((scan.shape[0], 1) + contrib.shape[2:])
-    if scan.shape[1]:
-        # t = 0 is a scan time of its own when some point sits there
-        start = np.where((times[:, :1] > 0.0)[..., None], start, values[:, :1])
-    return np.concatenate([np.zeros((scan.shape[0], 1)), times], axis=1), np.concatenate([start, values], axis=1)
+@dataclass(frozen=True, eq=False)
+class ProcessPlan:
+    """The part of a process build that depends on the scan points alone,
+    made once by ``process_plan`` and applied by ``build_process`` to any
+    residuals scanned by those points.
 
-
-def build_process(residuals: np.ndarray, scan_points: np.ndarray, grid: int | None = None) -> StepProcess:
-    """Build the partial-sum process of ``residuals`` scanned by ``scan_points``.
-
-    ``residuals`` is one vector of length n or an (n, m) matrix whose
-    columns share the scan points.  scan_points must lie in [0,1]^p (rank
-    times for p = 1, transported or rescaled covariates for p >= 2).
-    ``grid`` is resolved by ``lattice_resolution``.  A (B, n, p) stack of
-    scan points with (B, n) or (B, n, m) residuals builds the B processes
-    at once as one stacked process.
+    ``lead_shape`` is (n,) for one set of scan points and (B, n) for a stack:
+    the leading axes of the residuals the plan takes.  ``eval_points`` are
+    those of every process built from the plan, and ``grid`` its lattice
+    resolution (None at p = 1).  p = 1 keeps the stable ascending order of
+    each sample's scan times as flat row indices of the stack,
+    ``gather``, and in ``pick`` the flat positions of the evaluation
+    values among the zero-led cumulative sums of the ordered
+    contributions: the tie-last index of each sorted time, one past it.
+    p >= 2 keeps in ``samples``, per sample, a ``_Sweep`` (p = 2) or the
+    scan points themselves (p >= 3 and empty samples), with the lattice
+    bin of every scan point.
     """
-    residuals = np.asarray(residuals, dtype=float)
+
+    lead_shape: tuple[int, ...]
+    eval_points: np.ndarray
+    grid: int | None
+    gather: np.ndarray | None = None
+    pick: np.ndarray | None = None
+    samples: tuple[tuple[_Sweep | np.ndarray, np.ndarray], ...] = ()
+
+    @property
+    def stacked(self) -> bool:
+        return len(self.lead_shape) == 2
+
+    def values(self, columns: np.ndarray) -> np.ndarray:
+        """(B, k, m) process values of (B, n, m) contributions."""
+        b, n, m = columns.shape
+        if self.gather is not None:
+            sums = np.empty((b, n + 1, m))
+            sums[:, 0] = 0.0
+            np.cumsum(columns.reshape(b * n, m)[self.gather].reshape(b, n, m), axis=1, out=sums[:, 1:])
+            return sums.reshape(b * (n + 1), m)[self.pick].reshape(b, -1, m)
+        p = self.eval_points.shape[-1]
+        return np.stack(
+            [
+                np.concatenate(
+                    [
+                        _sweep_sums(kernel, cols) if isinstance(kernel, _Sweep) else _mask_sums(kernel, cols),
+                        _lattice_values(bins, cols, self.grid, p),
+                    ]
+                )
+                for (kernel, bins), cols in zip(self.samples, columns)
+            ]
+        )
+
+
+def _line_plan(times: np.ndarray, order: np.ndarray, stacked: bool, check: bool) -> ProcessPlan:
+    """p = 1 plan of a (B, n) stack of scan times and their stable
+    ascending order (checked when ``check``): evaluation at t = 0 and at
+    the n sorted times of each sample, with the partial sum up to the last
+    copy of each time (t = 0 is a scan time of its own when some point
+    sits there).  An unstacked plan keeps one evaluation point per
+    distinct time."""
+    b, n = times.shape
+    rows = np.arange(b)[:, None]
+    if check and order.size and not (order.min() >= 0 and order.max() < n):
+        raise ValueError("a scan order must hold row indices")
+    gather = (order + rows * n).ravel()
+    ranked = times.ravel()[gather].reshape(b, n)
+    if check and not np.all(
+        (ranked[:, 1:] > ranked[:, :-1]) | ((ranked[:, 1:] == ranked[:, :-1]) & (order[:, 1:] > order[:, :-1]))
+    ):
+        # strictly increasing in (time, index): sorted, stable, and a permutation
+        raise ValueError("the scan order is not the stable ascending order of the scan times")
+    last = tie_last(ranked)
+    first = np.where(ranked[:, :1] > 0.0, 0, last[:, :1] + 1) if n else np.zeros((b, 1), dtype=np.intp)
+    pick = np.concatenate([first, last + 1], axis=1)
+    points = np.concatenate([np.zeros((b, 1)), ranked], axis=1)
+    if not stacked:
+        keep = np.append(points[0, 1:] != points[0, :-1], True)
+        points, pick = points[:, keep], pick[:, keep]
+    return ProcessPlan(
+        lead_shape=times.shape if stacked else (n,),
+        eval_points=points[..., None] if stacked else points[0, :, None],
+        grid=None,
+        gather=gather,
+        pick=(pick + rows * (n + 1)).ravel(),
+    )
+
+
+def process_plan(scan_points: np.ndarray, grid: int | None = None, *, order: np.ndarray | None = None) -> ProcessPlan:
+    """Set up the processes scanned by ``scan_points`` for any residuals.
+
+    scan_points must lie in [0,1]^p (rank times for p = 1, transported or
+    rescaled covariates for p >= 2): (n, p) points, n times, or a (B, n, p)
+    stack.  ``grid`` is resolved by ``lattice_resolution``.  At p = 1
+    ``order`` may give the stable ascending order of each sample's times,
+    (n,) or (B, n), when the caller has it already; it must be that
+    order, or ValueError is raised.
+    """
     scan = np.asarray(scan_points, dtype=float)
     if scan.ndim == 1:
         scan = scan[:, None]
-    stacked = scan.ndim == 3
-    lead = scan.ndim - 1  # axes before the columns: (n,) or (B, n)
-    if residuals.ndim not in (lead, lead + 1) or residuals.shape[:lead] != scan.shape[:lead]:
-        raise ValueError(
-            f"residuals (shape {residuals.shape}) and scan points (shape {scan.shape}) do not match"
-        )
+    if scan.ndim not in (2, 3):
+        raise ValueError(f"scan points must be (n, p) or (B, n, p), got shape {scan.shape}")
     check_unit_cube("scan points", scan)
+    stacked = scan.ndim == 3
     n, p = scan.shape[-2:]
     m = lattice_resolution(grid, p)
-    contrib = residuals / math.sqrt(n)
     scans = scan if stacked else scan[None]
-    columns = contrib if stacked else contrib[None]
-    columns = columns if columns.ndim == 3 else columns[..., None]
-
     if p == 1:
-        points, values = _scan_values(scans[..., 0], columns)
-        if not stacked:
-            # one evaluation point per distinct time
-            keep = np.append(points[0, 1:] != points[0, :-1], True)
-            points, values = points[:, keep], values[:, keep]
-        eval_points = points[..., None]
+        times = scans[..., 0]
+        if order is None:
+            return _line_plan(times, np.argsort(times, axis=-1, kind="stable"), stacked, check=False)
+        order = np.asarray(order)
+        if not np.issubdtype(order.dtype, np.integer) or order.size != times.size:
+            raise ValueError(f"a scan order must hold {times.size} row indices")
+        return _line_plan(times, order.reshape(times.shape), stacked, check=True)
+    if order is not None:
+        raise ValueError("a scan order applies to p = 1 only")
+    lattice = _lattice(p, m)
+    eval_points = np.concatenate([scans, np.broadcast_to(lattice, (scans.shape[0],) + lattice.shape)], axis=1)
+    samples = tuple((_sweep(pts) if p == 2 and n else pts, _lattice_bins(pts, m)) for pts in scans)
+    return ProcessPlan(
+        lead_shape=scan.shape[:-1],
+        eval_points=eval_points if stacked else eval_points[0],
+        grid=m,
+        samples=samples,
+    )
+
+
+def build_process(residuals: np.ndarray, scan_points, grid: int | None = None) -> StepProcess:
+    """Build the partial-sum process of ``residuals`` scanned by ``scan_points``.
+
+    ``residuals`` is one vector of length n or an (n, m) matrix whose
+    columns share the scan points.  ``scan_points`` and ``grid`` are those
+    of ``process_plan``, or ``scan_points`` is a plan it made, which
+    carries its own lattice resolution (``grid`` is then None): building
+    many processes on the same points from one plan sets them up once.
+    A (B, n, p) stack of scan points with (B, n) or (B, n, m) residuals
+    builds the B processes at once as one stacked process.
+    """
+    if isinstance(scan_points, ProcessPlan):
+        if grid is not None:
+            raise ValueError("a process plan carries its own lattice resolution; pass grid to process_plan")
+        plan = scan_points
     else:
-        lattice = _lattice(p, m)
-        eval_points = np.concatenate([scans, np.broadcast_to(lattice, (scans.shape[0],) + lattice.shape)], axis=1)
-        values = np.stack(
-            [
-                np.concatenate([_dominance_sums(pts, cols), _lattice_values(pts, cols, m)])
-                for pts, cols in zip(scans, columns)
-            ]
+        plan = process_plan(scan_points, grid)
+    residuals = np.asarray(residuals, dtype=float)
+    lead = len(plan.lead_shape)  # axes before the columns: (n,) or (B, n)
+    if residuals.ndim not in (lead, lead + 1) or residuals.shape[:lead] != plan.lead_shape:
+        raise ValueError(
+            f"residuals (shape {residuals.shape}) and scan points (shape {plan.lead_shape}) do not match"
         )
+    contrib = residuals / math.sqrt(plan.lead_shape[-1])
+    columns = contrib if plan.stacked else contrib[None]
+    values = plan.values(columns if columns.ndim == 3 else columns[..., None])
     values = values.reshape(values.shape[:2] + contrib.shape[lead:])
-    if not stacked:
-        eval_points, values = eval_points[0], values[0]
-    return StepProcess(eval_points=eval_points, eval_values=values)
+    return StepProcess(eval_points=plan.eval_points, eval_values=values if plan.stacked else values[0])
 
 
 def ks_statistics(proc: StepProcess) -> dict[str, float | np.ndarray]:

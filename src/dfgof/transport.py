@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,17 @@ class AnchorSet:
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
             raise ValueError("anchor points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
+
+    @cached_property
+    def hierarchy(self) -> tuple[np.ndarray, ...]:
+        """The anchor side of every problem ``solve_assignment`` solves:
+        the points, then, while a level has more than DENSE_MAX points,
+        the centroids of GROUP consecutive points of it along a Hilbert
+        curve.  Built once per anchor set, for every sample it serves."""
+        levels = [self.points]
+        while levels[-1].shape[0] > DENSE_MAX:
+            levels.append(_group_centroids(levels[-1]))
+        return tuple(levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,15 +244,20 @@ def _group_centroids(points: np.ndarray) -> np.ndarray:
     return np.add.reduceat(ordered, starts, axis=0) / sizes[:, None]
 
 
-def _reduced_cost(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Dense cost minus warm-start duals, as the one n x n matrix built.
+def _reduced_cost(x: np.ndarray, levels: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense cost of x against levels[0] minus warm-start duals, as the one
+    n x n matrix built, and the row minimum taken off each row.
 
     Duals come from the optimal assignment of a coarse problem: the
     centroids of groups of GROUP points along a Hilbert curve, built for
-    the rows and for the anchors alike, so each coarse point stands for a
-    small compact patch of its cloud (Merigot 2011; Schmitzer 2016).  The
-    coarse problem is solved by ``_solve``, so large n recurse.  Its row
-    duals extend to every anchor and then every row by c-transforms,
+    the rows here and for the anchors once, in ``levels[1]``, so each
+    coarse point stands for a small compact patch of its cloud (Merigot
+    2011; Schmitzer 2016).  The coarse problem is solved by ``_solve``,
+    so large n recurse, and its row duals are recovered by Bellman-Ford
+    on the matrix that solve used: with its own row shift added back they
+    are row duals of the coarse cost, and the reduced matrix is nearly
+    relaxed already, so the sweep ends in a few passes.  The duals extend
+    to every anchor and then every row by c-transforms,
     v_j = min_coarse i (c_ij - u_i), u_i = min_j (c_ij - v_j), so every
     reduced entry is >= 0 and every row has a 0.  A last column reduction
     puts a 0 in every column as well.
@@ -248,29 +265,46 @@ def _reduced_cost(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     from scipy.spatial.distance import cdist
 
     n = x.shape[0]
+    a = levels[0]
     xc = _group_centroids(x)
-    ac = _group_centroids(a)
-    u, _ = _assignment_duals(_cost_matrix(xc, ac), _solve(xc, ac))
+    u = _row_duals(xc, levels[1:])
     v = np.full(n, np.inf)
     for b in _row_blocks(xc.shape[0]):
         block = cdist(xc[b], a)
         block -= u[b, None]
         np.minimum(v, block.min(axis=0), out=v)
     reduced = np.empty((n, n))
+    shift = np.empty(n)
     for b in _row_blocks(n):
         block = cdist(x[b], a, out=reduced[b])
         block -= v
-        block -= block.min(axis=1, keepdims=True)
+        shift[b] = block.min(axis=1)
+        block -= shift[b, None]
         _check_finite(block)
     reduced -= reduced.min(axis=0)
-    return reduced
+    return reduced, shift
 
 
-def _solve(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _row_duals(x: np.ndarray, levels: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Row duals of the cost of x against levels[0] that certify its
+    optimal assignment: Bellman-Ford on the matrix ``_solve`` solved,
+    plus that matrix's row shift.  The matrix is freed on return, before
+    the caller builds its own."""
+    sigma, matrix, shift = _solve(x, levels)
+    return _assignment_duals(matrix, sigma)[0] + shift
+
+
+def _solve(x: np.ndarray, levels: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal assignment of x to the points levels[0], the matrix it was
+    solved on and that matrix's row shift from the cost: the plain cost
+    (no shift) at one level, else the warm-started ``_reduced_cost``."""
     from scipy.optimize import linear_sum_assignment
 
-    cost = _cost_matrix(x, a) if x.shape[0] <= DENSE_MAX else _reduced_cost(x, a)
-    return linear_sum_assignment(cost)[1]
+    if len(levels) == 1:
+        matrix, shift = _cost_matrix(x, levels[0]), np.zeros(x.shape[0])
+    else:
+        matrix, shift = _reduced_cost(x, levels)
+    return linear_sum_assignment(matrix)[1], matrix, shift
 
 
 def solve_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
@@ -292,7 +326,7 @@ def solve_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
     x = _check_shapes(x, anchors)
     if not np.all(np.isfinite(x)):
         raise ValueError("covariate points must be finite")
-    sigma = _solve(x, anchors.points)
+    sigma = _solve(x, anchors.hierarchy)[0]
     return Assignment(sigma=sigma, cost=_total_cost(_matched_distances(x, anchors.points, sigma)))
 
 

@@ -1,11 +1,12 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dfgof.cli import echo_config, parse_config, run
+from dfgof.cli import _build_parser, echo_config, parse_config, run
 from dfgof.errors import ConfigError
-from dfgof.harness import AlternativeSpec
+from dfgof.harness import AlternativeSpec, ExperimentConfig
 from dfgof.process import Ecdf, ecdf_vs_cdf_sup, kolmogorov_cdf
 
 
@@ -104,6 +105,13 @@ class TestParseConfig:
         assert cfg.grid == 64
         assert cfg.theta_true == (1.0,) * 4
         assert parse_config(write_config(tmp_path / "b.cfg", BASIC)).grid is None
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        test = _build_parser().parse_args(["test", "data.csv", "--model", "simple_linear"])
+        for key in ("statistic", "process", "anchors", "error_law"):
+            assert getattr(test, key) == defaults[key], key
+        assert _build_parser().parse_args(["assign", "data.csv"]).anchors == defaults["anchors"]
 
     def test_alternative_flags_override_file_values(self, tmp_path):
         path = write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)
@@ -354,6 +362,22 @@ class TestTestCommand:
         argv = ["test", str(_bilinear_file(tmp_path)), "--model", "bilinear2d", "--seed", "9", "--reps", "19"]
         assert run(argv + ["-o", str(tmp_path / "out")]) == 0
         assert calls == [(30, 2)]
+
+    def test_bootstrap_sets_up_each_scan_geometry_once(self, tmp_path, monkeypatch):
+        # 20 columns are built in 5 process builds of 2 scan-point sets
+        import dfgof.process as process
+
+        sweeps = []
+        sweep = process._sweep
+
+        def counting(scan):
+            sweeps.append(scan.shape)
+            return sweep(scan)
+
+        monkeypatch.setattr(process, "_sweep", counting)
+        argv = ["test", str(_bilinear_file(tmp_path)), "--model", "bilinear2d", "--seed", "9", "--reps", "19"]
+        assert run(argv + ["-o", str(tmp_path / "out")]) == 0
+        assert sweeps == [(30, 2), (30, 2)]
 
     @pytest.mark.parametrize("command", ["test", "fit"])
     def test_constant_second_covariate_exits_two(self, tmp_path, capsys, command):

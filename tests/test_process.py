@@ -2,12 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfgof.basis import legendre_shifted, make_basis
 from dfgof.errors import ConfigError
-from dfgof.process import DOMINANCE_BLOCK, build_process, kolmogorov_cdf, ks_statistics, limit_covariance
+from dfgof.process import (
+    DOMINANCE_BLOCK,
+    build_process,
+    kolmogorov_cdf,
+    ks_statistics,
+    limit_covariance,
+    process_plan,
+)
 from dfgof.transport import AnchorSet
 
 
@@ -158,6 +165,99 @@ class TestDominanceSums:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _reference_line_values(scan, contrib):
+    """p = 1 values of a (B, n) stack of times and (B, n, m) contributions,
+    written out directly: t = 0, then the cumulative sum in stable time
+    order, read at the last copy of each time."""
+    order = np.argsort(scan, axis=-1, kind="stable")
+    times = np.take_along_axis(scan, order, axis=-1)
+    csum = np.cumsum(np.take_along_axis(contrib, order[..., None], axis=1), axis=1)
+    last = np.empty(times.shape, dtype=int)
+    for b, row in enumerate(times):
+        last[b] = np.searchsorted(row, row, side="right") - 1
+    values = np.take_along_axis(csum, last[..., None], axis=1)
+    start = np.where((times[:, :1] > 0.0)[..., None], 0.0, values[:, :1])
+    return np.concatenate([start, values], axis=1)
+
+
+@st.composite
+def _plan_cases(draw):
+    p = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.one_of(st.sampled_from([1, 2, 16, 17, 33]), st.integers(1, 90)))
+    samples = draw(st.sampled_from([None, 1, 3]))
+    width = draw(st.integers(1, 9))
+    cuts = sorted(draw(st.sets(st.integers(1, width - 1))) if width > 1 else [])
+    levels = draw(st.sampled_from([None, 3, 7]))  # few levels: ties and duplicate points
+    seed = draw(st.integers(0, 10_000))
+    return p, n, samples, width, cuts, levels, seed
+
+
+class TestProcessPlan:
+    """A plan built once and applied to any split of the residual columns
+    gives the one-shot process of each column, bit for bit."""
+
+    @settings(max_examples=80)
+    @given(case=_plan_cases())
+    def test_plan_values_equal_one_shot_builds(self, case):
+        p, n, samples, width, cuts, levels, seed = case
+        rng = np.random.default_rng(seed)
+        lead = (n,) if samples is None else (samples, n)
+        scan = rng.uniform(size=lead + (p,)) if levels is None else rng.integers(0, levels + 1, size=lead + (p,)) / levels
+        if p == 1 and samples is None:
+            scan = scan[:, 0]  # n times
+        residuals = rng.standard_normal(lead + (width,))
+        grid = None if p == 1 else 5
+        plans = [process_plan(scan, grid)]
+        if p == 1:
+            times = scan.reshape(lead)
+            plans.append(process_plan(scan, order=np.argsort(times, axis=-1, kind="stable")))
+        singles = [build_process(residuals[..., j], scan, grid=grid) for j in range(width)]
+        for plan in plans:
+            for lo, hi in zip([0] + cuts, cuts + [width]):
+                chunk = residuals[..., lo:hi]
+                proc = build_process(chunk, plan)
+                one_shot = build_process(chunk, scan, grid=grid)
+                assert np.array_equal(proc.eval_points, one_shot.eval_points)
+                assert np.array_equal(proc.eval_values, one_shot.eval_values)
+                if p == 3:
+                    # the p >= 3 dominance sums are one BLAS product of all
+                    # the columns, whose rounding may depend on their count
+                    continue
+                for j in range(lo, hi):
+                    assert np.array_equal(proc.eval_points, singles[j].eval_points)
+                    assert np.array_equal(proc.eval_values[..., j - lo], singles[j].eval_values)
+        if p == 1 and samples is not None:
+            expected = _reference_line_values(scan[..., 0], residuals / np.sqrt(n))
+            assert np.array_equal(build_process(residuals, plans[0]).eval_values, expected)
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (np.array([1, 0, 2]), "stable ascending"),
+            (np.array([0, 0, 2]), "stable ascending"),
+            (np.array([0, 1, 3]), "row indices"),
+            (np.array([-1, 0, 1]), "row indices"),
+            (np.array([0.0, 1.0, 2.0]), "row indices"),
+            (np.array([0, 1]), "row indices"),
+        ],
+    )
+    def test_a_wrong_scan_order_is_rejected(self, order, message):
+        times = np.array([0.5, 0.5, 1.0])
+        with pytest.raises(ValueError, match=message):
+            process_plan(times, order=order)
+
+    def test_plan_carries_its_grid(self):
+        scan = np.array([[0.2, 0.3], [0.7, 0.1]])
+        plan = process_plan(scan, grid=4)
+        assert build_process(np.ones(2), plan).eval_points.shape == (2 + 16, 2)
+        with pytest.raises(ValueError, match="lattice resolution"):
+            build_process(np.ones(2), plan, grid=4)
+        with pytest.raises(ValueError, match="do not match"):
+            build_process(np.ones(3), plan)
+        with pytest.raises(ValueError, match="p = 1 only"):
+            process_plan(scan, order=np.array([0, 1]))
 
 
 class TestKsStatistics:

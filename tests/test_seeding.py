@@ -1,0 +1,68 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+from dfgof.seeding import rng_for, seed_sequence
+
+
+def _encoded(label) -> int:
+    if isinstance(label, str):
+        return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
+    return label % 2**64
+
+
+# ints at the 32- and 64-bit word edges, and hashed strings
+PATHS = [
+    (0,),
+    (2**32 - 1,),
+    (2**32,),
+    (2**64 - 1,),
+    ("anchors",),
+    ("design", "uniform_0_2", "null", "rep", 0),
+    ("design", "beta_dep_a", "alt", "rep", 2**32),
+    ("bootstrap", 2**64 - 1),
+    (2**32, "x", 0, 2**32 - 1, "y"),
+]
+
+
+@pytest.mark.parametrize("master", [0, 7, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("labels", PATHS)
+def test_streams_are_numpys_seed_sequence_of_the_encoded_path(master, labels):
+    entropy = [_encoded(master)] + [_encoded(label) for label in labels]
+    reference = np.random.SeedSequence(entropy)
+    assert np.array_equal(seed_sequence(master, *labels).generate_state(8), reference.generate_state(8))
+    assert np.array_equal(rng_for(master, *labels).random(16), np.random.default_rng(reference).random(16))
+
+
+def test_cached_prefixes_keep_streams_apart():
+    # the same last label under different prefixes, and the same prefix
+    # with different last labels, all give different streams
+    draws = {
+        (prefix, last): rng_for(5, *prefix, last).random()
+        for prefix in [("a",), ("b",), ("a", 0), (0, "a")]
+        for last in (0, 1, 2**31)
+    }
+    assert len(set(draws.values())) == len(draws)
+    assert rng_for(5, "a", 1).random() == draws[(("a",), 1)]
+
+
+def test_a_path_is_its_entropy_words():
+    # numpy splits 2**32 into the words (0, 1), so a path ending (0, 1)
+    # addresses the same stream; the package's paths have fixed shapes
+    assert rng_for(5, "a", 2**32).random() == rng_for(5, "a", 0, 1).random()
+
+
+def test_master_alone_and_numpy_integer_labels():
+    assert np.array_equal(seed_sequence(3).generate_state(4), np.random.SeedSequence([3]).generate_state(4))
+    assert rng_for(3, np.int64(9), np.uint32(4)).random() == rng_for(3, 9, 4).random()
+    assert rng_for(3, -1).random() == rng_for(3, 2**64 - 1).random()
+
+
+@pytest.mark.parametrize("bad", [1.0, None, (1,)])
+def test_labels_other_than_ints_and_strings_are_rejected(bad):
+    rng_for(3, 1, 1)  # an equal int path cached first does not admit the float
+    with pytest.raises(TypeError):
+        rng_for(3, bad, 1)
+    with pytest.raises(TypeError):
+        rng_for(3, 1, bad)

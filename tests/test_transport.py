@@ -193,11 +193,35 @@ class TestWarmStartedSolve:
     def test_reduced_cost_is_nonnegative_with_a_zero_in_every_row_and_column(self, n):
         x, _, _ = rescale_unit_cube(covariate_design("beta_dep_a", n, seed=10))
         anchors = generate_anchors(n, 2, "halton")
-        reduced = _reduced_cost(x, anchors.points)
+        reduced, _ = _reduced_cost(x, anchors.hierarchy)
         assert reduced.shape == (n, n)
         assert reduced.min() == 0.0
         assert np.all(reduced.min(axis=1) == 0.0)
         assert np.all(reduced.min(axis=0) == 0.0)
+
+    def test_anchor_hierarchy_is_built_once_and_groups_each_level(self):
+        anchors = generate_anchors(3000, 2, "halton")
+        levels = anchors.hierarchy
+        assert anchors.hierarchy is levels
+        assert [level.shape[0] for level in levels] == [3000, 750, 188, 47]
+        assert levels[0] is anchors.points
+        for fine, coarse in zip(levels, levels[1:]):
+            assert np.array_equal(coarse, _group_centroids(fine))
+        assert len(generate_anchors(DENSE_MAX, 2, "halton").hierarchy) == 1
+
+    @pytest.mark.parametrize("n", [4 * DENSE_MAX + 1, 1001])
+    def test_duals_of_the_reduced_matrix_certify_the_coarse_cost(self, n):
+        # Bellman-Ford on the matrix a level was solved on, plus its row
+        # shift, gives row duals of that level's plain cost
+        x, _, _ = rescale_unit_cube(covariate_design("beta_dep_b", n, seed=11))
+        anchors = generate_anchors(n, 2, "halton")
+        reduced, shift = _reduced_cost(x, anchors.hierarchy)
+        _, sigma = linear_sum_assignment(reduced)
+        u, _ = _assignment_duals(reduced, sigma)
+        u += shift
+        cost = cdist(x, anchors.points)
+        v = (cost - u[:, None]).min(axis=0)
+        assert np.abs(cost[np.arange(n), sigma] - u - v[sigma]).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [4 * 50, 4 * 50 + 1, 4 * 50 + 3])
     @pytest.mark.parametrize("p", [1, 2, 3])
