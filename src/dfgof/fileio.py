@@ -2,7 +2,9 @@
 
 All writers go through a temp file plus atomic rename, so a failed run
 never leaves a partially written output.  Floats are formatted with %.17g,
-which round-trips exactly.
+which round-trips exactly; a float array whose values repeat, such as a
+process dump with its lattice coordinates, formats each distinct value
+once.
 """
 
 from __future__ import annotations
@@ -36,16 +38,15 @@ def write_table(path, header: list[str], rows, delimiter: str = ",", footer: str
     """Header line, one line per row, optional footer line.
 
     ``rows`` is any iterable of sequences, or a 2-D array.  A float array
-    is formatted by one %-format call over all its values; other rows by
-    one %-format string per distinct tuple of value types.  Both give the
-    same bytes for the same values.
+    is formatted by ``_float_lines``; other rows by one %-format string per
+    distinct tuple of value types.  Both give the same bytes for the same
+    values.
     """
     joiner = delimiter.replace("%", "%%")
     head = delimiter.join(header) + "\n"
     tail = "" if footer is None else footer + "\n"
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        row_fmt = joiner.join(["%.17g"] * rows.shape[1]) + "\n"
-        write_text_atomic(path, head + (row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist()) + tail)
+        write_text_atomic(path, head + _float_lines(rows, joiner) + tail)
         return
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
@@ -62,6 +63,26 @@ def write_table(path, header: list[str], rows, delimiter: str = ",", footer: str
             )
         lines.append(fmt % row + "\n")
     write_text_atomic(path, head + "".join(lines) + tail)
+
+
+def _float_lines(rows: np.ndarray, joiner: str) -> str:
+    """The lines of a 2-D float array, each value as %.17g, joined by the
+    %-escaped delimiter ``joiner``.
+
+    When at most half the values are distinct, as in a lattice dump whose
+    rows repeat the same coordinates, each distinct value is formatted once
+    and the lines are assembled from those strings.  Values are told apart
+    by bit pattern, so -0.0 keeps its own "-0".  Otherwise one %-format
+    call formats all the values.  Both routes give the same bytes.
+    """
+    count, width = rows.shape
+    values = np.ascontiguousarray(rows, dtype=np.float64).ravel()
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    if 2 * distinct.size > values.size:
+        return ((joiner.join(["%.17g"] * width) + "\n") * count) % tuple(values.tolist())
+    texts = (("%.17g\n" * distinct.size) % tuple(distinct.view(np.float64).tolist())).split("\n")
+    texts = np.array(texts, dtype=object)
+    return ((joiner.join(["%s"] * width) + "\n") * count) % tuple(texts[inverse].tolist())
 
 
 def write_ecdf(path, ecdf: Ecdf, delimiter: str = ",") -> None:

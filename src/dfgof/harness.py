@@ -37,6 +37,10 @@ simulation block evaluates its fitted residuals as one column
 builds the geometry once and evaluates the observed residual and all
 bootstrap residuals as the columns of one matrix (``bootstrap_residuals``),
 so its observed statistics are what a simulation records for that sample.
+The bootstrap columns are built in as few processes as keep evaluation
+points times columns within EVAL_ENTRIES.  The Halton anchor net does not
+depend on the seed, so ``fixed_anchors`` keeps one net, with its
+assignment hierarchy, per (n, p) for every seed.
 """
 
 from __future__ import annotations
@@ -97,9 +101,10 @@ MAX_FAILURE_FRACTION = 0.01
 # Replications evaluated together as one stack; blocks start at multiples of
 # BLOCK whatever the worker count.
 BLOCK = 64
-# Residual columns whose processes are built together: bounds the
-# (evaluation points x columns) arrays whatever the number of columns.
-EVAL_COLUMNS = 8
+# Evaluation points x residual columns of the processes built together:
+# bounds the arrays of a build whatever the number of columns.  A grid-64
+# p = 2 process of a few hundred points takes 40 bootstrap columns at once.
+EVAL_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -247,15 +252,23 @@ def _psi_values(psi: str, x: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown psi id {psi!r}")
 
 
-@lru_cache(maxsize=8)
 def fixed_anchors(n: int, p: int, mode: str, seed: int | None) -> AnchorSet:
     """The anchor set shared by every sample of n points in dimension p: the
     Halton net, or n uniform points drawn from the stream
-    seed_sequence(seed, "anchors") of the master seed."""
+    seed_sequence(seed, "anchors") of the master seed.  The Halton net does
+    not depend on the seed: one object, with its hierarchy, serves every
+    seed."""
+    if mode == "halton":
+        seed = None
+    elif seed is None:
+        raise ConfigError("random anchors require a seed (config key 'seed' or flag --seed)")
+    return _cached_anchors(n, p, mode, seed)
+
+
+@lru_cache(maxsize=8)
+def _cached_anchors(n: int, p: int, mode: str, seed: int | None) -> AnchorSet:
     if mode == "halton":
         return generate_anchors(n, p, "halton")
-    if seed is None:
-        raise ConfigError("random anchors require a seed (config key 'seed' or flag --seed)")
     return generate_anchors(n, p, "random", seed=seed_sequence(seed, "anchors"))
 
 
@@ -374,8 +387,9 @@ def residual_statistics(
     built from the geometry's plan of its kind, so the scan points are
     sorted, swept and binned once per geometry, not once per build.
     Column 0 gets both processes.  Columns 1 to m - 1 get the processes
-    of ``process`` alone, EVAL_COLUMNS at a time, so that memory does not
-    grow with the number of lattice points times m.
+    of ``process`` alone, as many at a time as keep evaluation points times
+    columns within EVAL_ENTRIES, so that memory does not grow with the
+    number of lattice points times m.
     """
     if process not in PROCESS_KINDS:
         raise ConfigError(f"unknown process kind {process!r}; known: {PROCESS_KINDS}")
@@ -386,9 +400,10 @@ def residual_statistics(
     plans = geometry.plans
     first = {kind: build_process(columns[kind][..., 0], plans[kind]) for kind in PROCESS_KINDS}
     parts = [{name: np.asarray(value)[..., None] for name, value in ks_statistics(first[process]).items()}]
+    chunk = max(1, EVAL_ENTRIES // plans[process].eval_points[..., 0].size)
     parts += [
-        ks_statistics(build_process(columns[process][..., start : start + EVAL_COLUMNS], plans[process]))
-        for start in range(1, residuals.shape[-1], EVAL_COLUMNS)
+        ks_statistics(build_process(columns[process][..., start : start + chunk], plans[process]))
+        for start in range(1, residuals.shape[-1], chunk)
     ]
     return {f"{process}.{name}": np.concatenate([part[name] for part in parts], axis=-1) for name in parts[0]}, first
 

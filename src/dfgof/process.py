@@ -46,9 +46,8 @@ DEFAULT_GRID = {2: 64, 3: 16}
 GRID_GUARD = 1_000_000
 # Positions per brute-force leaf of the p = 2 dominance sweep (at most).
 DOMINANCE_LEAF = 16
-# Scan-point rows per block of the p >= 3 dominance sums: numpy multiplies a
-# boolean mask by a float copy of it, which is then block x n rather than
-# n x n.
+# Scan-point rows per block of the p >= 3 dominance sums: the float copy of
+# the boolean mask is then block x n rather than n x n.
 DOMINANCE_BLOCK = 64
 
 
@@ -207,18 +206,22 @@ def _sweep_sums(sweep: _Sweep, cols: np.ndarray) -> np.ndarray:
 
 def _mask_sums(scan: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Dominance sums of p >= 3 scan points (and of no points at all): the
-    boolean dominance mask times the contributions in DOMINANCE_BLOCK row
-    blocks; the mask is built one coordinate at a time, so no (n, n, p)
-    temporary is made."""
+    dominance mask times the contributions in DOMINANCE_BLOCK row blocks;
+    the mask is built one coordinate at a time, so no (n, n, p) temporary
+    is made.  Each column is one matrix-vector product with the mask, so
+    its sums round the same whatever the other columns are."""
     n, p = scan.shape
-    out = np.empty(cols.shape)
+    out = np.empty(cols.shape[::-1])
+    vectors = np.ascontiguousarray(cols.T)
     for start in range(0, n, DOMINANCE_BLOCK):
         rows = scan[start : start + DOMINANCE_BLOCK]
         mask = scan[None, :, 0] <= rows[:, None, 0]
         for j in range(1, p):
             mask &= scan[None, :, j] <= rows[:, None, j]
-        out[start : start + DOMINANCE_BLOCK] = mask @ cols
-    return out
+        weights = mask.astype(float)
+        for sums, vector in zip(out, vectors):
+            sums[start : start + DOMINANCE_BLOCK] = weights @ vector
+    return out.T
 
 
 def tie_last(sorted_values: np.ndarray) -> np.ndarray:

@@ -60,15 +60,24 @@ class AnchorSet:
         object.__setattr__(self, "points", pts)
 
     @cached_property
-    def hierarchy(self) -> tuple[np.ndarray, ...]:
-        """The anchor side of every problem ``solve_assignment`` solves:
-        the points, then, while a level has more than DENSE_MAX points,
-        the centroids of GROUP consecutive points of it along a Hilbert
-        curve.  Built once per anchor set, for every sample it serves."""
-        levels = [self.points]
+    def hierarchy(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The anchor side of every problem ``solve_assignment`` solves, as
+        (order, levels) with levels[0] = points[order].  Up to DENSE_MAX
+        points, levels holds the points and order is the identity.  Above
+        it, order sorts the points along a Hilbert curve, so the columns of
+        the finest problem are scanned along the curve, and while a level
+        has more than DENSE_MAX points the next one holds the centroids of
+        GROUP consecutive points of it along a Hilbert curve (for levels[0]
+        that is its own order).  Built once per anchor set, for every
+        sample it serves."""
+        n = self.points.shape[0]
+        if n <= DENSE_MAX:
+            return np.arange(n), (self.points,)
+        order = _hilbert_order(self.points)
+        levels = [self.points[order]]
         while levels[-1].shape[0] > DENSE_MAX:
             levels.append(_group_centroids(levels[-1]))
-        return tuple(levels)
+        return order, tuple(levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,17 +184,22 @@ def _assignment_duals(cost: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, 
     cost[r(k), j] - cost[r(k), k], where r(k) is the row matched to column
     k.  Optimality of sigma means no negative cycle, so Bellman-Ford
     converges within m sweeps; the cap only ends a -1e-16 "cycle" that
-    rounding can leave.
+    rounding can leave.  After the first sweep, only the columns whose v
+    moved in the last one are relaxed from.
     """
     m = cost.shape[0]
     rows = np.empty(m, dtype=np.intp)
     rows[sigma] = np.arange(m)
     matched = cost[rows, np.arange(m)]
-    weights = cost[rows] - matched[:, None]
     v = np.zeros(m)
+    # a column whose v did not move offers the candidates it offered in the
+    # last sweep, which v already holds: relaxing from the moved columns
+    # alone gives the full sweep's v, bit for bit
+    moved = np.arange(m)
     for _ in range(m):
-        relaxed = (v[:, None] + weights).min(axis=0)
-        if not np.any(relaxed < v):
+        relaxed = np.minimum(v, (v[moved, None] + (cost[rows[moved]] - matched[moved, None])).min(axis=0))
+        moved = np.flatnonzero(relaxed < v)
+        if moved.size == 0:
             break
         v = relaxed
     return (matched - v)[sigma], v
@@ -255,8 +269,9 @@ def _reduced_cost(x: np.ndarray, levels: tuple[np.ndarray, ...]) -> tuple[np.nda
     2011; Schmitzer 2016).  The coarse problem is solved by ``_solve``,
     so large n recurse, and its row duals are recovered by Bellman-Ford
     on the matrix that solve used: with its own row shift added back they
-    are row duals of the coarse cost, and the reduced matrix is nearly
-    relaxed already, so the sweep ends in a few passes.  The duals extend
+    are row duals of the coarse cost.  The sweep takes tens of passes,
+    each relaxing only from the columns that moved in the pass before, a
+    shrinking share of them.  The duals extend
     to every anchor and then every row by c-transforms,
     v_j = min_coarse i (c_ij - u_i), u_i = min_j (c_ij - v_j), so every
     reduced entry is >= 0 and every row has a 0.  A last column reduction
@@ -317,16 +332,21 @@ def solve_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
     the same way; after the potentials, every column is reduced to a
     minimum of 0.  For every permutation the potentials and the reduction
     subtract the same constant, so the minimizer is unchanged and the
-    solver's augmenting paths are shorter.  Deterministic for fixed input;
-    among cost-ties the returned permutation is whatever the solver picks,
-    and may differ between the plain and the warm-started matrix.  The
+    solver's augmenting paths are shorter.  That matrix holds the anchor
+    columns in the Hilbert order of ``AnchorSet.hierarchy``, which makes
+    each of the solver's row scans cheaper; the matching is mapped back to
+    anchor indices.  Deterministic for fixed input; among cost-ties (such
+    as duplicate covariate rows) the returned permutation is whatever the
+    solver picks, and may differ between the plain and the warm-started
+    matrix and with the column order.  The
     reported cost is the correctly-rounded sum of the matched Euclidean
     distances.  Non-finite covariates raise ValueError.
     """
     x = _check_shapes(x, anchors)
     if not np.all(np.isfinite(x)):
         raise ValueError("covariate points must be finite")
-    sigma = _solve(x, anchors.hierarchy)[0]
+    order, levels = anchors.hierarchy
+    sigma = order[_solve(x, levels)[0]]
     return Assignment(sigma=sigma, cost=_total_cost(_matched_distances(x, anchors.points, sigma)))
 
 

@@ -196,6 +196,17 @@ def test_test_command_builds_the_unselected_process_once(monkeypatch):
     assert set(stats) == {"raw.ks_abs", "raw.ks_plus"}
     assert all(values.shape == (reps + 1,) for values in stats.values())
     assert set(first) == {"transformed", "raw"}
-    # column 0 builds both processes, columns 1..reps the raw one EVAL_COLUMNS at a time
-    assert len(calls) == 2 + -(-reps // harness.EVAL_COLUMNS) == 7
-    assert calls == [(n,)] * 2 + [(n, harness.EVAL_COLUMNS)] * 5
+    # column 0 builds both processes, columns 1..reps the raw one as many
+    # at a time as keep evaluation points x columns within EVAL_ENTRIES: a
+    # grid-64 process takes all 40 bootstrap columns in one build
+    chunk = harness.EVAL_ENTRIES // (n + 64**2)
+    assert chunk >= reps
+    assert calls == [(n,)] * 2 + [(n, reps)]
+    # a larger bootstrap is split into chunks of that many columns
+    calls.clear()
+    more = 2 * chunk + 3
+    residuals = harness.bootstrap_residuals(single_model, geometry, fitres, seed=5, reps=more, error_law="normal")
+    split, _ = harness.residual_statistics(geometry, residuals, "raw")
+    assert calls == [(n,)] * 2 + [(n, chunk)] * 2 + [(n, 3)]
+    # and every column keeps its statistics
+    assert np.array_equal(split["raw.ks_abs"][: reps + 1], stats["raw.ks_abs"])

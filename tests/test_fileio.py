@@ -72,6 +72,31 @@ class TestTableFormat:
             delimiter.join(["-7", "0", "0.33333333333333331"]),
         ]
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # lattice-like: the coordinates repeat across rows
+            np.column_stack(
+                [np.repeat(np.linspace(0.0, 1.0, 8), 8), np.tile(np.linspace(0.0, 1.0, 8), 8), np.arange(64) / 7.0]
+            ),
+            np.column_stack([np.tile([-0.0, 0.0], 10), np.full(20, 1.5)]),
+            np.array([[0.25, 0.25, 0.25, -0.0]]),
+            np.column_stack([np.full(30, 7.0), np.tile(np.arange(10) / 3.0, 3)]),
+        ],
+        ids=["lattice", "signed-zeros", "single-row", "constant-column"],
+    )
+    @pytest.mark.parametrize("delimiter", [",", "%"])
+    def test_repeated_values_are_formatted_once_with_the_same_bytes(self, tmp_path, rows, delimiter):
+        # at most half the values distinct (by bit pattern): each distinct
+        # value is formatted once, and the bytes equal one %.17g per value
+        assert 2 * np.unique(rows.view(np.uint64)).size <= rows.size
+        target = tmp_path / "t.csv"
+        write_table(target, ["a"] * rows.shape[1], rows, delimiter)
+        row_fmt = delimiter.replace("%", "%%").join(["%.17g"] * rows.shape[1]) + "\n"
+        expected = delimiter.join(["a"] * rows.shape[1]) + "\n" + (row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist())
+        assert target.read_text() == expected
+        assert expected == _reference_table(["a"] * rows.shape[1], [tuple(row) for row in rows], delimiter)
+
     def test_empty_float_array_writes_header_only(self, tmp_path):
         target = tmp_path / "t.csv"
         write_table(target, ["a", "b"], np.empty((0, 2)))

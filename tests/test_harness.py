@@ -12,6 +12,7 @@ from dfgof.harness import (
     _draw_errors,
     bootstrap_residuals,
     covariate_design,
+    fixed_anchors,
     fixed_geometry,
     pipeline_records,
     process_statistics,
@@ -61,6 +62,24 @@ class TestCovariateDesign:
     def test_dimension_check(self):
         with pytest.raises(ConfigError):
             covariate_design("uniform_0_2", 10, p=2, seed=0)
+
+
+class TestFixedAnchors:
+    def test_one_halton_net_serves_every_seed(self):
+        net = fixed_anchors(300, 2, "halton", 1)
+        assert fixed_anchors(300, 2, "halton", 2) is net
+        assert fixed_anchors(300, 2, "halton", None) is net
+        assert np.array_equal(net.points, generate_anchors(300, 2, "halton").points)
+
+    def test_random_anchors_differ_by_seed(self):
+        a = fixed_anchors(300, 2, "random", 1)
+        assert fixed_anchors(300, 2, "random", 1) is a
+        b = fixed_anchors(300, 2, "random", 2)
+        assert not np.array_equal(a.points, b.points)
+
+    def test_random_anchors_require_a_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            fixed_anchors(300, 2, "random", None)
 
 
 class TestConfigValidation:

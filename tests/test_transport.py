@@ -39,6 +39,28 @@ def _radical_inverse(i: int, base: int) -> float:
     return x
 
 
+def _full_sweep_duals(cost, sigma):
+    """Duals by Jacobi Bellman-Ford sweeps that relax from every column:
+    the reference for the frontier sweep of _assignment_duals."""
+    m = cost.shape[0]
+    rows = np.empty(m, dtype=np.intp)
+    rows[sigma] = np.arange(m)
+    matched = cost[rows, np.arange(m)]
+    weights = cost[rows] - matched[:, None]
+    v = np.zeros(m)
+    for _ in range(m):
+        relaxed = (v[:, None] + weights).min(axis=0)
+        if not np.any(relaxed < v):
+            break
+        v = relaxed
+    return (matched - v)[sigma], v
+
+
+def _assert_same_bits(got, expected):
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
 def _dense_optimum(x, anchors):
     """Plain linear_sum_assignment on the full cdist cost, as the reference."""
     cost = cdist(x, anchors.points)
@@ -193,7 +215,7 @@ class TestWarmStartedSolve:
     def test_reduced_cost_is_nonnegative_with_a_zero_in_every_row_and_column(self, n):
         x, _, _ = rescale_unit_cube(covariate_design("beta_dep_a", n, seed=10))
         anchors = generate_anchors(n, 2, "halton")
-        reduced, _ = _reduced_cost(x, anchors.hierarchy)
+        reduced, _ = _reduced_cost(x, anchors.hierarchy[1])
         assert reduced.shape == (n, n)
         assert reduced.min() == 0.0
         assert np.all(reduced.min(axis=1) == 0.0)
@@ -201,13 +223,21 @@ class TestWarmStartedSolve:
 
     def test_anchor_hierarchy_is_built_once_and_groups_each_level(self):
         anchors = generate_anchors(3000, 2, "halton")
-        levels = anchors.hierarchy
-        assert anchors.hierarchy is levels
+        hierarchy = anchors.hierarchy
+        assert anchors.hierarchy is hierarchy
+        order, levels = hierarchy
         assert [level.shape[0] for level in levels] == [3000, 750, 188, 47]
-        assert levels[0] is anchors.points
+        # the finest level holds the anchors along the Hilbert curve, which
+        # is already the order that groups them
+        assert np.array_equal(order, _hilbert_order(anchors.points))
+        assert np.array_equal(levels[0], anchors.points[order])
+        assert np.array_equal(_hilbert_order(levels[0]), np.arange(3000))
         for fine, coarse in zip(levels, levels[1:]):
             assert np.array_equal(coarse, _group_centroids(fine))
-        assert len(generate_anchors(DENSE_MAX, 2, "halton").hierarchy) == 1
+        small = generate_anchors(DENSE_MAX, 2, "halton")
+        order, levels = small.hierarchy
+        assert len(levels) == 1 and levels[0] is small.points
+        assert np.array_equal(order, np.arange(DENSE_MAX))
 
     @pytest.mark.parametrize("n", [4 * DENSE_MAX + 1, 1001])
     def test_duals_of_the_reduced_matrix_certify_the_coarse_cost(self, n):
@@ -215,11 +245,12 @@ class TestWarmStartedSolve:
         # shift, gives row duals of that level's plain cost
         x, _, _ = rescale_unit_cube(covariate_design("beta_dep_b", n, seed=11))
         anchors = generate_anchors(n, 2, "halton")
-        reduced, shift = _reduced_cost(x, anchors.hierarchy)
+        levels = anchors.hierarchy[1]
+        reduced, shift = _reduced_cost(x, levels)
         _, sigma = linear_sum_assignment(reduced)
         u, _ = _assignment_duals(reduced, sigma)
         u += shift
-        cost = cdist(x, anchors.points)
+        cost = cdist(x, levels[0])
         v = (cost - u[:, None]).min(axis=0)
         assert np.abs(cost[np.arange(n), sigma] - u - v[sigma]).max() <= 1e-9
 
@@ -261,6 +292,7 @@ class TestWarmStartedSolve:
         sigma = np.random.default_rng(5).permutation(40)
         u, v = _assignment_duals(np.ones((40, 40)), sigma)
         assert np.array_equal(u + v[sigma], np.ones(40))
+        _assert_same_bits((u, v), _full_sweep_duals(np.ones((40, 40)), sigma))
 
     def test_dual_sweep_is_capped_for_a_non_optimal_permutation(self):
         # the swapped permutation leaves a negative cycle; the sweep count
@@ -268,6 +300,40 @@ class TestWarmStartedSolve:
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         u, v = _assignment_duals(cost, np.array([1, 0]))
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+        _assert_same_bits((u, v), _full_sweep_duals(cost, np.array([1, 0])))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_frontier_sweep_equals_the_full_sweep_bit_for_bit(self, seed):
+        # random optimal assignments: Euclidean costs, and the reduced
+        # matrix of a warm-started level
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, DENSE_MAX)) if seed % 2 else int(rng.integers(DENSE_MAX + 1, 400))
+        x = rng.beta(0.5, 0.5, size=(n, 2))
+        anchors = generate_anchors(n, 2, "halton")
+        cost = cdist(x, anchors.points) if seed % 2 else _reduced_cost(x, anchors.hierarchy[1])[0]
+        sigma = linear_sum_assignment(cost)[1]
+        _assert_same_bits(_assignment_duals(cost, sigma), _full_sweep_duals(cost, sigma))
+
+    def test_assignment_is_solved_on_hilbert_ordered_anchor_columns(self, monkeypatch):
+        from dfgof import transport
+
+        seen = []
+        original = transport._reduced_cost
+
+        def recording(x, levels):
+            seen.append(levels[0])
+            return original(x, levels)
+
+        monkeypatch.setattr(transport, "_reduced_cost", recording)
+        n = 3 * DENSE_MAX
+        x, _, _ = rescale_unit_cube(covariate_design("beta_dep_a", n, seed=13))
+        anchors = generate_anchors(n, 2, "halton")
+        out = solve_assignment(x, anchors)
+        assert seen[0] is anchors.hierarchy[1][0]
+        assert np.array_equal(seen[0], anchors.points[_hilbert_order(anchors.points)])
+        sigma, cost = _dense_optimum(x, anchors)
+        assert np.array_equal(out.sigma, sigma)
+        assert out.cost == cost
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_rejected_above_dense_max(self):
