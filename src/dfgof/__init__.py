@@ -18,6 +18,7 @@ from .harness import (
     pipeline_processes,
     pipeline_records,
     run_experiment,
+    run_experiments,
     simulate_null,
     simulate_power,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "reflect",
     "rescale_unit_cube",
     "run_experiment",
+    "run_experiments",
     "sample_on_points",
     "score_basis",
     "simulate_null",

@@ -21,6 +21,7 @@ import itertools
 import os
 import sys
 from dataclasses import MISSING, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,11 @@ from .harness import (
     bootstrap_residuals,
     fixed_anchors,
     fixed_geometry,
+    paired_runs,
+    power_result,
     process_statistics,
     residual_statistics,
-    run_experiment,
-    simulate_power,
+    run_experiments,
 )
 from .model import build_model, fit
 from .process import (
@@ -245,11 +247,10 @@ def _cmd_simulate(args) -> None:
         raise ConfigError("'simulate' runs the null only; use 'power' for configs with an [alternative]")
     outdir = _resolve_outdir(args)
     delim = args.delimiter
-    results = {}
+    runs = run_experiments([config.single(design_id) for design_id in config.design], workers=args.workers)
+    results = dict(zip(config.design, runs))
     files = []
-    for design_id in config.design:
-        res = run_experiment(config.single(design_id), workers=args.workers)
-        results[design_id] = res
+    for design_id, res in results.items():
         path = outdir / f"ecdf_{design_id}.csv"
         write_ecdf(path, res.ecdf(), delim)
         files.append(path.name)
@@ -299,9 +300,11 @@ def _cmd_power(args) -> None:
     lines.append(
         f"alternative: psi={alt.psi} amplitude={_fmt_float(alt.amplitude)} local_scaling={alt.local_scaling}"
     )
+    pairs = [paired_runs(config.single(design_id)) for design_id in config.design]
+    runs = run_experiments([run for pair in pairs for run in pair], workers=args.workers)
     files = []
-    for design_id in config.design:
-        power = simulate_power(config.single(design_id), workers=args.workers)
+    for design_id, null, alternative in zip(config.design, runs[::2], runs[1::2]):
+        power = power_result(null, alternative)
         alt_path = outdir / f"ecdf_alt_{design_id}.csv"
         null_path = outdir / f"ecdf_null_{design_id}.csv"
         rates_path = outdir / f"rejection_rates_{design_id}.csv"
@@ -471,6 +474,8 @@ def _add_experiment(sub):
     sub.add_argument("--workers", type=int, default=1)
 
 
+# parse_args leaves a parser as it found it, so one parser serves every call
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dfgof", description="Distribution-free goodness-of-fit testing for parametric regression.")
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)

@@ -100,26 +100,78 @@ def write_process_dump(path, proc: StepProcess, delimiter: str = ",") -> None:
     write_table(path, header, rows, delimiter)
 
 
+def _fields(line: str, delimiter: str) -> list[float]:
+    """The numbers of one stripped line; ValueError if a field is not one."""
+    return [float(part.strip()) for part in line.split(delimiter)]
+
+
 def _parse_rows(path, delimiter: str) -> np.ndarray:
+    """The rows of a delimiter-separated number file.
+
+    Blank lines and lines starting with '#' are skipped, and so are
+    non-numeric lines 1 and 2 before the first row (a header).  A field
+    reads as Python's float() reads it.  A file that holds no '#', no
+    blank line and at most a header on line 1 is read with one conversion
+    call; any other file, or one the call rejects, is read line by line,
+    which gives the same rows and the line numbers of the errors.
+    """
+    with open(path) as handle:
+        text = handle.read()
+    lines = text.split("\n")  # the file's lines: text mode turns each line end into \n
+    if "#" not in text:
+        rows = _plain_rows(lines, delimiter)
+        if rows is not None:
+            return rows
+    return _line_rows(path, lines, delimiter)
+
+
+def _plain_rows(lines: list[str], delimiter: str) -> np.ndarray | None:
+    """The rows of a file without comments or blank lines, all fields
+    converted by one numpy call, or None if the file is not of that kind
+    or a field does not convert.
+
+    A data line whose fields all convert unstripped splits into the same
+    fields as the stripped line the line loop splits, so both give the
+    same numbers.
+    """
+    if lines[-1] == "":
+        lines = lines[:-1]
+    if not lines:
+        return None
+    try:
+        _fields(lines[0].strip(), delimiter)
+    except ValueError:
+        lines = lines[1:]  # a header, or a line the loop skips as blank
+    if not lines:
+        return None
+    seps = lines[0].count(delimiter)
+    if any(line.count(delimiter) != seps for line in lines):
+        return None
+    try:
+        values = np.array(delimiter.join(lines).split(delimiter), dtype=float)
+    except ValueError:
+        return None
+    return values.reshape(len(lines), seps + 1)
+
+
+def _line_rows(path, lines: list[str], delimiter: str) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [part.strip() for part in line.split(delimiter)]
-            try:
-                row = [float(part) for part in parts]
-            except ValueError:
-                if not rows and lineno <= 2:
-                    continue  # optional header line
-                raise ConfigError(f"{path}: line {lineno} is not numeric: {line!r}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ConfigError(f"{path}: line {lineno} has {len(row)} fields, expected {width}")
-            rows.append(row)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            row = _fields(line, delimiter)
+        except ValueError:
+            if not rows and lineno <= 2:
+                continue  # optional header line
+            raise ConfigError(f"{path}: line {lineno} is not numeric: {line!r}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ConfigError(f"{path}: line {lineno} has {len(row)} fields, expected {width}")
+        rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no data rows found")
     return np.array(rows)

@@ -15,13 +15,17 @@ chains, both processes, their statistics and the probes then run once per
 block over that axis, and every sample gets the numbers it would get on its
 own.  The block boundaries depend on the replication count alone, never on
 the worker count: the process pool hands out whole blocks, so results are
-bit-identical for any number of workers.  Per-sample Python work is left
-where the data force it: each replication's stream, draws and centering
-constants, and for p >= 2 the optimal assignment and the setup of the
-dominance sweep of each sample.  A block in which a sample fails
-(rank-deficient fit, too few distinct covariate values) is evaluated again
-one sample at a time, the failing samples are dropped and counted; more
-than 1% failures aborts the run.
+bit-identical for any number of workers.  ``run_experiments`` runs the
+blocks of several single-design configs as one task list, such as every
+design of a command, or the null and alternative runs of ``power``; with
+workers > 1 one process pool serves the whole list and lives for that call
+only.  Per-sample Python work is left where the data force it: each
+replication's stream, draws and centering constants, and for p >= 2 the
+optimal assignment and the setup of the dominance sweep of each sample.  A
+block in which a sample fails (rank-deficient fit, too few distinct
+covariate values) is evaluated again one sample at a time, the failing
+samples are dropped and counted; more than 1% failures in a config aborts
+the run.
 
 The per-sample pipeline has two halves.  ``fixed_geometry`` holds all that
 is fixed given X and the fitted score span: the scan points (for p >= 2
@@ -48,9 +52,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -105,6 +109,8 @@ BLOCK = 64
 # bounds the arrays of a build whatever the number of columns.  A grid-64
 # p = 2 process of a few hundred points takes 40 bootstrap columns at once.
 EVAL_ENTRIES = 1 << 18
+# test levels of the rejection rates of a power run
+LEVELS = (0.01, 0.05, 0.10)
 
 
 @dataclass(frozen=True)
@@ -127,10 +133,11 @@ class ExperimentConfig:
     """Full description of one simulation experiment.
 
     ``design`` may list several covariate designs; the simulation entry
-    points run one design at a time (the CLI fans a multi-design config out
-    into one run per design).  A config holds its effective values: ``grid``
-    is resolved by ``lattice_resolution`` (None at p = 1), and a missing
-    ``theta_true`` becomes 1 per parameter.  All fields are plain values so
+    points take single-design configs (the CLI fans a multi-design config
+    out into one config per design, and runs them all as one task list).
+    A config holds its effective values: ``grid`` is resolved by
+    ``lattice_resolution`` (None at p = 1), and a missing ``theta_true``
+    becomes 1 per parameter.  All fields are plain values so
     configs can be shipped to worker processes.
     """
 
@@ -537,7 +544,9 @@ def _block(config: ExperimentConfig, design_id: str, start: int) -> tuple[dict[s
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Per-replication statistic columns for one design."""
+    """Per-replication statistic columns for one design.  ``elapsed`` is
+    the wall time the run spent on this design, as ``run_experiments``
+    defines it."""
 
     config: ExperimentConfig
     columns: dict[str, np.ndarray]
@@ -555,24 +564,14 @@ class ExperimentResult:
         return np.column_stack([self.columns[k] for k in keys])
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run all replications of a single-design config.
+def _task(task: tuple[ExperimentConfig, str, int]) -> tuple[dict[str, np.ndarray], int]:
+    # looked up at call time, so a forked worker runs the _block it inherits
+    return _block(*task)
 
-    Replications run in blocks of BLOCK; with workers > 1 the blocks are
-    distributed over a process pool.  Results are collected in replication
-    order, and the blocks do not depend on the worker count, so output is
-    bit-identical for any worker count.
-    """
-    if len(config.design) != 1:
-        raise ConfigError(f"run_experiment needs exactly one design, got {config.design}")
-    design_id = config.design[0]
-    start = time.perf_counter()
-    starts = range(0, config.reps, BLOCK)
-    if workers <= 1:
-        blocks = [_block(config, design_id, s) for s in starts]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_block, repeat(config), repeat(design_id), starts))
+
+def _experiment_result(config: ExperimentConfig, blocks: list, elapsed: float) -> ExperimentResult:
+    """Join the blocks of one config in replication order; more than
+    MAX_FAILURE_FRACTION dropped replications raise NumericalError."""
     failures = sum(dropped for _, dropped in blocks)
     kept = [columns for columns, _ in blocks if columns]
     if failures > MAX_FAILURE_FRACTION * config.reps:
@@ -583,9 +582,49 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if not kept:
         raise NumericalError("all replications failed to fit")
     columns = {key: np.concatenate([part[key] for part in kept]) for key in kept[0]}
-    return ExperimentResult(
-        config=config, columns=columns, failures=failures, elapsed=time.perf_counter() - start
-    )
+    return ExperimentResult(config=config, columns=columns, failures=failures, elapsed=elapsed)
+
+
+def run_experiments(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[ExperimentResult]:
+    """Run all replications of several single-design configs as one task
+    list, one result per config in the order given.
+
+    The tasks are the blocks of each config in turn.  With workers > 1 one
+    process pool runs the whole list and is shut down before this returns,
+    also when it raises; otherwise the blocks run in a plain loop.  Results
+    are collected in task order, and the blocks do not depend on the worker
+    count or on the other configs, so every result is bit-identical for any
+    worker count.  A result's ``elapsed`` is the wall time from the last
+    block of the config before it (the call's start, for the first) to its
+    own last block, so the values add up to the wall time of the run.  The
+    configs are checked in order as their blocks arrive: the first with
+    more than MAX_FAILURE_FRACTION dropped replications raises
+    NumericalError, and the tasks not yet started are cancelled.
+    """
+    for config in configs:
+        if len(config.design) != 1:
+            raise ConfigError(f"run_experiment needs exactly one design, got {config.design}")
+    tasks = [(config, config.design[0], start) for config in configs for start in range(0, config.reps, BLOCK)]
+    last = time.perf_counter()
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        blocks = map(_task, tasks) if pool is None else pool.map(_task, tasks)
+        results = []
+        for config in configs:
+            parts = [next(blocks) for _ in range(0, config.reps, BLOCK)]
+            now = time.perf_counter()
+            results.append(_experiment_result(config, parts, now - last))
+            last = now
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return results
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Run all replications of a single-design config: ``run_experiments``
+    of that one config."""
+    return run_experiments([config], workers=workers)[0]
 
 
 def simulate_null(config: ExperimentConfig, workers: int = 1) -> Ecdf:
@@ -603,21 +642,31 @@ class PowerResult:
     failures: int
 
 
+def paired_runs(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentConfig]:
+    """The null run paired with an alternative config (same seed,
+    alternative removed), then the alternative run itself."""
+    if config.alternative is None:
+        raise ConfigError("simulate_power requires a config with an alternative")
+    return replace(config, alternative=None), config
+
+
+def power_result(
+    null: ExperimentResult, alternative: ExperimentResult, levels: tuple[float, ...] = LEVELS
+) -> PowerResult:
+    """Rejection rates of the alternative's statistics at each level, the
+    null's 1 - level quantile being the critical value."""
+    null_ecdf = null.ecdf()
+    stats = alternative.ecdf().sorted_values
+    rates = {float(a): float(np.mean(stats > null_ecdf.quantile(1.0 - a))) for a in levels}
+    return PowerResult(ecdf=Ecdf(stats), rejection_rate_at=rates, null_ecdf=null_ecdf, failures=alternative.failures)
+
+
 def simulate_power(
     config: ExperimentConfig,
     workers: int = 1,
-    levels: tuple[float, ...] = (0.01, 0.05, 0.10),
+    levels: tuple[float, ...] = LEVELS,
 ) -> PowerResult:
     """Statistics under the alternative plus rejection rates against the
-    paired null run (same seed, alternative removed)."""
-    if config.alternative is None:
-        raise ConfigError("simulate_power requires a config with an alternative")
-    null_ecdf = simulate_null(replace(config, alternative=None), workers=workers)
-    result = run_experiment(config, workers=workers)
-    stats = result.ecdf().sorted_values
-    rates = {
-        float(a): float(np.mean(stats > null_ecdf.quantile(1.0 - a))) for a in levels
-    }
-    return PowerResult(
-        ecdf=Ecdf(stats), rejection_rate_at=rates, null_ecdf=null_ecdf, failures=result.failures
-    )
+    paired null run; both runs share one task list."""
+    null, alternative = run_experiments(paired_runs(config), workers=workers)
+    return power_result(null, alternative, levels)

@@ -1,9 +1,12 @@
+import multiprocessing
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfgof.harness as harness
 from dfgof.cli import _build_parser, echo_config, parse_config, run
 from dfgof.errors import ConfigError
 from dfgof.harness import AlternativeSpec, ExperimentConfig
@@ -36,6 +39,19 @@ n = 40
 reps = 8
 seed = 12
 statistic = ks_abs
+"""
+
+TWO_DESIGN_ALTERNATIVE = """
+[experiment]
+design = uniform_0_2, normal_1_2
+model = simple_linear
+n = 30
+reps = 70
+seed = 14
+
+[alternative]
+psi = x_squared
+amplitude = 0.5
 """
 
 WITH_ALTERNATIVE = """
@@ -468,3 +484,121 @@ class TestImportCost:
             [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """Every file of an output directory, with the timings and the worker
+    count of the summary masked."""
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    if "summary.txt" in files:
+        files["summary.txt"] = re.sub(rb"elapsed=\S+|workers: \d+", b"", files["summary.txt"])
+    return files
+
+
+class _CountingPool(harness.ProcessPoolExecutor):
+    opened = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).opened += 1
+        super().__init__(*args, **kwargs)
+
+
+class TestOnePoolPerCommand:
+    """simulate and power send every design's blocks, and power both the
+    null and the alternative runs, through one task list."""
+
+    COMMANDS = [("simulate", TWO_DESIGNS), ("power", TWO_DESIGN_ALTERNATIVE)]
+
+    @pytest.mark.parametrize("command, text", COMMANDS, ids=["simulate", "power"])
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, command, text):
+        cfg = write_config(tmp_path / "a.cfg", text)
+        extra = ["--plot-data"] if command == "simulate" else []
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / "out"  # one path: the summary names it
+            assert run([command, cfg, "--reps", "70", "-o", str(out), "--workers", workers, *extra]) == 0
+            outputs.append(_outputs(out))
+            for path in out.iterdir():
+                path.unlink()
+        assert len(outputs[0]) == (6 if command == "simulate" else 8)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("command, text", COMMANDS, ids=["simulate", "power"])
+    @pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 1), ("3", 1)])
+    def test_one_pool_per_command(self, tmp_path, monkeypatch, command, text, workers, pools):
+        monkeypatch.setattr(_CountingPool, "opened", 0)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
+        cfg = write_config(tmp_path / "a.cfg", text)
+        assert run([command, cfg, "-o", str(tmp_path / "out"), "--workers", workers]) == 0
+        assert _CountingPool.opened == pools
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("first_replication_fails")
+    @pytest.mark.parametrize("command, text", COMMANDS, ids=["simulate", "power"])
+    def test_failure_guard_leaves_no_worker_running(self, tmp_path, capsys, command, text):
+        # replication 0 of every run fails: 1 of 70 is more than 1%
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "out"
+        assert run([command, cfg, "--reps", "70", "-o", str(out), "--workers", "2"]) == 2
+        assert "numerical failure: NumericalError: 1 of 70 replications failed to fit" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestParserReuse:
+    """One parser serves every run() call of a process: a mix of commands,
+    usage errors and --help gives the same exit codes, messages and files
+    as calls that each build a fresh parser."""
+
+    @staticmethod
+    def _calls(tmp_path):
+        basic = write_config(tmp_path / "basic.cfg", BASIC)
+        alt = write_config(tmp_path / "alt.cfg", WITH_ALTERNATIVE)
+        out = str(tmp_path / "out")
+        return [
+            (["power", alt, "-o", out, "--local-scaling"], 0),
+            (["power", alt, "-o", out], 0),
+            (["simulate", basic, "--frobnicate"], 1),
+            (["--help"], 0),
+            (["simulate", basic, "-o", out, "--reps", "9", "--design", "normal_1_2"], 0),
+            (["simulate", basic, "-o", out], 0),
+            (["power", "--help"], 0),
+            (["test", "data.csv"], 1),
+            ([], 1),
+            (["limits", "-o", out, "--steps", "4"], 0),
+            (["power", alt, "-o", out, "--amplitude", "oops"], 1),
+            (["power", alt, "-o", out, "--amplitude", "2"], 0),
+        ]
+
+    @staticmethod
+    def _run(argv, out: Path, capsys, fresh: bool):
+        if fresh:
+            _build_parser.cache_clear()
+        code = run(argv)
+        captured = capsys.readouterr()
+        files = _outputs(out) if out.exists() else {}
+        for path in out.glob("*"):
+            path.unlink()
+        return code, re.sub(r"elapsed=\S+", "elapsed=", captured.out), captured.err, files
+
+    def test_shared_parser_gives_what_fresh_parsers_give(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        calls = self._calls(tmp_path)
+        fresh = [self._run(argv, out, capsys, fresh=True) for argv, _ in calls]
+        _build_parser.cache_clear()
+        shared = [self._run(argv, out, capsys, fresh=False) for argv, _ in calls]
+        assert _build_parser.cache_info().misses == 1
+        assert [result[0] for result in shared] == [code for _, code in calls]
+        for argv_code, a, b in zip(calls, fresh, shared):
+            assert a == b, argv_code[0]
+        # the flag of the first call does not stay set for the second
+        assert "local_scaling=True" in shared[0][1] and "local_scaling=False" in shared[1][1]
+
+    def test_parse_leaves_no_default_behind(self):
+        parser = _build_parser()
+        first = parser.parse_args(["power", "a.cfg", "--local-scaling", "--reps", "5", "--workers", "3"])
+        again = parser.parse_args(["power", "a.cfg"])
+        assert (first.local_scaling, first.reps, first.workers) == (True, 5, 3)
+        assert (again.local_scaling, again.reps, again.workers) == (None, None, 1)
+        assert not hasattr(parser.parse_args(["limits"]), "local_scaling")

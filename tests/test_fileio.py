@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfgof.errors import ConfigError
 from dfgof.fileio import (
@@ -187,3 +189,106 @@ class TestLoaders:
         path.write_text("1.0,2.0\nfoo,bar\n")
         with pytest.raises(ConfigError, match="not numeric"):
             load_sample(path)
+
+
+def _reference_rows(path, delimiter=","):
+    # the line-by-line reader the loaders have always followed
+    rows = []
+    width = None
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [part.strip() for part in line.split(delimiter)]
+            try:
+                row = [float(part) for part in parts]
+            except ValueError:
+                if not rows and lineno <= 2:
+                    continue
+                raise ConfigError(f"{path}: line {lineno} is not numeric: {line!r}")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ConfigError(f"{path}: line {lineno} has {len(row)} fields, expected {width}")
+            rows.append(row)
+    if not rows:
+        raise ConfigError(f"{path}: no data rows found")
+    return np.array(rows)
+
+
+def _outcome(reader, path, delimiter):
+    """Rows as (shape, bit patterns), or the error message."""
+    try:
+        rows = reader(path, delimiter)
+    except ConfigError as exc:
+        return str(exc)
+    return rows.shape, rows.view(np.uint64).tolist()
+
+
+FILES = {
+    "header_line_1": "x,y\n1,2\n3,4\n",
+    "header_line_2": "\nx,y\n1,2\n3,4\n",
+    "comment_then_header": "# made by hand\nx,y\n1,2\n",
+    "two_header_lines": "x,y\nu,v\n1,2\n",
+    "header_line_3": "\n\nx,y\n1,2\n",
+    "comment_lines": "1,2\n# between rows\n3,4\n",
+    "inline_comment": "1,2 # note\n3,4\n",
+    "crlf": "x,y\r\n1,2\r\n3,4\r\n",
+    "cr": "1,2\r3,4\r",
+    "spaces_around_fields": " 1 , 2 \n\t3,4  \n",
+    "unicode_space": "1,\u20032\n3,4\u2003\n",
+    "nan_inf": "nan,inf\n-inf,-nan\nNaN,Infinity\n1e308,4.9e-324\n1e400,-0.0\n",
+    "underscores": "1_000,2\n3,4_5\n",
+    "ragged": "1,2\n3\n",
+    "ragged_same_total": "1,2,3\n4\n5,6,7,8,9\n",
+    "non_numeric_line_3": "x,y\n1,2\nfoo,3\n",
+    "non_numeric_line_2": "1,2\nfoo,3\n",
+    "blank_lines": "1,2\n\n3,4\n   \n",
+    "no_final_newline": "1,2\n3,4",
+    "trailing_delimiter": "1,2,\n3,4,\n",
+    "empty_field": "1,,2\n3,4,5\n",
+    "form_feed": "1,2\x0c\n3,4\n",
+    "single_column": "v\n1\n2\n",
+    "empty": "",
+    "header_only": "x,y\n",
+}
+
+
+class TestLoaderMatchesLineReader:
+    """Every file reads as the line-by-line reader reads it: the same bits,
+    or the same error with its line number."""
+
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_comma_files(self, tmp_path, name):
+        path = tmp_path / "d.csv"
+        path.write_bytes(FILES[name].encode())
+        assert _outcome(load_points, path, ",") == _outcome(_reference_rows, path, ",")
+
+    @pytest.mark.parametrize("delimiter", ["\t", " ", "  ", ";"])
+    @pytest.mark.parametrize(
+        "text", ["1 2\n 3 4\n", "1\t2\t\n3\t4\n", "1  2\n3  4\n", "1;2\n3 ;4 \n", "x y\n1 2\n3 4\n"]
+    )
+    def test_other_delimiters(self, tmp_path, delimiter, text):
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode())
+        assert _outcome(load_points, path, delimiter) == _outcome(_reference_rows, path, delimiter)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from([repr, lambda v: "%.17g" % v]),
+        st.booleans(),
+    )
+    def test_written_floats_read_back_bit_identical(self, tmp_path_factory, rows, fmt, header):
+        path = tmp_path_factory.mktemp("floats") / "d.csv"
+        lines = ["x1,x2,y"] if header else []
+        lines += [",".join(fmt(v) for v in row) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+        expected = np.array(rows, dtype=float)
+        assert load_points(path).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert _outcome(load_points, path, ",") == _outcome(_reference_rows, path, ",")

@@ -1,3 +1,6 @@
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from dfgof.harness import (
     process_statistics,
     residual_statistics,
     run_experiment,
+    run_experiments,
     simulate_null,
     simulate_power,
 )
@@ -196,31 +200,58 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="exactly one design"):
             run_experiment(cfg)
 
-    @staticmethod
-    def _first_replication_fails(monkeypatch):
-        """Replace the per-block unit by one whose replication 0 fails and
-        whose replication i records i."""
-        import dfgof.harness as harness
-
-        def failing(config, design_id, start):
-            kept = [i for i in range(start, min(start + harness.BLOCK, config.reps)) if i != 0]
-            dropped = min(harness.BLOCK, config.reps - start) - len(kept)
-            return {"transformed.ks_abs": np.array(kept, dtype=float)}, dropped
-
-        monkeypatch.setattr(harness, "_block", failing)
-
-    def test_failure_fraction_guard(self, monkeypatch):
-        self._first_replication_fails(monkeypatch)
+    @pytest.mark.usefixtures("first_replication_fails")
+    def test_failure_fraction_guard(self):
         cfg = small_config(reps=20)
         with pytest.raises(NumericalError, match="failed to fit"):
             run_experiment(cfg)  # 1/20 = 5% > 1%
 
-    def test_failures_below_threshold_are_reported(self, monkeypatch):
-        self._first_replication_fails(monkeypatch)
+    @pytest.mark.usefixtures("first_replication_fails")
+    def test_failures_below_threshold_are_reported(self):
         cfg = small_config(reps=200)
         res = run_experiment(cfg)
         assert res.failures == 1
         assert np.array_equal(res.columns["transformed.ks_abs"], np.arange(1, 200))
+
+
+class TestRunExperiments:
+    """Several single-design configs as one task list."""
+
+    CONFIGS = (
+        dict(reps=70),
+        dict(design=("normal_1_2",), reps=5, seed=4),
+        dict(reps=70, alternative=AlternativeSpec(psi="x_squared", amplitude=1.0)),
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_config_gets_the_records_of_its_own_run(self, workers):
+        configs = [small_config(**kw) for kw in self.CONFIGS]
+        for config, res in zip(configs, run_experiments(configs, workers=workers)):
+            alone = run_experiment(config)
+            assert res.config == config and res.failures == alone.failures == 0
+            assert set(res.columns) == set(alone.columns)
+            for key in alone.columns:
+                assert np.array_equal(res.columns[key], alone.columns[key])
+
+    def test_elapsed_adds_up_to_the_wall_time_of_the_run(self):
+        configs = [small_config(**kw) for kw in self.CONFIGS]
+        start = time.perf_counter()
+        results = run_experiments(configs, workers=2)
+        wall = time.perf_counter() - start
+        assert all(res.elapsed >= 0.0 for res in results)
+        assert sum(res.elapsed for res in results) <= wall
+
+    def test_multi_design_config_rejected(self):
+        with pytest.raises(ConfigError, match="exactly one design"):
+            run_experiments([small_config(), small_config(design=("uniform_0_2", "normal_1_2"))])
+
+    @pytest.mark.usefixtures("first_replication_fails")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_guard_holds_per_config_and_stops_the_pool(self, workers):
+        # 1 of 200 passes the 1% guard, 1 of 20 does not
+        with pytest.raises(NumericalError, match="1 of 20 replications"):
+            run_experiments([small_config(reps=200), small_config(reps=20), small_config(reps=200)], workers=workers)
+        assert multiprocessing.active_children() == []
 
 
 class TestSimulate:
