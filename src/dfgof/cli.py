@@ -32,7 +32,6 @@ from .fileio import load_points, load_sample, write_ecdf, write_process_dump, wr
 from .harness import (
     ANCHOR_MODES,
     ERROR_LAWS,
-    MODEL_KINDS,
     PROCESS_KINDS,
     STATISTICS,
     AlternativeSpec,
@@ -46,7 +45,7 @@ from .harness import (
     residual_statistics,
     run_experiments,
 )
-from .model import build_model, fit
+from .model import MODEL_KINDS, build_model, fit
 from .process import (
     Ecdf,
     ecdf_sup_distance,
@@ -216,6 +215,12 @@ def _write_manifest(outdir: Path, config: ExperimentConfig) -> None:
     write_text_atomic(outdir / "manifest.cfg", echo_config(config))
 
 
+def _write_summary(outdir: Path, lines: list[str]) -> None:
+    """Write ``lines`` to summary.txt under ``outdir`` and print them."""
+    write_text_atomic(outdir / "summary.txt", "\n".join(lines) + "\n")
+    print("\n".join(lines))
+
+
 def _summary_header(command: str, args, outdir: Path, seed: int, override_names: tuple[str, ...]) -> list[str]:
     """Opening lines of a simulation summary: what ran, where, and which
     flags overrode the config file."""
@@ -281,8 +286,7 @@ def _cmd_simulate(args) -> None:
             lines.append(f"sup_distance {ids[i]} vs {ids[j]}: {_fmt_float(dist)}")
     lines.append("files: " + ", ".join(files))
     _write_manifest(outdir, config)
-    write_text_atomic(outdir / "summary.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_summary(outdir, lines)
 
 
 def _cmd_power(args) -> None:
@@ -325,8 +329,7 @@ def _cmd_power(args) -> None:
         )
     lines.append("files: " + ", ".join(files))
     _write_manifest(outdir, config)
-    write_text_atomic(outdir / "summary.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_summary(outdir, lines)
 
 
 def _cmd_fit(args) -> None:
@@ -393,8 +396,7 @@ def _cmd_test(args) -> None:
         f"statistic: {key} = {_fmt_float(observed_stat)}",
         f"pvalue: {_fmt_float(pvalue)} ({args.reps} null replications)",
     ]
-    write_text_atomic(outdir / "summary.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_summary(outdir, lines)
 
 
 def _cmd_assign(args) -> None:
@@ -420,11 +422,16 @@ def _cmd_assign(args) -> None:
         "rescale_high: " + ", ".join(_fmt_float(v) for v in hi),
         f"total_cost: {_fmt_float(assignment.cost)}",
     ]
-    write_text_atomic(outdir / "summary.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_summary(outdir, lines)
 
 
 def _cmd_limits(args) -> None:
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    try:
+        basis = make_basis(args.p, args.d)
+    except ValueError as exc:  # p, d or the tensor products they need
+        raise ConfigError(str(exc)) from None
     outdir = _resolve_outdir(args)
     xs = np.arange(0, args.steps + 1) * (2.5 / args.steps)
     write_table(
@@ -433,27 +440,22 @@ def _cmd_limits(args) -> None:
         zip(xs, kolmogorov_cdf(xs)),
         args.delimiter,
     )
-    basis = make_basis(args.p, args.d)
-    files = ["kolmogorov_cdf.csv"]
     if args.p == 1:
         grid = np.arange(1, 20) / 20.0
+        header = ["s", "t", "cov"]
         rows = ((s, t, limit_covariance([s], [t], basis)) for s in grid for t in grid)
-        write_table(outdir / "limit_covariance.csv", ["s", "t", "cov"], rows, args.delimiter)
-        files.append("limit_covariance.csv")
     else:
         axis = np.arange(1, 5) / 5.0
         pts = [np.array(tup) for tup in itertools.product(axis, repeat=args.p)]
         header = [f"x{j + 1}" for j in range(args.p)] + [f"y{j + 1}" for j in range(args.p)] + ["cov"]
         rows = (tuple(x) + tuple(y) + (limit_covariance(x, y, basis),) for x in pts for y in pts)
-        write_table(outdir / "limit_covariance.csv", header, rows, args.delimiter)
-        files.append("limit_covariance.csv")
+    write_table(outdir / "limit_covariance.csv", header, rows, args.delimiter)
     lines = [
         "command: limits",
         f"basis: {basis.describe()}",
-        "files: " + ", ".join(files),
+        "files: kolmogorov_cdf.csv, limit_covariance.csv",
     ]
-    write_text_atomic(outdir / "summary.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_summary(outdir, lines)
 
 
 def _add_common(sub, seed_help="master seed"):

@@ -178,13 +178,20 @@ def _line_rows(path, lines: list[str], delimiter: str) -> np.ndarray:
 
 
 def load_sample(path, delimiter: str = ",") -> Sample:
-    """Sample file: p covariate columns then one response column, optional header."""
+    """Sample file: p covariate columns then one response column, optional
+    header; a file that makes no valid ``Sample`` raises ConfigError."""
     data = _parse_rows(path, delimiter)
     if data.shape[1] < 2:
         raise ConfigError(f"{path}: need at least 2 columns (covariates then response)")
-    return Sample(X=data[:, :-1], Y=data[:, -1])
+    try:
+        return Sample(X=data[:, :-1], Y=data[:, -1])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_points(path, delimiter: str = ",") -> np.ndarray:
-    """Covariate-only file: one point per row."""
-    return _parse_rows(path, delimiter)
+    """Covariate-only file: one finite point per row."""
+    points = _parse_rows(path, delimiter)
+    if not np.all(np.isfinite(points)):
+        raise ConfigError(f"{path}: covariate points must be finite")
+    return points

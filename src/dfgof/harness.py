@@ -60,7 +60,7 @@ import numpy as np
 
 from .basis import make_basis, sample_on_points
 from .errors import ConfigError, NumericalError, RankDeficiencyError
-from .model import FitResult, RegressionModel, Sample, build_model, fit, score_basis
+from .model import MODEL_KINDS, FitResult, RegressionModel, Sample, build_model, fit, score_basis
 from .process import (
     Ecdf,
     ProcessPlan,
@@ -82,12 +82,6 @@ DESIGNS = {
     "beta_dep_a": 2,
     "beta_dep_b": 2,
     "beta_indep": 2,
-}
-
-MODEL_KINDS = {
-    "simple_linear": (1, 1),  # (p, d)
-    "centered_linear": (1, 2),
-    "bilinear2d": (2, 4),
 }
 
 PSI_FUNCTIONS = {

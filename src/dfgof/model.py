@@ -2,16 +2,22 @@
 
 A model is a mean function m(theta, X) with its exact parameter gradient.
 Built-in kinds are linear in theta and fitted in closed form; arbitrary
-smooth models ("custom") are fitted by damped Gauss-Newton.  The score
-basis is the Gram-Schmidt orthonormalization of the gradient columns at
-the fitted parameter, taken in model order: the orthonormal basis of the
-gradient span that the residual rotation consumes.  Vector k is the
-normalized part of gradient column k orthogonal to columns 0..k-1, so a
-rescale of the covariates that maps each gradient column to a positive
-multiple of itself plus earlier columns keeps the basis: for the kinds
-with an intercept, any affine rescale of each covariate with a positive
-scale.  Its entries follow the data rows for every covariate dimension:
-the scan geometry is carried by the scan points alone.
+smooth models ("custom") are fitted by damped Gauss-Newton.
+
+Each built-in kind is one row of ``KINDS``: its covariate count p, whether
+it has an intercept (then every regressor is centred on the sample the
+model is built on), and its regressors in model order, each a product of
+covariate columns.  ``MODEL_KINDS`` gives each kind's (p, d).
+
+The score basis is the Gram-Schmidt orthonormalization of the gradient
+columns at the fitted parameter, taken in model order: the orthonormal
+basis of the gradient span that the residual rotation consumes.  Vector k
+is the normalized part of gradient column k orthogonal to columns
+0..k-1, so a rescale of the covariates that maps each gradient column to
+a positive multiple of itself plus earlier columns keeps the basis: for
+the kinds with an intercept, any affine rescale of each covariate with a
+positive scale.  Its entries follow the data rows for every covariate
+dimension: the scan geometry is carried by the scan points alone.
 
 A ``Sample`` may also hold a stack of B samples of equal size along a
 leading axis.  Linear kinds built on such a stack bind each sample's own
@@ -25,12 +31,21 @@ state, so fits may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, RankDeficiencyError, SingularMatrixError
 from .rotations import OrthonormalSet, gram_schmidt
+
+KINDS = {
+    "simple_linear": (1, False, ((0,),)),
+    "centered_linear": (1, True, ((0,),)),
+    "bilinear2d": (2, True, ((0,), (1,), (0, 1))),
+}
+MODEL_KINDS = {kind: (p, intercept + len(regressors)) for kind, (p, intercept, regressors) in KINDS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +100,6 @@ class RegressionModel:
     d: int
     mean: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    p: int | None = None
     linear: bool = False
 
 
@@ -110,75 +124,52 @@ def build_model(
 ) -> RegressionModel:
     """Construct a built-in or custom regression model.
 
-    Kinds that center covariates ("centered_linear", "bilinear2d") bind the
-    centering constants from ``sample`` at construction time, so the model
-    is a fixed function thereafter; a stacked sample binds each sample's
-    own constants.
+    A built-in kind is built from its row of ``KINDS``.  Its gradient
+    columns are a column of ones if it has an intercept, then its
+    regressors, each less its mean over ``sample`` if it has an intercept:
+    the model binds these centering constants (one set per sample of a
+    stack).  The mean sums theta_k times column k, column 0 first.  A
+    ``sample`` with another covariate count than the kind's p raises
+    :class:`ConfigError`.
     """
-
-    def coef(th, k):  # parameter k, broadcast over the rows of its sample
-        return th[..., k, None]
-
-    def centre(values):
-        return values.mean(axis=-1, keepdims=True)
-
-    if kind == "simple_linear":
-        return RegressionModel(
-            kind=kind,
-            d=1,
-            mean=lambda th, x: coef(th, 0) * x[..., 0],
-            grad=lambda th, x: x[..., :1].copy(),
-            p=1,
-            linear=True,
-        )
-    if kind == "centered_linear":
-        if sample is None:
-            raise ValueError("centered_linear requires a sample to bind the covariate mean")
-        c = centre(sample.X[..., 0])
-
-        def _grad(th, x, c=c):
-            return np.stack([np.ones(x.shape[:-1]), x[..., 0] - c], axis=-1)
-
-        return RegressionModel(
-            kind=kind,
-            d=2,
-            mean=lambda th, x, c=c: coef(th, 0) + coef(th, 1) * (x[..., 0] - c),
-            grad=_grad,
-            p=1,
-            linear=True,
-        )
-    if kind == "bilinear2d":
-        if sample is None:
-            raise ValueError("bilinear2d requires a sample to bind the centering constants")
-        if sample.p != 2:
-            raise ConfigError(f"bilinear2d needs 2 covariate columns, the data have {sample.p}")
-        c1 = centre(sample.X[..., 0])
-        c2 = centre(sample.X[..., 1])
-        c12 = centre(sample.X[..., 0] * sample.X[..., 1])
-
-        def _grad2(th, x, c1=c1, c2=c2, c12=c12):
-            return np.stack(
-                [np.ones(x.shape[:-1]), x[..., 0] - c1, x[..., 1] - c2, x[..., 0] * x[..., 1] - c12], axis=-1
-            )
-
-        return RegressionModel(
-            kind=kind,
-            d=4,
-            mean=lambda th, x, c1=c1, c2=c2, c12=c12: (
-                coef(th, 0)
-                + coef(th, 1) * (x[..., 0] - c1)
-                + coef(th, 2) * (x[..., 1] - c2)
-                + coef(th, 3) * (x[..., 0] * x[..., 1] - c12)
-            ),
-            grad=_grad2,
-            p=2,
-            linear=True,
-        )
     if kind == "custom":
         if mean is None or grad is None or d is None:
             raise ValueError("custom models require mean, grad and d")
         return RegressionModel(kind=kind, d=d, mean=mean, grad=grad, linear=False)
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    p, intercept, regressors = KINDS[kind]
+    if sample is not None and sample.p != p:
+        plural = "s" if p > 1 else ""
+        raise ConfigError(f"{kind} needs {p} covariate column{plural}, the data have {sample.p}")
+
+    def product(x, r):  # the covariate columns r multiplied left to right
+        return reduce(mul, [x[..., j] for j in r])
+
+    if intercept:
+        if sample is None:
+            raise ValueError(f"{kind} requires a sample to bind the centering constants")
+        centres = [product(sample.X, r).mean(axis=-1, keepdims=True) for r in regressors]
+
+    def regressor(x, k):  # regressor k, centred if the kind has an intercept
+        value = product(x, regressors[k])
+        return value - centres[k] if intercept else value
+
+    def _mean(th, x):  # column by column; the column of ones adds theta_0 itself
+        total = th[..., 0, None] if intercept else th[..., 0, None] * regressor(x, 0)
+        for k in range(1 - intercept, len(regressors)):
+            total = total + th[..., k + intercept, None] * regressor(x, k)
+        return total
+
+    def _grad(th, x):  # filled in place, which keeps few (B, n) arrays of a block alive
+        g = np.empty(x.shape[:-1] + (intercept + len(regressors),))
+        if intercept:
+            g[..., 0] = 1.0
+        for k in range(len(regressors)):
+            g[..., intercept + k] = regressor(x, k)
+        return g
+
+    return RegressionModel(kind=kind, d=MODEL_KINDS[kind][1], mean=_mean, grad=_grad, linear=True)
 
 
 def _design_matrix(model: RegressionModel, theta: np.ndarray, sample: Sample) -> np.ndarray:
@@ -195,12 +186,13 @@ def fit_linear(model: RegressionModel, sample: Sample) -> FitResult:
     Solves through the thin SVD of the design, one per sample of a stack.
     Like ``numpy.linalg.lstsq``, singular values up to machine epsilon
     times max(n, d) times the largest count as zero; a design of lower
-    rank than d raises :class:`RankDeficiencyError`.
+    rank than d raises :class:`RankDeficiencyError`, and fewer than d + 1
+    observations raise :class:`ConfigError`.
     """
     if not model.linear:
         raise ValueError(f"fit_linear requires a linear model kind, got {model.kind!r}")
     if sample.n < model.d + 1:
-        raise ValueError(f"need n >= d + 1 observations, got n={sample.n}, d={model.d}")
+        raise ConfigError(f"need n >= d + 1 observations, got n={sample.n}, d={model.d}")
     design = _design_matrix(model, np.zeros(model.d), sample)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = np.sum(s > np.finfo(float).eps * max(sample.n, model.d) * s[..., :1], axis=-1)

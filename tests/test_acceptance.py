@@ -196,7 +196,7 @@ def test_exact_residual_covariance_identities():
             sample = Sample(x, model.mean(np.ones(model.d), x) + rng.standard_normal(n))
             fitres = fit(model, sample)
             score = score_basis(model, fitres, sample)
-            if model.p == 1 or model.p is None:
+            if sample.p == 1:
                 times = np.searchsorted(np.sort(x[:, 0]), x[:, 0], side="right") / n
                 reference = sample_on_points(make_basis(1, model.d), times)
             else:

@@ -412,13 +412,23 @@ class TestTestCommand:
         assert err.startswith("usage error:") and "foo" in err
 
     @pytest.mark.parametrize("command", ["test", "fit"])
-    def test_model_needing_more_covariate_columns_exits_one(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        ("model", "columns", "message"),
+        [
+            ("simple_linear", 2, "simple_linear needs 1 covariate column, the data have 2"),
+            ("centered_linear", 2, "centered_linear needs 1 covariate column, the data have 2"),
+            ("bilinear2d", 1, "bilinear2d needs 2 covariate columns, the data have 1"),
+        ],
+        ids=["simple_linear", "centered_linear", "bilinear2d"],
+    )
+    def test_wrong_covariate_column_count_exits_one(self, tmp_path, capsys, command, model, columns, message):
+        x = np.random.default_rng(4).uniform(0, 1, size=(12, columns))
         data = tmp_path / "d.csv"
-        data.write_text("\n".join(f"{a},{2 * a + 1}" for a in np.linspace(0, 1, 12)) + "\n")
-        argv = [command, str(data), "--model", "bilinear2d", "--seed", "1", "-o", str(tmp_path / "o")]
-        assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and "2 covariate columns" in err
+        data.write_text("".join(",".join(map(str, row)) + f",{2 * row[0] + 1}\n" for row in x))
+        out = tmp_path / "o"
+        assert run([command, str(data), "--model", model, "--seed", "1", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
 
 
 class TestAssignCommand:
@@ -451,6 +461,62 @@ class TestLimitsCommand:
         cov_lines = (out / "limit_covariance.csv").read_text().splitlines()
         assert cov_lines[0] == "s,t,cov"
         assert "basis:" in (out / "summary.txt").read_text()
+
+
+NON_FINITE_P1 = "0.1,1\n0.2,nan\n0.3,2\n0.5,3\n"
+NON_FINITE_P2 = "0.1,0.2,1\n0.2,0.3,inf\n0.3,0.1,2\n0.5,0.4,3\n0.6,0.9,1\n"
+TWO_ROWS_P2 = "0.1,0.2,1\n0.2,0.3,2\n"
+FOUR_ROWS_P2 = "0.1,0.2,1\n0.2,0.3,2\n0.3,0.1,2\n0.5,0.4,3\n"
+
+
+class TestInputErrorsExitOne:
+    """Bad data files and bad ``limits`` arguments are usage errors with a
+    message, and leave no output directory behind."""
+
+    @pytest.mark.parametrize(
+        ("text", "argv", "message"),
+        [
+            (NON_FINITE_P1, ["fit", "DATA", "--model", "centered_linear"], "d.csv: sample contains non-finite entries"),
+            (NON_FINITE_P1, ["test", "DATA", "--model", "simple_linear"], "d.csv: sample contains non-finite entries"),
+            (NON_FINITE_P2, ["fit", "DATA", "--model", "bilinear2d"], "d.csv: sample contains non-finite entries"),
+            (NON_FINITE_P2, ["test", "DATA", "--model", "bilinear2d"], "d.csv: sample contains non-finite entries"),
+            (TWO_ROWS_P2, ["fit", "DATA", "--model", "bilinear2d"], "d.csv: need n >= p + 1 observations, got n=2"),
+            (TWO_ROWS_P2, ["test", "DATA", "--model", "bilinear2d"], "d.csv: need n >= p + 1 observations, got n=2"),
+            (FOUR_ROWS_P2, ["fit", "DATA", "--model", "bilinear2d"], "need n >= d + 1 observations, got n=4, d=4"),
+            (FOUR_ROWS_P2, ["test", "DATA", "--model", "bilinear2d"], "need n >= d + 1 observations, got n=4, d=4"),
+            ("0.1,0.2\ninf,0.3\n0.3,0.1\n", ["assign", "DATA"], "d.csv: covariate points must be finite"),
+            ("", ["limits", "--steps", "0"], "--steps must be >= 1, got 0"),
+            ("", ["limits", "--steps", "-3"], "--steps must be >= 1, got -3"),
+            ("", ["limits", "--p", "0"], "p must be >= 1, got 0"),
+            ("", ["limits", "--d", "0"], "d must be >= 1, got 0"),
+            ("", ["limits", "--p", "2", "--d", "200"], "d=200 exceeds the 144 tensor products available for p=2"),
+        ],
+        ids=[
+            "fit-nan",
+            "test-nan",
+            "fit-inf",
+            "test-inf",
+            "fit-2-rows",
+            "test-2-rows",
+            "fit-4-rows",
+            "test-4-rows",
+            "assign-inf",
+            "limits-steps-0",
+            "limits-steps-negative",
+            "limits-p-0",
+            "limits-d-0",
+            "limits-d-200",
+        ],
+    )
+    def test_exits_one_with_a_usage_error(self, tmp_path, capsys, text, argv, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        out = tmp_path / "o"
+        argv = [str(data) if arg == "DATA" else arg for arg in argv] + ["--seed", "1", "-o", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not out.exists()
 
 
 class TestExitCodes:

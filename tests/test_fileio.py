@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from dfgof.errors import ConfigError
 from dfgof.fileio import (
+    _parse_rows,
     load_points,
     load_sample,
     write_ecdf,
@@ -190,6 +193,20 @@ class TestLoaders:
         with pytest.raises(ConfigError, match="not numeric"):
             load_sample(path)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("loader", [load_sample, load_points])
+    def test_non_finite_entry_rejected_naming_the_path(self, tmp_path, loader, field):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,2.0\n{field},3.0\n4.0,5.0\n")
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: ") + ".*finite"):
+            loader(path)
+
+    def test_too_few_rows_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: need n >= p + 1")):
+            load_sample(path)
+
 
 def _reference_rows(path, delimiter=","):
     # the line-by-line reader the loaders have always followed
@@ -257,13 +274,15 @@ FILES = {
 
 class TestLoaderMatchesLineReader:
     """Every file reads as the line-by-line reader reads it: the same bits,
-    or the same error with its line number."""
+    or the same error with its line number.  The rows come from the parser
+    both loaders share, which keeps non-finite fields; the loaders then
+    refuse them."""
 
     @pytest.mark.parametrize("name", sorted(FILES))
     def test_comma_files(self, tmp_path, name):
         path = tmp_path / "d.csv"
         path.write_bytes(FILES[name].encode())
-        assert _outcome(load_points, path, ",") == _outcome(_reference_rows, path, ",")
+        assert _outcome(_parse_rows, path, ",") == _outcome(_reference_rows, path, ",")
 
     @pytest.mark.parametrize("delimiter", ["\t", " ", "  ", ";"])
     @pytest.mark.parametrize(
@@ -272,7 +291,7 @@ class TestLoaderMatchesLineReader:
     def test_other_delimiters(self, tmp_path, delimiter, text):
         path = tmp_path / "d.txt"
         path.write_bytes(text.encode())
-        assert _outcome(load_points, path, delimiter) == _outcome(_reference_rows, path, delimiter)
+        assert _outcome(_parse_rows, path, delimiter) == _outcome(_reference_rows, path, delimiter)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -290,5 +309,5 @@ class TestLoaderMatchesLineReader:
         lines += [",".join(fmt(v) for v in row) for row in rows]
         path.write_text("\n".join(lines) + "\n")
         expected = np.array(rows, dtype=float)
-        assert load_points(path).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-        assert _outcome(load_points, path, ",") == _outcome(_reference_rows, path, ",")
+        assert _parse_rows(path, ",").view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert _outcome(_parse_rows, path, ",") == _outcome(_reference_rows, path, ",")

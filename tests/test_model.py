@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dfgof.errors import NumericalError, RankDeficiencyError, SingularMatrixError
+from dfgof.errors import ConfigError, NumericalError, RankDeficiencyError, SingularMatrixError
 from dfgof.model import (
+    MODEL_KINDS,
     FitResult,
     RegressionModel,
     Sample,
@@ -210,6 +211,70 @@ class TestScoreBasis:
         )
         with pytest.raises(NumericalError):
             score_basis(model, bad_fit, sample)
+
+
+def _closed_form(kind, bound, theta, x):
+    """The mean and gradient at x of each built-in kind, written out by hand,
+    with the centering constants taken from the covariates ``bound``."""
+
+    def coef(k):
+        return theta[..., k, None]
+
+    def centre(values):
+        return values.mean(axis=-1, keepdims=True)
+
+    if kind == "simple_linear":
+        return coef(0) * x[..., 0], x[..., :1]
+    u1 = x[..., 0] - centre(bound[..., 0])
+    ones = np.ones(x.shape[:-1])
+    if kind == "centered_linear":
+        return coef(0) + coef(1) * u1, np.stack([ones, u1], axis=-1)
+    u2 = x[..., 1] - centre(bound[..., 1])
+    u12 = x[..., 0] * x[..., 1] - centre(bound[..., 0] * bound[..., 1])
+    mean = coef(0) + coef(1) * u1 + coef(2) * u2 + coef(3) * u12
+    return mean, np.stack([ones, u1, u2, u12], axis=-1)
+
+
+class TestBuiltinKinds:
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["single", "stack"])
+    @pytest.mark.parametrize(("kind", "p", "d"), [("simple_linear", 1, 1), ("centered_linear", 1, 2), ("bilinear2d", 2, 4)])
+    def test_mean_and_grad_are_the_closed_forms(self, kind, p, d, shape):
+        rng = np.random.default_rng(21)
+        bound = rng.uniform(0.1, 1.9, size=shape + (15, p))
+        sample = Sample(bound, np.zeros(shape + (15,)))
+        model = build_model(kind, sample)
+        assert MODEL_KINDS[kind] == (sample.p, model.d) == (p, d)
+        for theta in (rng.uniform(-2, 2, size=d), rng.uniform(-2, 2, size=shape + (d,))):
+            for x in (bound, rng.uniform(-1, 3, size=bound.shape)):
+                mean, grad = _closed_form(kind, bound, theta, x)
+                assert np.array_equal(model.mean(theta, x), mean)
+                assert np.array_equal(model.grad(theta, x), grad)
+
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["single", "stack"])
+    @pytest.mark.parametrize(
+        ("kind", "p", "message"),
+        [
+            ("simple_linear", 2, "simple_linear needs 1 covariate column, the data have 2"),
+            ("centered_linear", 3, "centered_linear needs 1 covariate column, the data have 3"),
+            ("bilinear2d", 1, "bilinear2d needs 2 covariate columns, the data have 1"),
+        ],
+        ids=["simple_linear", "centered_linear", "bilinear2d"],
+    )
+    def test_mismatched_sample_raises_config_error(self, kind, p, message, shape):
+        x = np.random.default_rng(2).uniform(size=shape + (10, p))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build_model(kind, Sample(x, np.zeros(shape + (10,))))
+
+    def test_only_kinds_with_an_intercept_need_a_sample(self):
+        x = np.array([[0.5], [2.0]])
+        assert np.array_equal(build_model("simple_linear").mean(np.array([3.0]), x), [1.5, 6.0])
+        for kind in ("centered_linear", "bilinear2d"):
+            with pytest.raises(ValueError, match=f"^{kind} requires a sample"):
+                build_model(kind)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown model kind 'quadratic'"):
+            build_model("quadratic")
 
 
 class TestInvariants:
