@@ -44,7 +44,7 @@ from .process import (
     process_plan,
 )
 from .rotations import OrthonormalSet, RotationPlan, apply_plan, build_plan, gram_schmidt, reflect
-from .transform import TransformedResiduals, transform_matrix, transform_residuals
+from .transform import TransformedResiduals, transform_residuals
 from .transport import (
     AnchorSet,
     Assignment,
@@ -107,7 +107,6 @@ __all__ = [
     "simulate_null",
     "simulate_power",
     "solve_assignment",
-    "transform_matrix",
     "transform_residuals",
     "transported_points",
 ]

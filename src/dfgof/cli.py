@@ -47,6 +47,7 @@ from .harness import (
 )
 from .model import MODEL_KINDS, build_model, fit
 from .process import (
+    GRID_GUARD,
     Ecdf,
     ecdf_sup_distance,
     ecdf_vs_cdf_sup,
@@ -128,11 +129,8 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
             kwargs[key] = _parse_design(raw)
         elif key in _INT_KEYS:
             kwargs[key] = _parse_int(key, raw)
-        elif key in ("theta_true", "probe_times"):
-            if raw.strip().lower() in ("", "auto"):
-                kwargs[key] = None if key == "theta_true" else ()
-            else:
-                kwargs[key] = _parse_float_tuple(key, raw)
+        elif key == "theta_true":
+            kwargs[key] = None if raw.strip().lower() in ("", "auto") else _parse_float_tuple(key, raw)
         else:
             kwargs[key] = raw.strip()
 
@@ -191,8 +189,6 @@ def echo_config(config: ExperimentConfig) -> str:
     lines.append(f"theta_true = {', '.join(_fmt_float(v) for v in config.theta_true)}")
     if config.grid is not None:
         lines.append(f"grid = {config.grid}")
-    if config.probe_times:
-        lines.append(f"probe_times = {', '.join(_fmt_float(v) for v in config.probe_times)}")
     if config.alternative is not None:
         lines += [
             "",
@@ -432,6 +428,9 @@ def _cmd_limits(args) -> None:
         basis = make_basis(args.p, args.d)
     except ValueError as exc:  # p, d or the tensor products they need
         raise ConfigError(str(exc)) from None
+    if args.p >= 2 and 16**args.p > GRID_GUARD:
+        # (4^p)^2 pairs of points, one limit_covariance call each
+        raise ConfigError(f"--p {args.p} gives 16^{args.p} covariance rows, more than the {GRID_GUARD} guard")
     outdir = _resolve_outdir(args)
     xs = np.arange(0, args.steps + 1) * (2.5 / args.steps)
     write_table(

@@ -11,9 +11,9 @@ replications b * BLOCK up to (b + 1) * BLOCK - 1, the last block fewer.
 Replication i draws X and then its errors from its own RNG stream, derived
 from (seed, design id, variant tag, i), and each block stacks its draws
 along a leading sample axis.  Fit, score and reference sets, reflection
-chains, both processes, their statistics and the probes then run once per
-block over that axis, and every sample gets the numbers it would get on its
-own.  The block boundaries depend on the replication count alone, never on
+chains, both processes and their statistics then run once per block over
+that axis, and every sample gets the numbers it would get on its own.  The
+block boundaries depend on the replication count alone, never on
 the worker count: the process pool hands out whole blocks, so results are
 bit-identical for any number of workers.  ``run_experiments`` runs the
 blocks of several single-design configs as one task list, such as every
@@ -147,7 +147,6 @@ class ExperimentConfig:
     grid: int | None = None
     error_law: str = "normal"
     theta_true: tuple[float, ...] | None = None
-    probe_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         design = (self.design,) if isinstance(self.design, str) else tuple(self.design)
@@ -188,10 +187,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"psi {self.alternative.psi!r} needs p={PSI_FUNCTIONS[self.alternative.psi]}, model has p={p}"
                 )
-        probe = tuple(float(t) for t in self.probe_times)
-        if probe and (p != 1 or not all(0.0 <= t <= 1.0 for t in probe)):
-            raise ConfigError("probe_times require a 1-dimensional design and values in [0, 1]")
-        object.__setattr__(self, "probe_times", probe)
 
     @property
     def p(self) -> int:
@@ -457,16 +452,6 @@ def pipeline_processes(
     return residual_statistics(geometry, fitres.residuals[..., None], "transformed")[1]
 
 
-def _probe(proc: StepProcess, t: float) -> float | np.ndarray:
-    """p = 1 process value at time t: the value at the last evaluation
-    point <= t (the first point if none is)."""
-    times = proc.eval_points[..., 0]
-    last = np.maximum(np.count_nonzero(times <= t, axis=-1) - 1, 0)
-    if not proc.stacked:
-        return float(proc.eval_values[last])
-    return np.take_along_axis(proc.eval_values, last[:, None], axis=1)[:, 0]
-
-
 def pipeline_records(
     model: RegressionModel,
     sample: Sample,
@@ -474,16 +459,11 @@ def pipeline_records(
     *,
     anchor_set: AnchorSet | None = None,
     grid: int | None = None,
-    probe_times: tuple[float, ...] = (),
 ) -> dict[str, float] | dict[str, np.ndarray]:
     """Statistics of the transformed and raw residual processes for one
     fitted sample (floats), or for each sample of a fitted stack (arrays
     with one entry per sample)."""
-    procs = pipeline_processes(model, sample, fitres, anchor_set=anchor_set, grid=grid)
-    record = process_statistics(procs)
-    for i, t in enumerate(probe_times):
-        record[f"probe.{i}"] = _probe(procs["transformed"], t)
-    return record
+    return process_statistics(pipeline_processes(model, sample, fitres, anchor_set=anchor_set, grid=grid))
 
 
 def _draws(config: ExperimentConfig, design_id: str, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -508,9 +488,7 @@ def _stack_records(config: ExperimentConfig, draws: list[tuple[np.ndarray, np.nd
     sample = Sample(x, signal + errors)
     fitres = fit(model, sample)
     anchor_set = fixed_anchors(config.n, config.p, config.anchors, config.seed) if config.p >= 2 else None
-    return pipeline_records(
-        model, sample, fitres, anchor_set=anchor_set, grid=config.grid, probe_times=config.probe_times
-    )
+    return pipeline_records(model, sample, fitres, anchor_set=anchor_set, grid=config.grid)
 
 
 def _block(config: ExperimentConfig, design_id: str, start: int) -> tuple[dict[str, np.ndarray], int]:
@@ -551,11 +529,6 @@ class ExperimentResult:
         process = process or self.config.process
         statistic = statistic or self.config.statistic
         return Ecdf(self.columns[f"{process}.{statistic}"])
-
-    def probes(self) -> np.ndarray:
-        keys = [k for k in self.columns if k.startswith("probe.")]
-        keys.sort(key=lambda k: int(k.split(".")[1]))
-        return np.column_stack([self.columns[k] for k in keys])
 
 
 def _task(task: tuple[ExperimentConfig, str, int]) -> tuple[dict[str, np.ndarray], int]:

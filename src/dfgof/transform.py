@@ -24,8 +24,6 @@ import numpy as np
 
 from .rotations import OrthonormalSet, apply_plan, build_plan
 
-DENSE_GUARD = 2000  # transform_matrix materializes an n x n array
-
 
 @dataclass(frozen=True, eq=False)
 class TransformedResiduals:
@@ -60,17 +58,3 @@ def transform_residuals(
         )
     return TransformedResiduals(values=apply_plan(build_plan(score_set, reference_set), residuals))
 
-
-def transform_matrix(score_set: OrthonormalSet, reference_set: OrthonormalSet) -> np.ndarray:
-    """Dense matrix A mapping error vectors to transformed residuals for
-    models whose residuals are an exact projection (linear kinds).
-
-    A = (rotation carrying score_k -> ref_k) @ (I - sum_k score_k score_k^T),
-    so A @ A.T = I - sum_k ref_k ref_k^T holds as an exact matrix identity.
-    Intended for tests; guarded against large n.
-    """
-    n = score_set.length
-    if n > DENSE_GUARD:
-        raise ValueError(f"n={n} exceeds the dense materialization guard ({DENSE_GUARD})")
-    projector = np.eye(n) - score_set.vectors.T @ score_set.vectors
-    return apply_plan(build_plan(score_set, reference_set), projector)

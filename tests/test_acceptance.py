@@ -27,17 +27,20 @@ import pytest
 from dfgof.basis import make_basis, sample_on_points
 from dfgof.fileio import write_ecdf, write_table
 from dfgof.harness import (
+    BLOCK,
     AlternativeSpec,
     ExperimentConfig,
+    _draws,
     _psi_values,
     _variant_tag,
     covariate_design,
+    fixed_anchors,
+    pipeline_processes,
     run_experiment,
 )
 from dfgof.model import Sample, build_model, fit, score_basis
-from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup, kolmogorov_cdf
+from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup, kolmogorov_cdf, limit_covariance
 from dfgof.seeding import rng_for, seed_sequence
-from dfgof.transform import transform_matrix
 from dfgof.transport import (
     brute_force_assignment,
     generate_anchors,
@@ -45,6 +48,7 @@ from dfgof.transport import (
     solve_assignment,
     transported_points,
 )
+from oracles import transform_matrix
 
 pytestmark = pytest.mark.acceptance
 
@@ -55,7 +59,10 @@ SEED_POWER = 60606
 
 P1_DESIGNS = ("uniform_0_2", "normal_1_2")
 P2_DESIGNS = ("beta_dep_a", "beta_dep_b", "beta_indep")
-PROBE_TIMES = (0.2, 0.4, 0.6, 0.8)
+# interior times of the p = 1 covariance check, and (i, j) of the p = 2
+# lattice nodes (i/63, j/63) of its counterpart
+COV_TIMES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+COV_NODES = ((16, 16), (16, 48), (32, 32), (48, 16), (48, 48), (21, 42))
 
 # Barrier shift of a Brownian maximum observed on a grid of step 1/n:
 # -zeta(1/2) / sqrt(2 pi) (Siegmund 1985; Broadie, Glasserman & Kou 1997).
@@ -118,24 +125,6 @@ def bivariate_null_runs(workdirs):
             res = run_experiment(cfg, workers=workers)
             _dump(res, outdir, f"null_bivariate_{design}")
             runs[workers][design] = res
-    return runs
-
-
-@pytest.fixture(scope="module")
-def covariance_runs(workdirs):
-    runs = {}
-    for workers, outdir in workdirs.items():
-        cfg = ExperimentConfig(
-            design=("uniform_0_2",),
-            model="simple_linear",
-            n=300,
-            reps=20000,
-            seed=SEED_COV,
-            probe_times=PROBE_TIMES,
-        )
-        res = run_experiment(cfg, workers=workers)
-        _dump(res, outdir, "process_covariance")
-        runs[workers] = res
     return runs
 
 
@@ -322,22 +311,81 @@ def test_assignment_solver_exact_on_enumerable_instances(workdirs):
     assert elapsed < 10.0
 
 
-def test_transformed_process_covariance_matches_bridge(covariance_runs):
-    """Empirical covariance of the transformed process at 4 interior times
-    equals min(s,t) - s t within 0.03 (n=300, 20000 replications)."""
-    res = covariance_runs[2]
-    probes = res.probes()
-    emp = np.cov(probes, rowvar=False)
-    target = np.array([[min(s, t) - s * t for t in PROBE_TIMES] for s in PROBE_TIMES])
+def _transformed_processes(config: ExperimentConfig):
+    """The stacked transformed process of each block of a null run's
+    replications, drawn from the run's own streams."""
+    anchor_set = fixed_anchors(config.n, config.p, config.anchors, config.seed) if config.p >= 2 else None
+    for start in range(0, config.reps, BLOCK):
+        draws = [_draws(config, config.design[0], i) for i in range(start, min(start + BLOCK, config.reps))]
+        x = np.stack([xi for xi, _ in draws])
+        errors = np.stack([ei for _, ei in draws])
+        model = build_model(config.model, Sample(x, np.zeros(errors.shape)))
+        sample = Sample(x, model.mean(np.asarray(config.theta_true), x) + errors)
+        fitres = fit(model, sample)
+        yield pipeline_processes(model, sample, fitres, anchor_set=anchor_set, grid=config.grid)["transformed"]
+
+
+def test_transformed_process_covariance_matches_bridge():
+    """Empirical covariance of the transformed process at 9 interior times
+    equals min(s,t) - s t within 0.03 (n=300, 20000 replications), and the
+    process ends at 0 in every sample."""
+    cfg = ExperimentConfig(design=("uniform_0_2",), model="simple_linear", n=300, reps=20000, seed=SEED_COV)
+    start = time.perf_counter()
+    # without ties the evaluation points are 0, 1/n, ..., 1: time t is column round(t n)
+    columns = [round(t * cfg.n) for t in COV_TIMES]
+    values, ends = [], 0.0
+    for proc in _transformed_processes(cfg):
+        assert np.all(proc.eval_points[:, columns, 0] == COV_TIMES)
+        values.append(proc.eval_values[:, columns])
+        # the constant direction is removed, so the process ends at 0
+        ends = max(ends, float(np.abs(proc.eval_values[:, -1]).max()))
+    elapsed = time.perf_counter() - start
+    emp = np.cov(np.concatenate(values), rowvar=False)
+    target = np.array([[min(s, t) - s * t for t in COV_TIMES] for s in COV_TIMES])
     err = float(np.abs(emp - target).max())
-    ok = err < 0.03 and res.elapsed < 300.0
+    ok = err < 0.03 and ends < 1e-8 and elapsed < 300.0
     _report(
         "transformed process covariance (n=300, 20000 reps)",
         ok,
-        f"max |cov - (min(s,t) - st)| = {err:.4f} (< 0.03), elapsed {res.elapsed:.1f}s (< 300s)",
+        f"max |cov - (min(s,t) - st)| = {err:.4f} (< 0.03), max |value at t=1| {ends:.1e} (< 1e-8), "
+        f"elapsed {elapsed:.1f}s (< 300s)",
     )
     assert err < 0.03
-    assert res.elapsed < 300.0
+    assert ends < 1e-8
+    assert elapsed < 300.0
+
+
+@pytest.mark.parametrize("design", ["beta_dep_a", "beta_indep"])
+def test_bivariate_process_covariance_matches_limit(design):
+    """Empirical covariance of the transformed bilinear2d process at 6
+    lattice nodes equals limit_covariance within 0.03 (n=200, 1000
+    replications), and the process is 0 at the corner (1, 1)."""
+    cfg = ExperimentConfig(design=(design,), model="bilinear2d", n=200, reps=1000, seed=SEED_COV)
+    m = cfg.grid
+    start = time.perf_counter()
+    # the lattice follows the n scan points, node (i, j) at index i m + j
+    columns = [cfg.n + i * m + j for i, j in COV_NODES]
+    nodes = np.array(COV_NODES) / (m - 1)
+    values, corners = [], 0.0
+    for proc in _transformed_processes(cfg):
+        assert np.all(proc.eval_points[:, columns] == nodes)
+        assert np.all(proc.eval_points[:, -1] == 1.0)
+        values.append(proc.eval_values[:, columns])
+        corners = max(corners, float(np.abs(proc.eval_values[:, -1]).max()))
+    elapsed = time.perf_counter() - start
+    emp = np.cov(np.concatenate(values), rowvar=False)
+    basis = make_basis(cfg.p, cfg.d)
+    target = np.array([[limit_covariance(x, y, basis) for y in nodes] for x in nodes])
+    err = float(np.abs(emp - target).max())
+    ok = err < 0.03 and corners < 1e-8
+    _report(
+        f"bivariate transformed process covariance ({design}, n=200, 1000 reps)",
+        ok,
+        f"max |cov - limit_covariance| = {err:.4f} (< 0.03), max |value at (1, 1)| {corners:.1e} (< 1e-8), "
+        f"elapsed {elapsed:.1f}s",
+    )
+    assert err < 0.03
+    assert corners < 1e-8
 
 
 def _mean_orthogonal_norm(config: ExperimentConfig) -> float:
@@ -396,7 +444,7 @@ def test_power_floors_against_mean_shifts(power_runs):
 
 
 def test_bitwise_determinism_across_worker_counts(
-    workdirs, univariate_null_runs, bivariate_null_runs, covariance_runs, power_runs
+    workdirs, univariate_null_runs, bivariate_null_runs, power_runs
 ):
     """The same seeds with 1 or 2 workers produce byte-identical output files."""
     files1 = sorted(f.name for f in workdirs[1].iterdir())

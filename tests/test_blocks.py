@@ -26,9 +26,7 @@ def _records_by_index(result):
 @pytest.mark.parametrize(
     "config",
     [
-        ExperimentConfig(
-            design=("normal_1_2",), model="centered_linear", n=30, reps=1, seed=41, probe_times=(0.25, 0.5)
-        ),
+        ExperimentConfig(design=("normal_1_2",), model="centered_linear", n=30, reps=1, seed=41),
         ExperimentConfig(design=("beta_dep_a",), model="bilinear2d", n=24, reps=1, seed=42),
     ],
     ids=["p1", "p2"],
@@ -102,7 +100,7 @@ def test_each_stacked_layer_matches_single_samples(kind, n, size, seed, tied):
     transformed = transform_residuals(fitres.residuals, scores, references).values
     process = build_process(transformed, geometry.points)
     stats = ks_statistics(process)
-    records = pipeline_records(model, stack, fitres, anchor_set=anchors, probe_times=(0.3, 0.9) if stack.p == 1 else ())
+    records = pipeline_records(model, stack, fitres, anchor_set=anchors)
     for b, (single_model, sample) in enumerate(singles):
         one = fit(single_model, sample)
         _equal(fitres.theta_hat[b], one.theta_hat, "theta_hat")
@@ -123,9 +121,7 @@ def test_each_stacked_layer_matches_single_samples(kind, n, size, seed, tied):
         _equal(process.eval_values[b][distinct], one_process.eval_values, "process values")
         for name, value in ks_statistics(one_process).items():
             _equal(stats[name][b], value, name)
-        one_records = pipeline_records(
-            single_model, sample, one, anchor_set=anchors, probe_times=(0.3, 0.9) if stack.p == 1 else ()
-        )
+        one_records = pipeline_records(single_model, sample, one, anchor_set=anchors)
         assert records.keys() == one_records.keys()
         for key, value in one_records.items():
             _equal(records[key][b], value, key)

@@ -192,6 +192,12 @@ class TestSimulateCommand:
         assert run(["simulate", cfg, "-o", str(tmp_path / "o")]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_probe_times_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "a.cfg", BASIC + "probe_times = 0.25, 0.5\n")
+        assert run(["simulate", cfg, "-o", str(tmp_path / "o")]) == 1
+        assert "unknown key 'probe_times' in [experiment]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_exits_one(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", BASIC)
         assert run(["simulate", cfg, "--frobnicate"]) == 1
@@ -490,6 +496,7 @@ class TestInputErrorsExitOne:
             ("", ["limits", "--p", "0"], "p must be >= 1, got 0"),
             ("", ["limits", "--d", "0"], "d must be >= 1, got 0"),
             ("", ["limits", "--p", "2", "--d", "200"], "d=200 exceeds the 144 tensor products available for p=2"),
+            ("", ["limits", "--p", "5"], "--p 5 gives 16^5 covariance rows, more than the 1000000 guard"),
         ],
         ids=[
             "fit-nan",
@@ -506,6 +513,7 @@ class TestInputErrorsExitOne:
             "limits-p-0",
             "limits-d-0",
             "limits-d-200",
+            "limits-p-5",
         ],
     )
     def test_exits_one_with_a_usage_error(self, tmp_path, capsys, text, argv, message):

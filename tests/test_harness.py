@@ -107,11 +107,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="amplitude"):
             AlternativeSpec(psi="x_squared", amplitude=float("nan"))
 
-    @pytest.mark.parametrize("times", [(1.5,), (0.5, float("nan"))])
-    def test_probe_times_outside_unit_interval_rejected(self, times):
-        with pytest.raises(ConfigError, match="probe_times"):
-            small_config(probe_times=times)
-
     @pytest.mark.parametrize(("grid", "message"), [(1, "grid must be >= 2"), (1001, r"lattice of 1001\^2 points")])
     def test_grid_checked(self, grid, message):
         with pytest.raises(ConfigError, match=message):
@@ -186,14 +181,6 @@ class TestRunExperiment:
         for kind in ("transformed", "raw"):
             for stat in STATISTICS:
                 assert f"{kind}.{stat}" in res.columns
-
-    def test_probe_values_match_process_definition(self):
-        cfg = small_config(reps=3, probe_times=(0.5, 1.0))
-        res = run_experiment(cfg)
-        probes = res.probes()
-        assert probes.shape == (3, 2)
-        # final process value vanishes: the constant direction is removed
-        assert np.abs(probes[:, 1]).max() < 1e-8
 
     def test_multi_design_config_rejected_at_run(self):
         cfg = small_config(design=("uniform_0_2", "normal_1_2"))

@@ -335,27 +335,6 @@ class TestKolmogorovCdf:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-class TestMonteCarloProcessCovariance:
-    def test_transformed_process_covariance_on_interior_grid(self):
-        # simple linear null: covariance of the transformed process at a
-        # 5x5 grid of interior times must match the bridge min(s,t) - s t
-        from dfgof.harness import ExperimentConfig, run_experiment
-
-        times = (0.1, 0.3, 0.5, 0.7, 0.9)
-        cfg = ExperimentConfig(
-            design=("uniform_0_2",),
-            model="simple_linear",
-            n=300,
-            reps=20000,
-            seed=424242,
-            probe_times=times,
-        )
-        res = run_experiment(cfg, workers=2)
-        emp = np.cov(res.probes(), rowvar=False)
-        target = np.array([[min(s, t) - s * t for t in times] for s in times])
-        assert np.abs(emp - target).max() < 0.03
-
-
 class TestLimitCovariance:
     def test_brownian_bridge_for_constant_basis(self):
         basis = make_basis(1, 1)
