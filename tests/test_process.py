@@ -335,6 +335,33 @@ class TestKolmogorovCdf:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+class TestMonteCarloProcessCovariance:
+    def test_transformed_process_covariance_on_interior_grid(self):
+        # simple linear null on a normal design: covariance of the transformed
+        # process at a 5x5 grid of interior times must match the bridge
+        # min(s,t) - s t, whatever the law of the covariate
+        from dfgof.harness import BLOCK, ExperimentConfig, _draws, pipeline_processes
+        from dfgof.model import Sample, build_model, fit
+
+        times = (0.1, 0.3, 0.5, 0.7, 0.9)
+        cfg = ExperimentConfig(design=("normal_1_2",), model="simple_linear", n=300, reps=20000, seed=424242)
+        # without ties the evaluation points are 0, 1/n, ..., 1: time t is column round(t n)
+        columns = [round(t * cfg.n) for t in times]
+        values = []
+        for start in range(0, cfg.reps, BLOCK):
+            draws = [_draws(cfg, cfg.design[0], i) for i in range(start, min(start + BLOCK, cfg.reps))]
+            x = np.stack([xi for xi, _ in draws])
+            errors = np.stack([ei for _, ei in draws])
+            model = build_model(cfg.model, Sample(x, np.zeros(errors.shape)))
+            sample = Sample(x, model.mean(np.asarray(cfg.theta_true), x) + errors)
+            proc = pipeline_processes(model, sample, fit(model, sample))["transformed"]
+            assert np.all(proc.eval_points[:, columns, 0] == times)
+            values.append(proc.eval_values[:, columns])
+        emp = np.cov(np.concatenate(values), rowvar=False)
+        target = np.array([[min(s, t) - s * t for t in times] for s in times])
+        assert np.abs(emp - target).max() < 0.03
+
+
 class TestLimitCovariance:
     def test_brownian_bridge_for_constant_basis(self):
         basis = make_basis(1, 1)
