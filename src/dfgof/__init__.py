@@ -52,7 +52,6 @@ from .transport import (
     generate_anchors,
     rescale_unit_cube,
     solve_assignment,
-    transported_points,
 )
 
 __version__ = "0.1.0"
@@ -108,5 +107,4 @@ __all__ = [
     "simulate_power",
     "solve_assignment",
     "transform_residuals",
-    "transported_points",
 ]

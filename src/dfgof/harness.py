@@ -17,9 +17,10 @@ block boundaries depend on the replication count alone, never on
 the worker count: the process pool hands out whole blocks, so results are
 bit-identical for any number of workers.  ``run_experiments`` runs the
 blocks of several single-design configs as one task list, such as every
-design of a command, or the null and alternative runs of ``power``; with
-workers > 1 one process pool serves the whole list and lives for that call
-only.  Per-sample Python work is left where the data force it: each
+design of a command, or the null and alternative runs of ``power``; one
+process pool of at most ``workers`` processes, and no more than the tasks
+or the cores, serves the whole list and lives for that call only.
+Per-sample Python work is left where the data force it: each
 replication's stream, draws and centering constants, and for p >= 2 the
 optimal assignment and the setup of the dominance sweep of each sample.  A
 block in which a sample fails (rank-deficient fit, too few distinct
@@ -30,17 +31,20 @@ the run.
 The per-sample pipeline has two halves.  ``fixed_geometry`` holds all that
 is fixed given X and the fitted score span: the scan points (for p >= 2
 the rescale and the optimal assignment), the score and reference sets, and
-one process plan per set of scan points (``process.process_plan``).
-Every residual, score and reference vector stays in data row order; only
-the scan points differ between p = 1 and p >= 2.  ``residual_statistics``
-is the one evaluator of residuals on a geometry: one reflection plan per
-sample maps every column of a residual matrix, or of a stack of them, and
-a column gets the same numbers whatever the other columns are.  A
-simulation block evaluates its fitted residuals as one column
-(``pipeline_processes``).  The ``dfgof test`` bootstrap keeps X fixed,
-builds the geometry once and evaluates the observed residual and all
-bootstrap residuals as the columns of one matrix (``bootstrap_residuals``),
-so its observed statistics are what a simulation records for that sample.
+one process plan per set of scan points.  At p = 1 ``process.ecdf_plan``
+sorts each sample's covariate once for its empirical-CDF times and their
+plan; at p >= 2 ``process.process_plan`` plans the matched anchors and
+the rescaled covariates.  Every residual, score and reference vector
+stays in data row order; only the scan points differ between p = 1 and
+p >= 2.  ``residual_statistics`` is the one evaluator of residuals on a
+geometry: one reflection plan per sample maps every column of a residual
+matrix, or of a stack of them, and a column gets the same numbers
+whatever the other columns are.  A simulation block evaluates its fitted
+residuals as one column (``pipeline_processes``).  The ``dfgof test``
+bootstrap keeps X fixed, builds the geometry once and evaluates the
+observed residual and all bootstrap residuals as the columns of one
+matrix (``bootstrap_residuals``), so its observed statistics are what a
+simulation records for that sample.
 The bootstrap columns are built in as few processes as keep evaluation
 points times columns within EVAL_ENTRIES.  The Halton anchor net does not
 depend on the seed, so ``fixed_anchors`` keeps one net, with its
@@ -50,6 +54,7 @@ assignment hierarchy, per (n, p) for every seed.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Sequence
@@ -66,29 +71,41 @@ from .process import (
     ProcessPlan,
     StepProcess,
     build_process,
+    ecdf_plan,
     ks_statistics,
     lattice_resolution,
     process_plan,
-    tie_last,
 )
 from .rotations import OrthonormalSet
 from .seeding import rng_for, seed_sequence
 from .transform import transform_residuals
-from .transport import AnchorSet, generate_anchors, rescale_unit_cube, solve_assignment, transported_points
+from .transport import AnchorSet, generate_anchors, rescale_unit_cube, solve_assignment
 
+
+def _beta_dep(n: int, rng: np.random.Generator, swap: bool) -> np.ndarray:
+    """x1 ~ U(0, 1) and x2 | x1 ~ Beta(8 (1 - x1), 8 x1), or with the two
+    shape parameters swapped."""
+    x1 = rng.uniform(0.0, 1.0, size=n)
+    a = np.maximum(8.0 * (1.0 - x1), 1e-12)
+    b = np.maximum(8.0 * x1, 1e-12)
+    return np.column_stack([x1, rng.beta(b, a) if swap else rng.beta(a, b)])
+
+
+# design id: (p, the (n, p) covariates drawn from a generator)
 DESIGNS = {
-    "uniform_0_2": 1,
-    "normal_1_2": 1,
-    "beta_dep_a": 2,
-    "beta_dep_b": 2,
-    "beta_indep": 2,
+    "uniform_0_2": (1, lambda n, rng: rng.uniform(0.0, 2.0, size=n)[:, None]),
+    "normal_1_2": (1, lambda n, rng: (1.0 + math.sqrt(2.0) * rng.standard_normal(n))[:, None]),
+    "beta_dep_a": (2, lambda n, rng: _beta_dep(n, rng, swap=False)),
+    "beta_dep_b": (2, lambda n, rng: _beta_dep(n, rng, swap=True)),
+    "beta_indep": (2, lambda n, rng: np.column_stack([rng.beta(0.35, 0.35, size=n), rng.beta(0.2, 0.2, size=n)])),
 }
 
+# psi id: (p, the mean shift at covariates (..., p))
 PSI_FUNCTIONS = {
-    "x_squared": 1,  # p
-    "x2_squared": 2,
-    "x2_cubed": 2,
-    "sin_half_pi_x2": 2,
+    "x_squared": (1, lambda x: x[..., 0] ** 2),
+    "x2_squared": (2, lambda x: x[..., 1] ** 2),
+    "x2_cubed": (2, lambda x: x[..., 1] ** 3),
+    "sin_half_pi_x2": (2, lambda x: np.sin(0.5 * math.pi * x[..., 1])),
 }
 
 ERROR_LAWS = ("normal", "uniform")
@@ -159,7 +176,7 @@ class ExperimentConfig:
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}; known: {sorted(MODEL_KINDS)}")
         p, d = MODEL_KINDS[self.model]
-        if any(DESIGNS[dd] != p for dd in design):
+        if any(DESIGNS[dd][0] != p for dd in design):
             raise ConfigError(f"model {self.model!r} needs {p}-dimensional designs, got {design}")
         if self.n < 10:
             raise ConfigError(f"n must be >= 10, got {self.n}")
@@ -183,10 +200,9 @@ class ExperimentConfig:
             raise ConfigError("theta_true contains non-finite entries")
         object.__setattr__(self, "theta_true", theta)
         if self.alternative is not None:
-            if PSI_FUNCTIONS[self.alternative.psi] != p:
-                raise ConfigError(
-                    f"psi {self.alternative.psi!r} needs p={PSI_FUNCTIONS[self.alternative.psi]}, model has p={p}"
-                )
+            psi_p = PSI_FUNCTIONS[self.alternative.psi][0]
+            if psi_p != p:
+                raise ConfigError(f"psi {self.alternative.psi!r} needs p={psi_p}, model has p={p}")
 
     @property
     def p(self) -> int:
@@ -200,33 +216,14 @@ class ExperimentConfig:
         return replace(self, design=(design_id,))
 
 
-def _sample_design(design_id: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    if design_id == "uniform_0_2":
-        return rng.uniform(0.0, 2.0, size=n)[:, None]
-    if design_id == "normal_1_2":
-        return (1.0 + math.sqrt(2.0) * rng.standard_normal(n))[:, None]
-    if design_id == "beta_dep_a":
-        x1 = rng.uniform(0.0, 1.0, size=n)
-        a = np.maximum(8.0 * (1.0 - x1), 1e-12)
-        b = np.maximum(8.0 * x1, 1e-12)
-        return np.column_stack([x1, rng.beta(a, b)])
-    if design_id == "beta_dep_b":
-        x1 = rng.uniform(0.0, 1.0, size=n)
-        a = np.maximum(8.0 * x1, 1e-12)
-        b = np.maximum(8.0 * (1.0 - x1), 1e-12)
-        return np.column_stack([x1, rng.beta(a, b)])
-    if design_id == "beta_indep":
-        return np.column_stack([rng.beta(0.35, 0.35, size=n), rng.beta(0.2, 0.2, size=n)])
-    raise ConfigError(f"unknown design id {design_id!r}; known: {sorted(DESIGNS)}")
-
-
 def covariate_design(design_id: str, n: int, p: int | None = None, seed=None) -> np.ndarray:
     """Draw the n x p covariate matrix of a built-in design, deterministically per seed."""
     if design_id not in DESIGNS:
         raise ConfigError(f"unknown design id {design_id!r}; known: {sorted(DESIGNS)}")
-    if p is not None and p != DESIGNS[design_id]:
-        raise ConfigError(f"design {design_id!r} has dimension {DESIGNS[design_id]}, not {p}")
-    return _sample_design(design_id, n, np.random.default_rng(seed))
+    dim, draw = DESIGNS[design_id]
+    if p is not None and p != dim:
+        raise ConfigError(f"design {design_id!r} has dimension {dim}, not {p}")
+    return draw(n, np.random.default_rng(seed))
 
 
 def _draw_errors(law: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -234,18 +231,6 @@ def _draw_errors(law: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(n)
     # uniform(-sqrt(3), sqrt(3)): mean 0, variance 1
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=n)
-
-
-def _psi_values(psi: str, x: np.ndarray) -> np.ndarray:
-    if psi == "x_squared":
-        return x[..., 0] ** 2
-    if psi == "x2_squared":
-        return x[..., 1] ** 2
-    if psi == "x2_cubed":
-        return x[..., 1] ** 3
-    if psi == "sin_half_pi_x2":
-        return np.sin(0.5 * math.pi * x[..., 1])
-    raise ConfigError(f"unknown psi id {psi!r}")
 
 
 def fixed_anchors(n: int, p: int, mode: str, seed: int | None) -> AnchorSet:
@@ -294,34 +279,6 @@ class Geometry:
     plans: dict[str, ProcessPlan]
 
 
-def _ecdf_times(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical-CDF time of every entry of each row of a (B, n) stack, the
-    share of the row's entries <= it, and the stable ascending order of
-    each row, which is also that of its times: the times are monotone in
-    x with the same tie groups.  Raises RankDeficiencyError when a row
-    takes d or fewer distinct values: the score span then holds every
-    tie-group indicator and the process vanishes at all its times."""
-    b, n = x.shape
-    # the default sort is several times faster than a stable one, and in a
-    # row without ties it gives the one ascending order there is
-    order = np.argsort(x, axis=-1)
-    offsets = n * np.arange(b)[:, None]  # rows of the flattened stack
-    ranked = x.ravel()[order + offsets]
-    distinct = n - np.count_nonzero(ranked[:, 1:] == ranked[:, :-1], axis=-1)
-    if np.any(distinct <= d):
-        raise RankDeficiencyError(
-            f"the covariate takes {int(distinct.min())} distinct values, not more than the "
-            f"d = {d} fitted parameters: the residual process would vanish at every scan time"
-        )
-    tied = distinct < n
-    if tied.any():
-        order[tied] = np.argsort(x[tied], axis=-1, kind="stable")
-    rows = (order + offsets).ravel()
-    times = np.empty(b * n)
-    times[rows] = ((tie_last(ranked) + 1) / n).ravel()
-    return times.reshape(b, n), order
-
-
 def fixed_geometry(
     model: RegressionModel,
     sample: Sample,
@@ -335,30 +292,31 @@ def fixed_geometry(
 
     For p = 1 each row is scanned at the empirical-CDF time of its
     covariate (i/n without ties; tied covariates share the time of their
-    last copy, so the process and the reference set see no tie order);
-    a covariate with no more than d distinct values raises
-    RankDeficiencyError.  Both process kinds share one plan, built from
-    the order that sorted the covariate.  For p >= 2 an anchor set of
+    last copy, so the process and the reference set see no tie order).
+    ``process.ecdf_plan`` sorts each sample's covariate once and gives
+    the times and the one plan both process kinds share; a covariate with
+    no more than d distinct values raises RankDeficiencyError there,
+    before the score set is built.  For p >= 2 an anchor set of
     matching size is required and each row is scanned at the anchor the
     optimal assignment matches it to, one assignment per sample; the raw
     process gets its own plan on the rescaled covariates.  For linear
     model kinds nothing here depends on the response, so one geometry
     serves every response drawn on the same X.
     """
-    xs = sample.X if sample.stacked else sample.X[None]
     if sample.p == 1:
-        times, order = _ecdf_times(xs[..., 0], model.d)
-        points = times.reshape(sample.X.shape)
-        plan = process_plan(points, grid, order=order)
+        lattice_resolution(grid, 1)  # a grid at p = 1 is a usage error
+        times, plan = ecdf_plan(sample.X[..., 0], model.d)
+        points = times[..., None]
         plans = dict.fromkeys(PROCESS_KINDS, plan)
     else:
         if anchor_set is None:
             raise ValueError("p >= 2 requires an anchor set")
+        xs = sample.X if sample.stacked else sample.X[None]
         raw_points = np.empty(sample.X.shape)
         points = np.empty(sample.X.shape)
         for x, raw, scan in zip(xs, raw_points.reshape(xs.shape), points.reshape(xs.shape)):
             raw[:], _, _ = rescale_unit_cube(x)
-            scan[:] = transported_points(solve_assignment(raw, anchor_set), anchor_set)
+            scan[:] = anchor_set.points[solve_assignment(raw, anchor_set).sigma]
         plans = {"transformed": process_plan(points, grid), "raw": process_plan(raw_points, grid)}
     score_set = score_basis(model, fitres, sample)
     reference_set = sample_on_points(make_basis(sample.p, model.d), points)
@@ -470,7 +428,7 @@ def _draws(config: ExperimentConfig, design_id: str, index: int) -> tuple[np.nda
     """Covariates and then errors of replication ``index``, from its own
     generator."""
     rng = rng_for(config.seed, "design", design_id, _variant_tag(config), "rep", index)
-    x = _sample_design(design_id, config.n, rng)
+    x = DESIGNS[design_id][1](config.n, rng)
     return x, _draw_errors(config.error_law, config.n, rng)
 
 
@@ -484,7 +442,7 @@ def _stack_records(config: ExperimentConfig, draws: list[tuple[np.ndarray, np.nd
         amp = config.alternative.amplitude
         if config.alternative.local_scaling:
             amp /= math.sqrt(config.n)
-        signal = signal + amp * _psi_values(config.alternative.psi, x)
+        signal = signal + amp * PSI_FUNCTIONS[config.alternative.psi][1](x)
     sample = Sample(x, signal + errors)
     fitres = fit(model, sample)
     anchor_set = fixed_anchors(config.n, config.p, config.anchors, config.seed) if config.p >= 2 else None
@@ -556,12 +514,14 @@ def run_experiments(configs: Sequence[ExperimentConfig], workers: int = 1) -> li
     """Run all replications of several single-design configs as one task
     list, one result per config in the order given.
 
-    The tasks are the blocks of each config in turn.  With workers > 1 one
-    process pool runs the whole list and is shut down before this returns,
-    also when it raises; otherwise the blocks run in a plain loop.  Results
-    are collected in task order, and the blocks do not depend on the worker
-    count or on the other configs, so every result is bit-identical for any
-    worker count.  A result's ``elapsed`` is the wall time from the last
+    The tasks are the blocks of each config in turn.  The pool size is
+    ``workers``, capped at the number of tasks and at the machine's core
+    count, as a pool starts all its processes at once.  When that leaves
+    more than one, one process pool runs the whole list and is shut down
+    before this returns, also when it raises; otherwise the blocks run in a
+    plain loop.  Results are collected in task order, and the blocks do not
+    depend on the worker count or on the other configs, so every result is
+    bit-identical for any worker count.  A result's ``elapsed`` is the wall time from the last
     block of the config before it (the call's start, for the first) to its
     own last block, so the values add up to the wall time of the run.  The
     configs are checked in order as their blocks arrive: the first with
@@ -573,6 +533,7 @@ def run_experiments(configs: Sequence[ExperimentConfig], workers: int = 1) -> li
             raise ConfigError(f"run_experiment needs exactly one design, got {config.design}")
     tasks = [(config, config.design[0], start) for config in configs for start in range(0, config.reps, BLOCK)]
     last = time.perf_counter()
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         blocks = map(_task, tasks) if pool is None else pool.map(_task, tasks)

@@ -26,6 +26,9 @@ p = 1 the stable order of the times and the tie-last index, at p = 2 the
 merge sweep's order, ranks, leaf masks, per-level merge permutations and
 duplicate map, at p >= 2 the lattice bin of every point.  Building from a
 plan gives the same numbers, bit for bit, as building from the points.
+``ecdf_plan`` starts one step earlier, from a p = 1 covariate: one sort
+per sample gives its empirical-CDF times, their tie groups and the plan
+those times would get from ``process_plan``.
 
 Replicated statistics are summarized by their empirical distribution
 (``Ecdf``), compared with each other or with a reference law such as
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ReferenceBasis, check_unit_cube
-from .errors import ConfigError
+from .errors import ConfigError, RankDeficiencyError
 
 DEFAULT_GRID = {2: 64, 3: 16}
 GRID_GUARD = 1_000_000
@@ -237,8 +240,8 @@ def tie_last(sorted_values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ProcessPlan:
     """The part of a process build that depends on the scan points alone,
-    made once by ``process_plan`` and applied by ``build_process`` to any
-    residuals scanned by those points.
+    made once by ``process_plan`` (or ``ecdf_plan``) and applied by
+    ``build_process`` to any residuals scanned by those points.
 
     ``lead_shape`` is (n,) for one set of scan points and (B, n) for a stack:
     the leading axes of the residuals the plan takes.  ``eval_points`` are
@@ -286,25 +289,15 @@ class ProcessPlan:
         )
 
 
-def _line_plan(times: np.ndarray, order: np.ndarray, stacked: bool, check: bool) -> ProcessPlan:
-    """p = 1 plan of a (B, n) stack of scan times and their stable
-    ascending order (checked when ``check``): evaluation at t = 0 and at
-    the n sorted times of each sample, with the partial sum up to the last
-    copy of each time (t = 0 is a scan time of its own when some point
-    sits there).  An unstacked plan keeps one evaluation point per
-    distinct time."""
-    b, n = times.shape
+def _line_plan(order: np.ndarray, ranked: np.ndarray, last: np.ndarray, stacked: bool) -> ProcessPlan:
+    """p = 1 plan of a (B, n) stack of scan times, given per sample by the
+    stable ascending order of its times, the sorted times and the tie-last
+    index of each: evaluation at t = 0 and at the n sorted times, with the
+    partial sum up to the last copy of each time (t = 0 is a scan time of
+    its own when some point sits there).  An unstacked plan keeps one
+    evaluation point per distinct time."""
+    b, n = ranked.shape
     rows = np.arange(b)[:, None]
-    if check and order.size and not (order.min() >= 0 and order.max() < n):
-        raise ValueError("a scan order must hold row indices")
-    gather = (order + rows * n).ravel()
-    ranked = times.ravel()[gather].reshape(b, n)
-    if check and not np.all(
-        (ranked[:, 1:] > ranked[:, :-1]) | ((ranked[:, 1:] == ranked[:, :-1]) & (order[:, 1:] > order[:, :-1]))
-    ):
-        # strictly increasing in (time, index): sorted, stable, and a permutation
-        raise ValueError("the scan order is not the stable ascending order of the scan times")
-    last = tie_last(ranked)
     first = np.where(ranked[:, :1] > 0.0, 0, last[:, :1] + 1) if n else np.zeros((b, 1), dtype=np.intp)
     pick = np.concatenate([first, last + 1], axis=1)
     points = np.concatenate([np.zeros((b, 1)), ranked], axis=1)
@@ -312,23 +305,57 @@ def _line_plan(times: np.ndarray, order: np.ndarray, stacked: bool, check: bool)
         keep = np.append(points[0, 1:] != points[0, :-1], True)
         points, pick = points[:, keep], pick[:, keep]
     return ProcessPlan(
-        lead_shape=times.shape if stacked else (n,),
+        lead_shape=ranked.shape if stacked else (n,),
         eval_points=points[..., None] if stacked else points[0, :, None],
         grid=None,
-        gather=gather,
+        gather=(order + rows * n).ravel(),
         pick=(pick + rows * (n + 1)).ravel(),
     )
 
 
-def process_plan(scan_points: np.ndarray, grid: int | None = None, *, order: np.ndarray | None = None) -> ProcessPlan:
+def ecdf_plan(x: np.ndarray, d: int) -> tuple[np.ndarray, ProcessPlan]:
+    """Empirical-CDF scan times of a covariate, (n,) or a (B, n) stack, in
+    data row order, and the plan of the processes they scan.
+
+    The time of an entry is the share of its sample's entries <= it: i/n
+    without ties, and tied entries share the time of their last copy.  One
+    sort per sample gives the times, their tie groups and the plan, which
+    equals ``process_plan`` of the times.  Raises RankDeficiencyError when a
+    sample takes d or fewer distinct values: a score span of dimension d
+    then holds every tie-group indicator, and the transformed process
+    vanishes at all its times.
+    """
+    x = np.asarray(x, dtype=float)
+    stacked = x.ndim == 2
+    xs = x if stacked else x[None]
+    b, n = xs.shape
+    # the default sort is several times faster than a stable one, and in a
+    # sample without ties it gives the one ascending order there is
+    order = np.argsort(xs, axis=-1)
+    offsets = n * np.arange(b)[:, None]  # rows of the flattened stack
+    ranked = xs.ravel()[order + offsets]
+    distinct = n - np.count_nonzero(ranked[:, 1:] == ranked[:, :-1], axis=-1)
+    if np.any(distinct <= d):
+        raise RankDeficiencyError(
+            f"the covariate takes {int(distinct.min())} distinct values, not more than the "
+            f"d = {d} fitted parameters: the residual process would vanish at every scan time"
+        )
+    tied = distinct < n
+    if tied.any():
+        order[tied] = np.argsort(xs[tied], axis=-1, kind="stable")
+    last = tie_last(ranked)
+    sorted_times = (last + 1) / n
+    times = np.empty(b * n)
+    times[(order + offsets).ravel()] = sorted_times.ravel()
+    return times.reshape(x.shape), _line_plan(order, sorted_times, last, stacked)
+
+
+def process_plan(scan_points: np.ndarray, grid: int | None = None) -> ProcessPlan:
     """Set up the processes scanned by ``scan_points`` for any residuals.
 
-    scan_points must lie in [0,1]^p (rank times for p = 1, transported or
+    scan_points must lie in [0,1]^p (times for p = 1, transported or
     rescaled covariates for p >= 2): (n, p) points, n times, or a (B, n, p)
-    stack.  ``grid`` is resolved by ``lattice_resolution``.  At p = 1
-    ``order`` may give the stable ascending order of each sample's times,
-    (n,) or (B, n), when the caller has it already; it must be that
-    order, or ValueError is raised.
+    stack.  ``grid`` is resolved by ``lattice_resolution``.
     """
     scan = np.asarray(scan_points, dtype=float)
     if scan.ndim == 1:
@@ -342,14 +369,9 @@ def process_plan(scan_points: np.ndarray, grid: int | None = None, *, order: np.
     scans = scan if stacked else scan[None]
     if p == 1:
         times = scans[..., 0]
-        if order is None:
-            return _line_plan(times, np.argsort(times, axis=-1, kind="stable"), stacked, check=False)
-        order = np.asarray(order)
-        if not np.issubdtype(order.dtype, np.integer) or order.size != times.size:
-            raise ValueError(f"a scan order must hold {times.size} row indices")
-        return _line_plan(times, order.reshape(times.shape), stacked, check=True)
-    if order is not None:
-        raise ValueError("a scan order applies to p = 1 only")
+        order = np.argsort(times, axis=-1, kind="stable")
+        ranked = np.take_along_axis(times, order, axis=-1)
+        return _line_plan(order, ranked, tie_last(ranked), stacked)
     lattice = _lattice(p, m)
     eval_points = np.concatenate([scans, np.broadcast_to(lattice, (scans.shape[0],) + lattice.shape)], axis=1)
     samples = tuple((_sweep(pts) if p == 2 and n else pts, _lattice_bins(pts, m)) for pts in scans)

@@ -82,7 +82,9 @@ class AnchorSet:
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
-    """Bijection i -> sigma(i) from covariate points to anchor points."""
+    """Bijection i -> sigma(i) from covariate points to anchor points:
+    ``anchors.points[sigma]`` are the transported covariates, in covariate
+    order."""
 
     sigma: np.ndarray
     cost: float
@@ -373,11 +375,6 @@ def brute_force_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
             best_cost = c
             best_sigma = perms[idx]
     return Assignment(sigma=best_sigma, cost=best_cost)
-
-
-def transported_points(assignment: Assignment, anchors: AnchorSet) -> np.ndarray:
-    """Anchor point matched to each covariate point, in covariate order."""
-    return anchors.points[assignment.sigma]
 
 
 def rescale_unit_cube(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,10 +28,10 @@ from dfgof.basis import make_basis, sample_on_points
 from dfgof.fileio import write_ecdf, write_table
 from dfgof.harness import (
     BLOCK,
+    PSI_FUNCTIONS,
     AlternativeSpec,
     ExperimentConfig,
     _draws,
-    _psi_values,
     _variant_tag,
     covariate_design,
     fixed_anchors,
@@ -46,7 +46,6 @@ from dfgof.transport import (
     generate_anchors,
     rescale_unit_cube,
     solve_assignment,
-    transported_points,
 )
 from oracles import transform_matrix
 
@@ -191,7 +190,7 @@ def test_exact_residual_covariance_identities():
             else:
                 x01, _, _ = rescale_unit_cube(x)
                 anchors = generate_anchors(n, 2, "halton")
-                points = transported_points(solve_assignment(x01, anchors), anchors)
+                points = anchors.points[solve_assignment(x01, anchors).sigma]
                 reference = sample_on_points(make_basis(2, model.d), points)
             a = transform_matrix(score, reference)
             target = np.eye(n) - reference.vectors.T @ reference.vectors
@@ -399,7 +398,7 @@ def _mean_orthogonal_norm(config: ExperimentConfig) -> float:
         x = covariate_design(config.design[0], config.n, seed=stream)
         model = build_model(config.model, Sample(x, np.zeros(config.n)))
         q, _ = np.linalg.qr(model.grad(np.ones(model.d), x))
-        h = alt.amplitude * _psi_values(alt.psi, x)
+        h = alt.amplitude * PSI_FUNCTIONS[alt.psi][1](x)
         norms.append(np.linalg.norm(h - q @ (q.T @ h)))
     return float(np.mean(norms))
 

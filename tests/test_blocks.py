@@ -16,7 +16,7 @@ from dfgof.harness import BLOCK, ExperimentConfig, fixed_geometry, pipeline_reco
 from dfgof.model import Sample, build_model, fit, score_basis
 from dfgof.process import build_process, ks_statistics
 from dfgof.transform import transform_residuals
-from dfgof.transport import generate_anchors
+from dfgof.transport import generate_anchors, rescale_unit_cube, solve_assignment
 
 
 def _records_by_index(result):
@@ -109,6 +109,14 @@ def test_each_stacked_layer_matches_single_samples(kind, n, size, seed, tied):
         _equal(scores.vectors[b], one_scores.vectors, "score set")
         one_geometry = fixed_geometry(single_model, sample, one, anchor_set=anchors)
         assert np.array_equal(geometry.points[b], one_geometry.points)
+        # the scan points: empirical-CDF times at p = 1, the anchor the
+        # optimal assignment matches each row to at p = 2
+        if anchors is None:
+            x = sample.X[:, 0]
+            expected = np.searchsorted(np.sort(x), x, side="right")[:, None] / n
+        else:
+            expected = anchors.points[solve_assignment(rescale_unit_cube(sample.X)[0], anchors).sigma]
+        assert np.array_equal(one_geometry.points, expected)
         _equal(references.vectors[b], one_geometry.reference_set.vectors, "reference set")
         one_transformed = transform_residuals(one.residuals, one_scores, one_geometry.reference_set).values
         _equal(transformed[b], one_transformed, "transformed residuals")

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dfgof.harness as harness
 from dfgof.errors import ConfigError, NumericalError
 from dfgof.harness import (
+    BLOCK,
     PROCESS_KINDS,
     STATISTICS,
     AlternativeSpec,
@@ -169,7 +172,7 @@ class TestEcdf:
 
 class TestRunExperiment:
     def test_reproducible_across_worker_counts(self):
-        cfg = small_config(reps=12)
+        cfg = small_config(reps=BLOCK + 12)  # two blocks, so two workers make a pool
         r1 = run_experiment(cfg, workers=1)
         r2 = run_experiment(cfg, workers=2)
         assert set(r1.columns) == set(r2.columns)
@@ -239,6 +242,31 @@ class TestRunExperiments:
         with pytest.raises(NumericalError, match="1 of 20 replications"):
             run_experiments([small_config(reps=200), small_config(reps=20), small_config(reps=200)], workers=workers)
         assert multiprocessing.active_children() == []
+
+    def test_pool_size_is_capped_by_the_blocks_and_the_cores(self, monkeypatch):
+        # a pool starts all its processes at once: no more are asked for
+        # than there are blocks to run or cores to run them
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            map = staticmethod(map)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        one_block = small_config(reps=BLOCK)
+        huge = run_experiment(one_block, workers=10**6)
+        assert sizes == []
+        plain = run_experiment(one_block, workers=1)
+        assert set(huge.columns) == set(plain.columns)
+        for key in plain.columns:
+            assert np.array_equal(huge.columns[key], plain.columns[key])
+        run_experiment(small_config(reps=BLOCK + 1), workers=10**6)
+        assert sizes == ([2] if (os.cpu_count() or 1) >= 2 else [])
 
 
 class TestSimulate:

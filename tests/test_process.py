@@ -10,6 +10,7 @@ from dfgof.errors import ConfigError
 from dfgof.process import (
     DOMINANCE_BLOCK,
     build_process,
+    ecdf_plan,
     kolmogorov_cdf,
     ks_statistics,
     limit_covariance,
@@ -209,40 +210,20 @@ class TestProcessPlan:
             scan = scan[:, 0]  # n times
         residuals = rng.standard_normal(lead + (width,))
         grid = None if p == 1 else 5
-        plans = [process_plan(scan, grid)]
-        if p == 1:
-            times = scan.reshape(lead)
-            plans.append(process_plan(scan, order=np.argsort(times, axis=-1, kind="stable")))
+        plan = process_plan(scan, grid)
         singles = [build_process(residuals[..., j], scan, grid=grid) for j in range(width)]
-        for plan in plans:
-            for lo, hi in zip([0] + cuts, cuts + [width]):
-                chunk = residuals[..., lo:hi]
-                proc = build_process(chunk, plan)
-                one_shot = build_process(chunk, scan, grid=grid)
-                assert np.array_equal(proc.eval_points, one_shot.eval_points)
-                assert np.array_equal(proc.eval_values, one_shot.eval_values)
-                for j in range(lo, hi):
-                    assert np.array_equal(proc.eval_points, singles[j].eval_points)
-                    assert np.array_equal(proc.eval_values[..., j - lo], singles[j].eval_values)
+        for lo, hi in zip([0] + cuts, cuts + [width]):
+            chunk = residuals[..., lo:hi]
+            proc = build_process(chunk, plan)
+            one_shot = build_process(chunk, scan, grid=grid)
+            assert np.array_equal(proc.eval_points, one_shot.eval_points)
+            assert np.array_equal(proc.eval_values, one_shot.eval_values)
+            for j in range(lo, hi):
+                assert np.array_equal(proc.eval_points, singles[j].eval_points)
+                assert np.array_equal(proc.eval_values[..., j - lo], singles[j].eval_values)
         if p == 1 and samples is not None:
             expected = _reference_line_values(scan[..., 0], residuals / np.sqrt(n))
-            assert np.array_equal(build_process(residuals, plans[0]).eval_values, expected)
-
-    @pytest.mark.parametrize(
-        "order, message",
-        [
-            (np.array([1, 0, 2]), "stable ascending"),
-            (np.array([0, 0, 2]), "stable ascending"),
-            (np.array([0, 1, 3]), "row indices"),
-            (np.array([-1, 0, 1]), "row indices"),
-            (np.array([0.0, 1.0, 2.0]), "row indices"),
-            (np.array([0, 1]), "row indices"),
-        ],
-    )
-    def test_a_wrong_scan_order_is_rejected(self, order, message):
-        times = np.array([0.5, 0.5, 1.0])
-        with pytest.raises(ValueError, match=message):
-            process_plan(times, order=order)
+            assert np.array_equal(build_process(residuals, plan).eval_values, expected)
 
     def test_plan_carries_its_grid(self):
         scan = np.array([[0.2, 0.3], [0.7, 0.1]])
@@ -252,8 +233,35 @@ class TestProcessPlan:
             build_process(np.ones(2), plan, grid=4)
         with pytest.raises(ValueError, match="do not match"):
             build_process(np.ones(3), plan)
-        with pytest.raises(ValueError, match="p = 1 only"):
-            process_plan(scan, order=np.array([0, 1]))
+
+
+class TestEcdfPlan:
+    """One sort of a p = 1 covariate gives its empirical-CDF times and the
+    plan ``process_plan`` makes of those times, bit for bit."""
+
+    @settings(max_examples=60)
+    @given(
+        n=st.one_of(st.sampled_from([1, 2, 16, 17]), st.integers(1, 90)),
+        samples=st.sampled_from([None, 1, 3, 64]),
+        levels=st.sampled_from([None, 2, 5, 40]),  # few levels: ties
+        seed=st.integers(0, 10_000),
+    )
+    def test_times_and_plan(self, n, samples, levels, seed):
+        rng = np.random.default_rng(seed)
+        lead = (n,) if samples is None else (samples, n)
+        x = rng.normal(size=lead) if levels is None else rng.integers(0, levels, size=lead) - 0.5 * levels
+        times, plan = ecdf_plan(x, 0)
+        assert times.shape == x.shape
+        for sample, row in zip(np.atleast_2d(x), np.atleast_2d(times)):
+            assert np.array_equal(row, np.searchsorted(np.sort(sample), sample, side="right") / n)
+        expected = process_plan(times[..., None])
+        assert plan.lead_shape == expected.lead_shape
+        assert plan.grid is None
+        for field in ("gather", "pick", "eval_points"):
+            assert np.array_equal(getattr(plan, field), getattr(expected, field)), field
+        residuals = rng.standard_normal(lead + (3,))
+        one_shot = build_process(residuals, times[..., None])
+        assert np.array_equal(build_process(residuals, plan).eval_values, one_shot.eval_values)
 
 
 class TestKsStatistics:

@@ -19,13 +19,12 @@ from dfgof.transport import (
     generate_anchors,
     rescale_unit_cube,
     solve_assignment,
-    transported_points,
 )
 
 
 def _ecdf_of_transported(assignment, anchors, x):
     """Empirical CDF of the transported covariates at x (componentwise <=)."""
-    return float(np.all(transported_points(assignment, anchors) <= x, axis=1).mean())
+    return float(np.all(anchors.points[assignment.sigma] <= x, axis=1).mean())
 
 
 def _radical_inverse(i: int, base: int) -> float:
@@ -391,14 +390,6 @@ class TestTransportedEcdf:
         for probe in rng.uniform(0.0, 1.0, size=(100, 2)):
             anchor_value = float(np.all(anchors.points <= probe, axis=1).mean())
             assert _ecdf_of_transported(assignment, anchors, probe) == anchor_value
-
-    def test_transported_points_are_matched_anchors(self):
-        rng = np.random.default_rng(11)
-        x = rng.uniform(0.0, 1.0, size=(8, 2))
-        anchors = generate_anchors(8, 2, "halton")
-        assignment = solve_assignment(x, anchors)
-        pts = transported_points(assignment, anchors)
-        assert np.array_equal(pts, anchors.points[assignment.sigma])
 
 
 class TestRescale:
