@@ -13,6 +13,8 @@ from dfgof.harness import (
     BLOCK,
     PROCESS_KINDS,
     STATISTICS,
+    DESIGNS,
+    PSI_FUNCTIONS,
     AlternativeSpec,
     ExperimentConfig,
     _draw_errors,
@@ -69,6 +71,32 @@ class TestCovariateDesign:
     def test_dimension_check(self):
         with pytest.raises(ConfigError):
             covariate_design("uniform_0_2", 10, p=2, seed=0)
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_table_dimension_is_the_draw_width(self, design):
+        p = DESIGNS[design][0]
+        x = covariate_design(design, 40, p=p, seed=4)
+        assert x.shape == (40, p)
+        assert np.all(np.isfinite(x))
+
+    def test_beta_dep_designs_share_their_first_draws(self):
+        # the two dependent designs swap the shape parameters of x2 only:
+        # same seed, same x1, and x2 stays in [0, 1]
+        a = covariate_design("beta_dep_a", 300, seed=5)
+        b = covariate_design("beta_dep_b", 300, seed=5)
+        assert np.array_equal(a[:, 0], b[:, 0])
+        assert not np.array_equal(a[:, 1], b[:, 1])
+        # x2 | x1 ~ Beta(8 (1 - x1), 8 x1) has mean 1 - x1; swapped, mean x1
+        assert np.corrcoef(a[:, 0], a[:, 1])[0, 1] < -0.5
+        assert np.corrcoef(b[:, 0], b[:, 1])[0, 1] > 0.5
+
+    @pytest.mark.parametrize("psi", sorted(PSI_FUNCTIONS))
+    def test_psi_reads_a_design_of_its_dimension(self, psi):
+        p, formula = PSI_FUNCTIONS[psi]
+        x = np.random.default_rng(6).uniform(size=(7, p))
+        shift = formula(x)
+        assert shift.shape == (7,)
+        assert np.array_equal(formula(x[None])[0], shift)  # (..., p) stacks
 
 
 class TestFixedAnchors:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfgof.basis import legendre_shifted, make_basis
-from dfgof.errors import ConfigError
+from dfgof.errors import ConfigError, RankDeficiencyError
 from dfgof.process import (
     DOMINANCE_BLOCK,
     build_process,
@@ -262,6 +262,27 @@ class TestEcdfPlan:
         residuals = rng.standard_normal(lead + (3,))
         one_shot = build_process(residuals, times[..., None])
         assert np.array_equal(build_process(residuals, plan).eval_values, one_shot.eval_values)
+
+    @pytest.mark.parametrize(
+        ("x", "d", "message"),
+        [
+            (np.full(50, 3.0), 1, "takes 1 distinct values, not more than the d = 1"),
+            (np.arange(50) % 2.0, 2, "takes 2 distinct values, not more than the d = 2"),
+            # one deficient layer of a stack is enough; the message names the fewest values
+            (np.vstack([np.arange(50.0), np.full(50, 3.0), np.arange(50) % 2.0]), 1, "takes 1 distinct values"),
+        ],
+        ids=["single-constant", "single-two-levels", "stack-one-constant-layer"],
+    )
+    def test_few_distinct_values_are_rejected(self, x, d, message):
+        with pytest.raises(RankDeficiencyError, match=message):
+            ecdf_plan(x, d)
+
+    def test_one_more_distinct_value_than_d_is_accepted(self):
+        x = np.vstack([np.arange(30) % 3.0, np.arange(30.0)])
+        times, plan = ecdf_plan(x, 2)
+        assert np.array_equal(times[0], ((x[0] + 1) * 10) / 30)  # tied rows: time of the last copy
+        assert np.array_equal(times[1], (x[1] + 1) / 30)
+        assert plan.lead_shape == x.shape
 
 
 class TestKsStatistics:
