@@ -19,8 +19,6 @@ from .harness import (
     pipeline_records,
     run_experiment,
     run_experiments,
-    simulate_null,
-    simulate_power,
 )
 from .model import (
     FitResult,
@@ -48,7 +46,6 @@ from .transform import TransformedResiduals, transform_residuals
 from .transport import (
     AnchorSet,
     Assignment,
-    brute_force_assignment,
     generate_anchors,
     rescale_unit_cube,
     solve_assignment,
@@ -78,7 +75,6 @@ __all__ = [
     "StepProcess",
     "TransformedResiduals",
     "apply_plan",
-    "brute_force_assignment",
     "build_model",
     "build_plan",
     "build_process",
@@ -103,8 +99,6 @@ __all__ = [
     "run_experiments",
     "sample_on_points",
     "score_basis",
-    "simulate_null",
-    "simulate_power",
     "solve_assignment",
     "transform_residuals",
 ]

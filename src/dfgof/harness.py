@@ -555,13 +555,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     return run_experiments([config], workers=workers)[0]
 
 
-def simulate_null(config: ExperimentConfig, workers: int = 1) -> Ecdf:
-    """Sorted statistics of the configured (process, statistic) under the null."""
-    if config.alternative is not None:
-        raise ConfigError("simulate_null requires a config without an alternative")
-    return run_experiment(config, workers=workers).ecdf()
-
-
 @dataclass(frozen=True, eq=False)
 class PowerResult:
     ecdf: Ecdf
@@ -574,7 +567,7 @@ def paired_runs(config: ExperimentConfig) -> tuple[ExperimentConfig, ExperimentC
     """The null run paired with an alternative config (same seed,
     alternative removed), then the alternative run itself."""
     if config.alternative is None:
-        raise ConfigError("simulate_power requires a config with an alternative")
+        raise ConfigError("a power run requires a config with an alternative")
     return replace(config, alternative=None), config
 
 
@@ -587,14 +580,3 @@ def power_result(
     stats = alternative.ecdf().sorted_values
     rates = {float(a): float(np.mean(stats > null_ecdf.quantile(1.0 - a))) for a in levels}
     return PowerResult(ecdf=Ecdf(stats), rejection_rate_at=rates, null_ecdf=null_ecdf, failures=alternative.failures)
-
-
-def simulate_power(
-    config: ExperimentConfig,
-    workers: int = 1,
-    levels: tuple[float, ...] = LEVELS,
-) -> PowerResult:
-    """Statistics under the alternative plus rejection rates against the
-    paired null run; both runs share one task list."""
-    null, alternative = run_experiments(paired_runs(config), workers=workers)
-    return power_result(null, alternative, levels)

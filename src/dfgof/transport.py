@@ -19,7 +19,6 @@ importing the package (and every p = 1 run) does not pay for
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,8 +26,6 @@ from functools import cached_property
 import numpy as np
 
 from .basis import check_unit_cube
-
-BRUTE_FORCE_MAX = 8
 
 # problems up to this size are solved on the plain dense cost; larger ones
 # are warm-started from the duals of a coarse problem of grouped centroids
@@ -159,12 +156,6 @@ def _cost_matrix(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _row_blocks(n: int):
     return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
-
-
-def _total_cost(distances: np.ndarray) -> float:
-    # correctly-rounded exact sum of the matched distances, whatever the
-    # addend order: cost-tied assignments report bit-identical totals
-    return math.fsum(distances)
 
 
 def _matched_distances(x: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -349,32 +340,9 @@ def solve_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
         raise ValueError("covariate points must be finite")
     order, levels = anchors.hierarchy
     sigma = order[_solve(x, levels)[0]]
-    return Assignment(sigma=sigma, cost=_total_cost(_matched_distances(x, anchors.points, sigma)))
-
-
-def brute_force_assignment(x: np.ndarray, anchors: AnchorSet) -> Assignment:
-    """Exhaustive minimum over all n! permutations (oracle, n <= 8).
-
-    Ties are broken by the lexicographically smallest permutation.
-    """
-    x = _check_shapes(x, anchors)
-    cost = _cost_matrix(x, anchors.points)
-    n = cost.shape[0]
-    if n > BRUTE_FORCE_MAX:
-        raise ValueError(f"brute force is limited to n <= {BRUTE_FORCE_MAX}, got n={n}")
-    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
-    totals = cost[np.arange(n), perms].sum(axis=1)
-    # re-rank the near-minimal candidates with the exact total; candidates
-    # arrive in lexicographic order, so strict improvement breaks ties to
-    # the lexicographically smallest permutation
-    best_sigma = None
-    best_cost = np.inf
-    for idx in np.flatnonzero(totals <= totals.min() + 1e-9):
-        c = _total_cost(cost[np.arange(n), perms[idx]])
-        if c < best_cost:
-            best_cost = c
-            best_sigma = perms[idx]
-    return Assignment(sigma=best_sigma, cost=best_cost)
+    # correctly-rounded exact sum of the matched distances, whatever the
+    # addend order: cost-tied assignments report bit-identical totals
+    return Assignment(sigma=sigma, cost=math.fsum(_matched_distances(x, anchors.points, sigma)))
 
 
 def rescale_unit_cube(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

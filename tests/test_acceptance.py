@@ -41,13 +41,8 @@ from dfgof.harness import (
 from dfgof.model import Sample, build_model, fit, score_basis
 from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup, kolmogorov_cdf, limit_covariance
 from dfgof.seeding import rng_for, seed_sequence
-from dfgof.transport import (
-    brute_force_assignment,
-    generate_anchors,
-    rescale_unit_cube,
-    solve_assignment,
-)
-from oracles import transform_matrix
+from dfgof.transport import generate_anchors, rescale_unit_cube, solve_assignment
+from oracles import brute_force_assignment, transform_matrix
 
 pytestmark = pytest.mark.acceptance
 

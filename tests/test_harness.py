@@ -22,13 +22,13 @@ from dfgof.harness import (
     covariate_design,
     fixed_anchors,
     fixed_geometry,
+    paired_runs,
     pipeline_records,
+    power_result,
     process_statistics,
     residual_statistics,
     run_experiment,
     run_experiments,
-    simulate_null,
-    simulate_power,
 )
 from dfgof.model import Sample, build_model, fit
 from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup
@@ -40,6 +40,12 @@ def small_config(**kw):
     base = dict(design=("uniform_0_2",), model="simple_linear", n=30, reps=10, seed=123)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def power_of(config):
+    """The power of an alternative config against its paired null, as
+    ``dfgof power`` computes it for one design."""
+    return power_result(*run_experiments(paired_runs(config)))
 
 
 class TestCovariateDesign:
@@ -154,7 +160,7 @@ class TestConfigValidation:
 
 class TestEcdf:
     def test_reps_one(self):
-        ecdf = simulate_null(small_config(reps=1))
+        ecdf = run_experiment(small_config(reps=1)).ecdf()
         assert ecdf.size == 1
 
     def test_sorted_values_and_quantile(self):
@@ -298,20 +304,21 @@ class TestRunExperiments:
 
 
 class TestSimulate:
-    def test_null_rejects_alternative_config(self):
-        cfg = small_config(alternative=AlternativeSpec(psi="x_squared", amplitude=1.0))
-        with pytest.raises(ConfigError):
-            simulate_null(cfg)
-
     def test_power_requires_alternative(self):
-        with pytest.raises(ConfigError):
-            simulate_power(small_config())
+        with pytest.raises(ConfigError, match="a power run requires a config with an alternative"):
+            paired_runs(small_config())
+
+    def test_paired_null_drops_the_alternative_and_keeps_the_rest(self):
+        cfg = small_config(alternative=AlternativeSpec(psi="x_squared", amplitude=1.0))
+        null, alternative = paired_runs(cfg)
+        assert alternative is cfg
+        assert null == ExperimentConfig(**{**vars(cfg), "alternative": None})
 
     def test_zero_amplitude_recovers_null_distribution(self):
         cfg = small_config(
             n=50, reps=400, seed=99, alternative=AlternativeSpec(psi="x_squared", amplitude=0.0)
         )
-        power = simulate_power(cfg)
+        power = power_of(cfg)
         # same law: sup distance within the two-sample 99% band
         bound = 2.0 * 1.36 * np.sqrt(2.0 / 400)
         assert ecdf_sup_distance(power.ecdf, power.null_ecdf) < bound
@@ -321,7 +328,7 @@ class TestSimulate:
         cfg = small_config(
             n=80, reps=250, seed=5, alternative=AlternativeSpec(psi="x_squared", amplitude=1.5)
         )
-        power = simulate_power(cfg)
+        power = power_of(cfg)
         assert power.rejection_rate_at[0.05] > 0.3
 
     def test_local_scaling_divides_amplitude(self):
@@ -334,14 +341,14 @@ class TestSimulate:
             seed=8,
             alternative=AlternativeSpec(psi="x_squared", amplitude=10.0, local_scaling=True),
         )
-        fixed = simulate_power(cfg_fixed)
-        local = simulate_power(cfg_local)
+        fixed = power_of(cfg_fixed)
+        local = power_of(cfg_local)
         assert np.array_equal(fixed.ecdf.sorted_values, local.ecdf.sorted_values)
 
     def test_truth_value_does_not_move_transformed_statistic_much(self):
         # distribution-freeness also covers the true parameter value
-        a = simulate_null(small_config(n=60, reps=300, seed=21))
-        b = simulate_null(small_config(n=60, reps=300, seed=22, theta_true=(7.5,)))
+        a = run_experiment(small_config(n=60, reps=300, seed=21)).ecdf()
+        b = run_experiment(small_config(n=60, reps=300, seed=22, theta_true=(7.5,))).ecdf()
         bound = 2.0 * 1.36 * np.sqrt(2.0 / 300)
         assert ecdf_sup_distance(a, b) < bound
 
