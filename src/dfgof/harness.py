@@ -336,10 +336,18 @@ def residual_statistics(
     keyed "{process}.{statistic}" with the column axis last, and both
     processes of column 0.
 
-    One reflection plan per sample maps every column, and a column gets
-    the same numbers whatever the other columns are.  Every process is
-    built from the geometry's plan of its kind, so the scan points are
-    sorted, swept and binned once per geometry, not once per build.
+    Each column e is first studentized: divided by its
+    sigma_hat = |e| / sqrt(n - d), with d the size of the score set, so
+    the statistics are on the unit-variance scale whatever the error
+    variance is, and are unchanged when e is scaled by any c > 0.  For a
+    linear kind under a normal null, e / |e| is uniform on the sphere of
+    the residual space whatever sigma is, so an observed column and
+    bootstrap columns drawn at unit variance have one law.  A column of
+    zero norm raises NumericalError.  One reflection plan per sample maps
+    every column, and a column gets the same numbers whatever the other
+    columns are.  Every process is built from the geometry's plan of its
+    kind, so the scan points are sorted, swept and binned once per
+    geometry, not once per build.
     Column 0 gets both processes.  Columns 1 to m - 1 get the processes
     of ``process`` alone, as many at a time as keep evaluation points times
     columns within EVAL_ENTRIES, so that memory does not grow with the
@@ -347,6 +355,12 @@ def residual_statistics(
     """
     if process not in PROCESS_KINDS:
         raise ConfigError(f"unknown process kind {process!r}; known: {PROCESS_KINDS}")
+    # each norm is summed over a contiguous copy of its column: the order
+    # of a strided sum depends on the layout, and so on the other columns
+    norms = np.linalg.norm(np.swapaxes(residuals, -1, -2).copy(), axis=-1)[..., None, :]
+    if not np.all(norms > 0.0):
+        raise NumericalError("a residual column has zero norm and cannot be studentized")
+    residuals = residuals / (norms / math.sqrt(residuals.shape[-2] - geometry.score_set.count))
     columns = {
         "transformed": transform_residuals(residuals, geometry.score_set, geometry.reference_set).values,
         "raw": residuals,
@@ -372,12 +386,13 @@ def bootstrap_residuals(
     eps_b - S^T (S eps_b), with S the vectors of ``geometry.score_set`` and
     eps_b drawn from the stream rng_for(seed, "bootstrap", b - 1): the
     least-squares residuals of null_mean + eps_b, as the null mean lies in
-    the score span.  The k-th draw goes to the row at scan position k
-    (scan points in lexicographic order), so the columns do not depend on
-    the row order of the data: the scan points of p >= 2 are distinct
-    anchors, and the reflections treat the rows of a p = 1 tie group
-    alike.  Linear model kinds only: their score span, and with it the
-    geometry, does not change between replicates.
+    the score span; ``residual_statistics`` studentizes every column, so
+    the unit variance of the draws does not matter.  The k-th draw goes to
+    the row at scan position k (scan points in lexicographic order), so
+    the columns do not depend on the row order of the data: the scan
+    points of p >= 2 are distinct anchors, and the reflections treat the
+    rows of a p = 1 tie group alike.  Linear model kinds only: their score
+    span, and with it the geometry, does not change between replicates.
     """
     if not model.linear:
         raise ConfigError(f"the bootstrap needs a linear model kind, got {model.kind!r}")

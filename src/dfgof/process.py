@@ -52,6 +52,10 @@ DOMINANCE_LEAF = 16
 # Scan-point rows per block of the p >= 3 dominance sums: the float copy of
 # the boolean mask is then block x n rather than n x n.
 DOMINANCE_BLOCK = 64
+# Barrier shift of a Brownian maximum observed on a grid of step 1/n, so
+# that its law is close to K(x + SIEGMUND_BETA / sqrt(n)):
+# -zeta(1/2) / sqrt(2 pi) (Siegmund 1985; Broadie, Glasserman & Kou 1997).
+SIEGMUND_BETA = 0.5826
 
 
 def lattice_resolution(grid: int | None, p: int) -> int | None:

@@ -28,18 +28,30 @@ from dfgof.basis import make_basis, sample_on_points
 from dfgof.fileio import write_ecdf, write_table
 from dfgof.harness import (
     BLOCK,
+    DESIGNS,
     PSI_FUNCTIONS,
     AlternativeSpec,
     ExperimentConfig,
     _draws,
     _variant_tag,
+    bootstrap_residuals,
     covariate_design,
     fixed_anchors,
+    fixed_geometry,
     pipeline_processes,
+    residual_statistics,
     run_experiment,
 )
 from dfgof.model import Sample, build_model, fit, score_basis
-from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup, kolmogorov_cdf, limit_covariance
+from dfgof.process import (
+    SIEGMUND_BETA,
+    Ecdf,
+    ecdf_sup_distance,
+    ecdf_vs_cdf_sup,
+    kolmogorov_cdf,
+    lattice_resolution,
+    limit_covariance,
+)
 from dfgof.seeding import rng_for, seed_sequence
 from dfgof.transport import generate_anchors, rescale_unit_cube, solve_assignment
 from oracles import brute_force_assignment, transform_matrix
@@ -50,6 +62,7 @@ SEED_NULL_P1 = 20260808
 SEED_FIG3 = 30308
 SEED_COV = 50505
 SEED_POWER = 60606
+SEED_LEVEL = 70707
 
 P1_DESIGNS = ("uniform_0_2", "normal_1_2")
 P2_DESIGNS = ("beta_dep_a", "beta_dep_b", "beta_indep")
@@ -57,10 +70,6 @@ P2_DESIGNS = ("beta_dep_a", "beta_dep_b", "beta_indep")
 # lattice nodes (i/63, j/63) of its counterpart
 COV_TIMES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 COV_NODES = ((16, 16), (16, 48), (32, 32), (48, 16), (48, 48), (21, 42))
-
-# Barrier shift of a Brownian maximum observed on a grid of step 1/n:
-# -zeta(1/2) / sqrt(2 pi) (Siegmund 1985; Broadie, Glasserman & Kou 1997).
-SIEGMUND_BETA = 0.5826
 
 # The sine shift is run at the amplitude whose part orthogonal to the
 # bilinear model span has the same mean norm as the cubic's at amplitude 1.
@@ -396,6 +405,56 @@ def _mean_orthogonal_norm(config: ExperimentConfig) -> float:
         h = alt.amplitude * PSI_FUNCTIONS[alt.psi][1](x)
         norms.append(np.linalg.norm(h - q @ (q.T @ h)))
     return float(np.mean(norms))
+
+
+# (model kind, design, n) of the level check of the studentized bootstrap
+LEVEL_CASES = (("centered_linear", "uniform_0_2", 200), ("bilinear2d", "beta_dep_a", 300))
+LEVEL_FILES = 200
+LEVEL_REPS = 99
+LEVEL_SCALES = (0.25, 4.0)
+
+
+def _bootstrap_pvalues(kind: str, design: str, n: int, index: int) -> list[float]:
+    """Bootstrap p-values of the transformed ks_abs statistic of one null
+    file, X and errors drawn once, at each response c * (mean + eps) with c
+    in LEVEL_SCALES: the path of ``dfgof test``."""
+    p = DESIGNS[design][0]
+    rng = rng_for(SEED_LEVEL, "level", design, index)
+    x = DESIGNS[design][1](n, rng)
+    eps = rng.standard_normal(n)
+    model = build_model(kind, Sample(x, np.zeros(n)))
+    mean = model.mean(np.ones(model.d), x)
+    anchors = fixed_anchors(n, p, "halton", None) if p >= 2 else None
+    pvalues = []
+    for c in LEVEL_SCALES:
+        sample = Sample(x, c * (mean + eps))
+        fitres = fit(model, sample)
+        geometry = fixed_geometry(model, sample, fitres, anchor_set=anchors, grid=lattice_resolution(None, p))
+        residuals = bootstrap_residuals(model, geometry, fitres, seed=index, reps=LEVEL_REPS, error_law="normal")
+        stats = residual_statistics(geometry, residuals, "transformed")[0]["transformed.ks_abs"]
+        pvalues.append((1.0 + float(np.sum(stats[1:] >= stats[0]))) / (LEVEL_REPS + 1.0))
+    return pvalues
+
+
+@pytest.mark.parametrize(("kind", "design", "n"), LEVEL_CASES)
+def test_studentized_bootstrap_has_its_level_at_any_error_scale(kind, design, n):
+    """Every residual column is studentized, so the p-value of a null file
+    does not change when the response is scaled by 1/4 or 4, and the 5%
+    rejection rate of 200 null files lies within 3 binomial sd of 0.05."""
+    start = time.perf_counter()
+    pvalues = np.array([_bootstrap_pvalues(kind, design, n, i) for i in range(LEVEL_FILES)])
+    elapsed = time.perf_counter() - start
+    same = bool(np.array_equal(pvalues[:, 0], pvalues[:, 1]))
+    rate = float(np.mean(pvalues[:, 0] <= 0.05))
+    ok = same and 0.004 <= rate <= 0.096
+    _report(
+        f"studentized bootstrap level ({kind}, {design}, n={n}, B={LEVEL_REPS}, {LEVEL_FILES} files)",
+        ok,
+        f"p-values identical at c = 1/4 and c = 4: {same}; rejection at 5% {rate:.3f} "
+        f"([0.004, 0.096]), at 10% {float(np.mean(pvalues[:, 0] <= 0.10)):.3f}, elapsed {elapsed:.1f}s",
+    )
+    assert same, "a null file's p-value changed with the scale of its response"
+    assert 0.004 <= rate <= 0.096, f"5% rejection rate {rate:.3f}"
 
 
 def test_power_floors_against_mean_shifts(power_runs):

@@ -9,7 +9,7 @@ import pytest
 import dfgof.harness as harness
 from dfgof.cli import _build_parser, echo_config, parse_config, run
 from dfgof.errors import ConfigError
-from dfgof.harness import AlternativeSpec, ExperimentConfig
+from dfgof.harness import AlternativeSpec, ExperimentConfig, covariate_design
 from dfgof.process import Ecdf, ecdf_vs_cdf_sup, kolmogorov_cdf
 
 
@@ -157,10 +157,15 @@ class TestSimulateCommand:
             values = np.loadtxt(out / f"ecdf_{design}.csv", delimiter=",", skiprows=1)[:, 0]
             reported = float(summary.split(f"kolmogorov_sup {design}: ")[1].split()[0])
             assert reported == ecdf_vs_cdf_sup(Ecdf(values), kolmogorov_cdf)
+            # beside it, the law of the maximum over the n = 40 scan times
+            corrected = float(summary.split(f"kolmogorov_corrected_sup {design}: ")[1].split()[0])
+            assert corrected == ecdf_vs_cdf_sup(Ecdf(values), lambda v: kolmogorov_cdf(v + 0.5826 / np.sqrt(40)))
+        assert summary.index("kolmogorov_sup uniform_0_2") < summary.index("kolmogorov_corrected_sup uniform_0_2")
         for flags in (["--statistic", "ks_plus"], ["--process", "raw"]):
             other = tmp_path / flags[1]
             assert run(["simulate", cfg, "-o", str(other), *flags]) == 0
-            assert "kolmogorov_sup" not in (other / "summary.txt").read_text()
+            lines = (other / "summary.txt").read_text().splitlines()
+            assert not [line for line in lines if line.startswith(("kolmogorov_sup", "kolmogorov_corrected_sup"))]
 
     def test_plot_data_flag(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", BASIC)
@@ -300,7 +305,9 @@ def _constant_x2_file(tmp_path):
 
 
 class TestTestCommand:
-    def test_noiseless_linear_data_gives_pvalue_one(self, tmp_path, capsys):
+    def test_exact_fit_exits_two(self, tmp_path, capsys):
+        # the residuals are rounding noise: studentizing them would test
+        # the rounding, so the command refuses before any output
         x = np.linspace(0.5, 2.0, 24)
         data = tmp_path / "d.csv"
         data.write_text("\n".join(f"{a},{3 * a}" for a in x) + "\n")
@@ -308,14 +315,63 @@ class TestTestCommand:
         code = run(
             ["test", str(data), "--model", "simple_linear", "--seed", "4", "--reps", "39", "-o", str(out)]
         )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NumericalError: the simple_linear model fits the data to rounding")
+        assert not out.exists()
+
+    def test_outputs_and_the_residual_scale(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        x = np.linspace(0.5, 2.0, 24)
+        e = rng.standard_normal(24)
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(f"{a},{3 * a + b}" for a, b in zip(x, e)) + "\n")
+        out = tmp_path / "out"
+        code = run(
+            ["test", str(data), "--model", "simple_linear", "--seed", "4", "--reps", "39", "-o", str(out)]
+        )
         assert code == 0
-        text = capsys.readouterr().out
-        assert "pvalue: 1 " in text
         assert (out / "statistics.csv").exists()
         assert (out / "null_ecdf.csv").exists()
         dump = (out / "process_transformed.csv").read_text().splitlines()
         assert dump[0] == "x1,value"
         assert len(dump) == 26  # header + t=0 baseline + 24 jump times
+        residuals = 3 * x + e - (x @ (3 * x + e)) / (x @ x) * x
+        sigma_hat = float((out / "summary.txt").read_text().split("sigma_hat: ")[1].split()[0])
+        assert sigma_hat == pytest.approx(np.linalg.norm(residuals) / np.sqrt(23), rel=1e-12)
+        assert "sigma_hat:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("model", "design"),
+        [("centered_linear", "untied"), ("centered_linear", "tied"), ("bilinear2d", "beta_dep_a")],
+    )
+    def test_outputs_do_not_depend_on_the_scale_of_the_response(self, tmp_path, model, design):
+        # every residual column is studentized, and a power of two scales
+        # every floating-point step exactly: Y, 4 Y and Y / 4 give the same bytes
+        rng = np.random.default_rng(17)
+        n = 60
+        if design == "beta_dep_a":
+            x = covariate_design(design, n, seed=17)
+        else:
+            x = rng.uniform(0.0, 2.0, size=(n, 1))
+            if design == "tied":
+                x = np.round(4.0 * x) / 4.0
+        y = x.sum(axis=1) + x.prod(axis=1) + rng.standard_normal(n)
+        outputs = {}
+        for scale in (1.0, 4.0, 0.25):
+            data = tmp_path / f"d{scale}.csv"
+            data.write_text("".join(",".join(f"{v:.17g}" for v in (*row, scale * yi)) + "\n" for row, yi in zip(x, y)))
+            out = tmp_path / f"out{scale}"
+            argv = ["test", str(data), "--model", model, "--seed", "3", "--reps", "19", "-o", str(out)]
+            assert run(argv) == 0
+            outputs[scale] = {
+                name: (out / name).read_bytes()
+                for name in ("statistics.csv", "null_ecdf.csv", "process_transformed.csv", "process_raw.csv")
+            }
+            summary = (out / "summary.txt").read_text()
+            outputs[scale]["sigma_hat"] = float(summary.split("sigma_hat: ")[1].split()[0]) / scale
+        assert outputs[4.0] == outputs[1.0]
+        assert outputs[0.25] == outputs[1.0]
 
     def test_grid_rejected_at_p1(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -31,7 +31,7 @@ from dfgof.harness import (
     run_experiments,
 )
 from dfgof.model import Sample, build_model, fit
-from dfgof.process import Ecdf, ecdf_sup_distance, ecdf_vs_cdf_sup
+from dfgof.process import Ecdf, build_process, ecdf_sup_distance, ecdf_vs_cdf_sup, ks_statistics
 from dfgof.seeding import rng_for
 from dfgof.transport import DENSE_MAX, generate_anchors
 
@@ -562,6 +562,30 @@ class TestBatchedBootstrap:
                 assert process_statistics(first) == record, (reps, process)
                 for key, values in stats.items():
                     assert values[0] == record[key], (reps, key)
+
+    @pytest.mark.parametrize("kind", ["simple_linear", "bilinear2d"])
+    def test_columns_are_studentized(self, kind):
+        # each column is divided by |e| / sqrt(n - d): its raw process is
+        # that of the unit-scale column, and multiples of it by powers of
+        # two get the same statistics bit for bit
+        model, sample, anchors = _bootstrap_case(kind, 60, 4)
+        observed_fit = fit(model, sample)
+        geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
+        e = observed_fit.residuals
+        unit = e / (np.linalg.norm(e) / np.sqrt(60 - model.d))
+        for process in PROCESS_KINDS:
+            stats, _ = residual_statistics(geometry, np.column_stack([e, 4.0 * e, 0.25 * e]), process)
+            for key, values in stats.items():
+                assert values[1] == values[0] == values[2], key
+        reference = ks_statistics(build_process(unit, geometry.plans["raw"]))
+        assert stats["raw.ks_abs"][0] == pytest.approx(reference["ks_abs"], rel=1e-12)
+
+    def test_zero_residual_column_raises(self):
+        model, sample, _ = _bootstrap_case("simple_linear", 30, 5)
+        geometry = fixed_geometry(model, sample, fit(model, sample))
+        residuals = np.column_stack([fit(model, sample).residuals, np.zeros(30)])
+        with pytest.raises(NumericalError, match="zero norm"):
+            residual_statistics(geometry, residuals, "transformed")
 
     def test_nonlinear_model_rejected(self):
         model, sample, _ = _bootstrap_case("simple_linear", 30, 5)
