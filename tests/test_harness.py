@@ -308,12 +308,6 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="a power run requires a config with an alternative"):
             paired_runs(small_config())
 
-    def test_paired_null_drops_the_alternative_and_keeps_the_rest(self):
-        cfg = small_config(alternative=AlternativeSpec(psi="x_squared", amplitude=1.0))
-        null, alternative = paired_runs(cfg)
-        assert alternative is cfg
-        assert null == ExperimentConfig(**{**vars(cfg), "alternative": None})
-
     def test_zero_amplitude_recovers_null_distribution(self):
         cfg = small_config(
             n=50, reps=400, seed=99, alternative=AlternativeSpec(psi="x_squared", amplitude=0.0)
