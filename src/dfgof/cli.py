@@ -31,7 +31,6 @@ from .basis import make_basis
 from .errors import ConfigError, NumericalError
 from .fileio import load_points, load_sample, write_ecdf, write_process_dump, write_table, write_text_atomic
 from .harness import (
-    ANCHOR_MODES,
     ERROR_LAWS,
     PROCESS_KINDS,
     STATISTICS,
@@ -185,7 +184,6 @@ def echo_config(config: ExperimentConfig) -> str:
         f"seed = {config.seed}",
         f"statistic = {config.statistic}",
         f"process = {config.process}",
-        f"anchors = {config.anchors}",
         f"error_law = {config.error_law}",
     ]
     lines.append(f"theta_true = {', '.join(_fmt_float(v) for v in config.theta_true)}")
@@ -372,8 +370,7 @@ def _cmd_test(args) -> None:
             f"the {args.model} model fits the data to rounding (residual norm {residual_norm:.3g}): "
             "there is no residual scale to test"
         )
-    anchors = fixed_anchors(sample.n, sample.p, args.anchors, args.seed) if sample.p >= 2 else None
-    geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors, grid=grid)
+    geometry = fixed_geometry(model, sample, observed_fit, grid=grid)
     residuals = bootstrap_residuals(
         model, geometry, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
     )
@@ -412,7 +409,7 @@ def _cmd_test(args) -> None:
 def _cmd_assign(args) -> None:
     raw = load_points(args.data, args.delimiter)
     points, lo, hi = rescale_unit_cube(raw)
-    anchors = fixed_anchors(points.shape[0], points.shape[1], args.anchors, args.seed)
+    anchors = fixed_anchors(points.shape[0], points.shape[1])
     assignment = solve_assignment(points, anchors)
     per_point = np.linalg.norm(points - anchors.points[assignment.sigma], axis=1)
     outdir = _resolve_outdir(args)
@@ -471,16 +468,16 @@ def _cmd_limits(args) -> None:
     _write_summary(outdir, lines)
 
 
-def _add_common(sub, seed_help="master seed"):
+def _add_common(sub):
     sub.add_argument("-o", "--output-dir", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or ./dfgof_out)")
     sub.add_argument("--delimiter", default=",", help="field delimiter for input and output files")
-    sub.add_argument("--seed", type=int, default=None, help=seed_help)
 
 
 def _add_experiment(sub):
     """The config file argument and the flags that override its [experiment] keys."""
     sub.add_argument("config", help="experiment config file")
     _add_common(sub)
+    sub.add_argument("--seed", type=int, default=None, help="master seed")
     sub.add_argument("--reps", type=int, default=None)
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--design", default=None, help="comma-separated design ids (overrides config)")
@@ -517,18 +514,17 @@ def _build_parser() -> _Parser:
     test = subs.add_parser("test", help="goodness-of-fit test on a data file")
     test.add_argument("data")
     test.add_argument("--model", required=True, choices=tuple(MODEL_KINDS))
-    _add_common(test, seed_help="master seed (required)")
+    _add_common(test)
+    test.add_argument("--seed", type=int, default=None, help="master seed (required)")
     test.add_argument("--reps", type=int, default=200, help="null replications for the p-value")
     test.add_argument("--statistic", default=_DEFAULTS["statistic"], choices=STATISTICS)
     test.add_argument("--process", default=_DEFAULTS["process"], choices=PROCESS_KINDS)
-    test.add_argument("--anchors", default=_DEFAULTS["anchors"], choices=ANCHOR_MODES)
     test.add_argument("--grid", type=int, default=None)
     test.add_argument("--error-law", default=_DEFAULTS["error_law"], choices=ERROR_LAWS)
     test.set_defaults(handler=_cmd_test)
 
     asg = subs.add_parser("assign", help="optimal transport matching of a covariate file")
     asg.add_argument("data")
-    asg.add_argument("--anchors", default=_DEFAULTS["anchors"], choices=ANCHOR_MODES)
     _add_common(asg)
     asg.set_defaults(handler=_cmd_assign)
 

@@ -46,9 +46,10 @@ observed residual and all bootstrap residuals as the columns of one
 matrix (``bootstrap_residuals``), so its observed statistics are what a
 simulation records for that sample.
 The bootstrap columns are built in as few processes as keep evaluation
-points times columns within EVAL_ENTRIES.  The Halton anchor net does not
-depend on the seed, so ``fixed_anchors`` keeps one net, with its
-assignment hierarchy, per (n, p) for every seed.
+points times columns within EVAL_ENTRIES.  Every sample of n points in
+dimension p >= 2 is matched to the Halton net of (n, p), which depends on
+nothing else: ``fixed_geometry`` fetches it from ``fixed_anchors``, which
+keeps one net, with its assignment hierarchy, per (n, p) for every seed.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .process import (
     process_plan,
 )
 from .rotations import OrthonormalSet
-from .seeding import rng_for, seed_sequence
+from .seeding import rng_for
 from .transform import transform_residuals
 from .transport import AnchorSet, generate_anchors, rescale_unit_cube, solve_assignment
 
@@ -111,7 +112,6 @@ PSI_FUNCTIONS = {
 ERROR_LAWS = ("normal", "uniform")
 STATISTICS = ("ks_abs", "ks_plus")
 PROCESS_KINDS = ("transformed", "raw")
-ANCHOR_MODES = ("halton", "random")
 MAX_FAILURE_FRACTION = 0.01
 # Replications evaluated together as one stack; blocks start at multiples of
 # BLOCK whatever the worker count.
@@ -160,7 +160,6 @@ class ExperimentConfig:
     statistic: str = "ks_abs"
     process: str = "transformed"
     alternative: AlternativeSpec | None = None
-    anchors: str = "halton"
     grid: int | None = None
     error_law: str = "normal"
     theta_true: tuple[float, ...] | None = None
@@ -188,8 +187,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown statistic {self.statistic!r}; known: {STATISTICS}")
         if self.process not in PROCESS_KINDS:
             raise ConfigError(f"unknown process kind {self.process!r}; known: {PROCESS_KINDS}")
-        if self.anchors not in ANCHOR_MODES:
-            raise ConfigError(f"unknown anchor mode {self.anchors!r}; known: {ANCHOR_MODES}")
         if self.error_law not in ERROR_LAWS:
             raise ConfigError(f"unknown error law {self.error_law!r}; known: {ERROR_LAWS}")
         object.__setattr__(self, "grid", lattice_resolution(self.grid, p))
@@ -233,24 +230,12 @@ def _draw_errors(law: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=n)
 
 
-def fixed_anchors(n: int, p: int, mode: str, seed: int | None) -> AnchorSet:
-    """The anchor set shared by every sample of n points in dimension p: the
-    Halton net, or n uniform points drawn from the stream
-    seed_sequence(seed, "anchors") of the master seed.  The Halton net does
-    not depend on the seed: one object, with its hierarchy, serves every
-    seed."""
-    if mode == "halton":
-        seed = None
-    elif seed is None:
-        raise ConfigError("random anchors require a seed (config key 'seed' or flag --seed)")
-    return _cached_anchors(n, p, mode, seed)
-
-
 @lru_cache(maxsize=8)
-def _cached_anchors(n: int, p: int, mode: str, seed: int | None) -> AnchorSet:
-    if mode == "halton":
-        return generate_anchors(n, p, "halton")
-    return generate_anchors(n, p, "random", seed=seed_sequence(seed, "anchors"))
+def fixed_anchors(n: int, p: int) -> AnchorSet:
+    """The Halton net every sample of n points in dimension p is matched to.
+    It depends on (n, p) alone: one object, with its hierarchy, serves
+    every seed."""
+    return generate_anchors(n, p, "halton")
 
 
 def _variant_tag(config: ExperimentConfig) -> str:
@@ -279,14 +264,7 @@ class Geometry:
     plans: dict[str, ProcessPlan]
 
 
-def fixed_geometry(
-    model: RegressionModel,
-    sample: Sample,
-    fitres: FitResult,
-    *,
-    anchor_set: AnchorSet | None = None,
-    grid: int | None = None,
-) -> Geometry:
+def fixed_geometry(model: RegressionModel, sample: Sample, fitres: FitResult, *, grid: int | None = None) -> Geometry:
     """Scan points, score and reference sets and process plans of one
     fitted sample, or of each sample of a stack.
 
@@ -296,10 +274,10 @@ def fixed_geometry(
     ``process.ecdf_plan`` sorts each sample's covariate once and gives
     the times and the one plan both process kinds share; a covariate with
     no more than d distinct values raises RankDeficiencyError there,
-    before the score set is built.  For p >= 2 an anchor set of
-    matching size is required and each row is scanned at the anchor the
-    optimal assignment matches it to, one assignment per sample; the raw
-    process gets its own plan on the rescaled covariates.  For linear
+    before the score set is built.  For p >= 2 each row is scanned at the
+    point of the Halton net ``fixed_anchors(n, p)`` that the optimal
+    assignment matches it to, one assignment per sample; the raw process
+    gets its own plan on the rescaled covariates.  For linear
     model kinds nothing here depends on the response, so one geometry
     serves every response drawn on the same X.
     """
@@ -309,8 +287,7 @@ def fixed_geometry(
         points = times[..., None]
         plans = dict.fromkeys(PROCESS_KINDS, plan)
     else:
-        if anchor_set is None:
-            raise ValueError("p >= 2 requires an anchor set")
+        anchor_set = fixed_anchors(sample.n, sample.p)
         xs = sample.X if sample.stacked else sample.X[None]
         raw_points = np.empty(sample.X.shape)
         points = np.empty(sample.X.shape)
@@ -410,33 +387,21 @@ def bootstrap_residuals(
     return out
 
 
-def pipeline_processes(
-    model: RegressionModel,
-    sample: Sample,
-    fitres: FitResult,
-    *,
-    anchor_set: AnchorSet | None = None,
-    grid: int | None = None,
-):
+def pipeline_processes(model: RegressionModel, sample: Sample, fitres: FitResult, *, grid: int | None = None):
     """Transformed and raw residual processes for one fitted sample, or
     stacked processes for a fitted stack: ``residual_statistics`` of the
     fitted residuals on the sample's ``fixed_geometry``."""
-    geometry = fixed_geometry(model, sample, fitres, anchor_set=anchor_set, grid=grid)
+    geometry = fixed_geometry(model, sample, fitres, grid=grid)
     return residual_statistics(geometry, fitres.residuals[..., None], "transformed")[1]
 
 
 def pipeline_records(
-    model: RegressionModel,
-    sample: Sample,
-    fitres: FitResult,
-    *,
-    anchor_set: AnchorSet | None = None,
-    grid: int | None = None,
+    model: RegressionModel, sample: Sample, fitres: FitResult, *, grid: int | None = None
 ) -> dict[str, float] | dict[str, np.ndarray]:
     """Statistics of the transformed and raw residual processes for one
     fitted sample (floats), or for each sample of a fitted stack (arrays
     with one entry per sample)."""
-    return process_statistics(pipeline_processes(model, sample, fitres, anchor_set=anchor_set, grid=grid))
+    return process_statistics(pipeline_processes(model, sample, fitres, grid=grid))
 
 
 def _draws(config: ExperimentConfig, design_id: str, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -460,8 +425,7 @@ def _stack_records(config: ExperimentConfig, draws: list[tuple[np.ndarray, np.nd
         signal = signal + amp * PSI_FUNCTIONS[config.alternative.psi][1](x)
     sample = Sample(x, signal + errors)
     fitres = fit(model, sample)
-    anchor_set = fixed_anchors(config.n, config.p, config.anchors, config.seed) if config.p >= 2 else None
-    return pipeline_records(model, sample, fitres, anchor_set=anchor_set, grid=config.grid)
+    return pipeline_records(model, sample, fitres, grid=config.grid)
 
 
 def _block(config: ExperimentConfig, design_id: str, start: int) -> tuple[dict[str, np.ndarray], int]:

@@ -15,8 +15,11 @@ entropy.  Replications differ in their last label only, so the words of
 everything before it are cached per label path and the last label's words
 are appended: a stream costs one SeedSequence and one PCG64, not a fresh
 coercion of the whole path.  A path is identified by its words, so
-(..., 2**32) and (..., 0, 1) address one stream; every path the package
-derives has a fixed shape, so no two of them meet that way.
+(..., 2**32) and (..., 0, 1) address one stream.  The package derives paths
+of two shapes, ("design", design id, variant, "rep", i) for the draws of a
+replication and ("bootstrap", b) for a bootstrap replicate of ``dfgof
+test``.  Each shape is fixed and the two differ in their first label, so
+no two of them meet that way.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ from dfgof.harness import (
     _variant_tag,
     bootstrap_residuals,
     covariate_design,
-    fixed_anchors,
     fixed_geometry,
     pipeline_processes,
     residual_statistics,
@@ -317,7 +316,6 @@ def test_assignment_solver_exact_on_enumerable_instances(workdirs):
 def _transformed_processes(config: ExperimentConfig):
     """The stacked transformed process of each block of a null run's
     replications, drawn from the run's own streams."""
-    anchor_set = fixed_anchors(config.n, config.p, config.anchors, config.seed) if config.p >= 2 else None
     for start in range(0, config.reps, BLOCK):
         draws = [_draws(config, config.design[0], i) for i in range(start, min(start + BLOCK, config.reps))]
         x = np.stack([xi for xi, _ in draws])
@@ -325,7 +323,7 @@ def _transformed_processes(config: ExperimentConfig):
         model = build_model(config.model, Sample(x, np.zeros(errors.shape)))
         sample = Sample(x, model.mean(np.asarray(config.theta_true), x) + errors)
         fitres = fit(model, sample)
-        yield pipeline_processes(model, sample, fitres, anchor_set=anchor_set, grid=config.grid)["transformed"]
+        yield pipeline_processes(model, sample, fitres, grid=config.grid)["transformed"]
 
 
 def test_transformed_process_covariance_matches_bridge():
@@ -424,12 +422,11 @@ def _bootstrap_pvalues(kind: str, design: str, n: int, index: int) -> list[float
     eps = rng.standard_normal(n)
     model = build_model(kind, Sample(x, np.zeros(n)))
     mean = model.mean(np.ones(model.d), x)
-    anchors = fixed_anchors(n, p, "halton", None) if p >= 2 else None
     pvalues = []
     for c in LEVEL_SCALES:
         sample = Sample(x, c * (mean + eps))
         fitres = fit(model, sample)
-        geometry = fixed_geometry(model, sample, fitres, anchor_set=anchors, grid=lattice_resolution(None, p))
+        geometry = fixed_geometry(model, sample, fitres, grid=lattice_resolution(None, p))
         residuals = bootstrap_residuals(model, geometry, fitres, seed=index, reps=LEVEL_REPS, error_law="normal")
         stats = residual_statistics(geometry, residuals, "transformed")[0]["transformed.ks_abs"]
         pvalues.append((1.0 + float(np.sum(stats[1:] >= stats[0]))) / (LEVEL_REPS + 1.0))

@@ -95,19 +95,19 @@ def test_each_stacked_layer_matches_single_samples(kind, n, size, seed, tied):
     model, stack, singles, anchors = _stack_case(kind, n, size, seed, tied)
     fitres = fit(model, stack)
     scores = score_basis(model, fitres, stack)
-    geometry = fixed_geometry(model, stack, fitres, anchor_set=anchors)
+    geometry = fixed_geometry(model, stack, fitres)
     references = sample_on_points(make_basis(stack.p, model.d), geometry.points)
     transformed = transform_residuals(fitres.residuals, scores, references).values
     process = build_process(transformed, geometry.points)
     stats = ks_statistics(process)
-    records = pipeline_records(model, stack, fitres, anchor_set=anchors)
+    records = pipeline_records(model, stack, fitres)
     for b, (single_model, sample) in enumerate(singles):
         one = fit(single_model, sample)
         _equal(fitres.theta_hat[b], one.theta_hat, "theta_hat")
         _equal(fitres.residuals[b], one.residuals, "residuals")
         one_scores = score_basis(single_model, one, sample)
         _equal(scores.vectors[b], one_scores.vectors, "score set")
-        one_geometry = fixed_geometry(single_model, sample, one, anchor_set=anchors)
+        one_geometry = fixed_geometry(single_model, sample, one)
         assert np.array_equal(geometry.points[b], one_geometry.points)
         # the scan points: empirical-CDF times at p = 1, the anchor the
         # optimal assignment matches each row to at p = 2
@@ -129,7 +129,7 @@ def test_each_stacked_layer_matches_single_samples(kind, n, size, seed, tied):
         _equal(process.eval_values[b][distinct], one_process.eval_values, "process values")
         for name, value in ks_statistics(one_process).items():
             _equal(stats[name][b], value, name)
-        one_records = pipeline_records(single_model, sample, one, anchor_set=anchors)
+        one_records = pipeline_records(single_model, sample, one)
         assert records.keys() == one_records.keys()
         for key, value in one_records.items():
             _equal(records[key][b], value, key)
@@ -194,7 +194,7 @@ def test_test_command_builds_the_unselected_process_once(monkeypatch):
     model, stack, singles, anchors = _stack_case("bilinear2d", n, 1, 3, False)
     single_model, sample = singles[0]
     fitres = fit(single_model, sample)
-    geometry = fixed_geometry(single_model, sample, fitres, anchor_set=anchors)
+    geometry = fixed_geometry(single_model, sample, fitres)
     residuals = harness.bootstrap_residuals(single_model, geometry, fitres, seed=5, reps=reps, error_law="normal")
     stats, first = harness.residual_statistics(geometry, residuals, "raw")
     assert set(stats) == {"raw.ks_abs", "raw.ks_plus"}

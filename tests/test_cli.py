@@ -1,3 +1,4 @@
+import argparse
 import multiprocessing
 import re
 from dataclasses import fields
@@ -74,7 +75,6 @@ class TestParseConfig:
         assert cfg.design == ("uniform_0_2",)
         assert cfg.statistic == "ks_abs"
         assert cfg.process == "transformed"
-        assert cfg.anchors == "halton"
         assert cfg.error_law == "normal"
         assert cfg.alternative is None
 
@@ -125,9 +125,8 @@ class TestParseConfig:
     def test_flag_defaults_are_the_config_defaults(self):
         defaults = {f.name: f.default for f in fields(ExperimentConfig)}
         test = _build_parser().parse_args(["test", "data.csv", "--model", "simple_linear"])
-        for key in ("statistic", "process", "anchors", "error_law"):
+        for key in ("statistic", "process", "error_law"):
             assert getattr(test, key) == defaults[key], key
-        assert _build_parser().parse_args(["assign", "data.csv"]).anchors == defaults["anchors"]
 
     def test_alternative_flags_override_file_values(self, tmp_path):
         path = write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)
@@ -284,6 +283,11 @@ class TestFitCommand:
         data = tmp_path / "d.csv"
         data.write_text("\n".join("0.0,1.0" for _ in range(5)) + "\n")
         assert run(["fit", str(data), "--model", "simple_linear", "-o", str(tmp_path / "o")]) == 2
+
+
+def _seed_flag(command):
+    # only the commands that draw random numbers take --seed
+    return ["--seed", "1"] if command == "test" else []
 
 
 def _bilinear_file(tmp_path):
@@ -459,7 +463,7 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("command", ["test", "fit"])
     def test_constant_second_covariate_exits_two(self, tmp_path, capsys, command):
-        argv = [command, str(_constant_x2_file(tmp_path)), "--model", "bilinear2d", "--seed", "1"]
+        argv = [command, str(_constant_x2_file(tmp_path)), "--model", "bilinear2d", *_seed_flag(command)]
         assert run(argv + ["-o", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "RankDeficiencyError" in err
@@ -469,7 +473,7 @@ class TestTestCommand:
     def test_unknown_model_exits_one(self, tmp_path, capsys, command):
         data = tmp_path / "d.csv"
         data.write_text("1,2\n2,4\n3,6\n4,8\n")
-        assert run([command, str(data), "--model", "foo", "--seed", "1", "-o", str(tmp_path / "o")]) == 1
+        assert run([command, str(data), "--model", "foo", *_seed_flag(command), "-o", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "foo" in err
 
@@ -488,7 +492,7 @@ class TestTestCommand:
         data = tmp_path / "d.csv"
         data.write_text("".join(",".join(map(str, row)) + f",{2 * row[0] + 1}\n" for row in x))
         out = tmp_path / "o"
-        assert run([command, str(data), "--model", model, "--seed", "1", "-o", str(out)]) == 1
+        assert run([command, str(data), "--model", model, *_seed_flag(command), "-o", str(out)]) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
@@ -506,11 +510,6 @@ class TestAssignCommand:
         assert lines[-1] == "# total_cost=0.75"
         pairs = {tuple(line.split(",")[:2]) for line in lines[1:3]}
         assert pairs == {("0", "1"), ("1", "0")}
-
-    def test_random_anchors_require_seed(self, tmp_path):
-        data = tmp_path / "d.csv"
-        data.write_text("0.0\n1.0\n")
-        assert run(["assign", str(data), "--anchors", "random", "-o", str(tmp_path / "o")]) == 1
 
 
 class TestLimitsCommand:
@@ -576,11 +575,73 @@ class TestInputErrorsExitOne:
         data = tmp_path / "d.csv"
         data.write_text(text)
         out = tmp_path / "o"
-        argv = [str(data) if arg == "DATA" else arg for arg in argv] + ["--seed", "1", "-o", str(out)]
+        argv = [str(data) if arg == "DATA" else arg for arg in argv] + [*_seed_flag(argv[0]), "-o", str(out)]
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
         assert not out.exists()
+
+
+class TestRemovedOptions:
+    """Every sample of a size is matched to one Halton net, and only the
+    commands that draw random numbers take a seed: the keys and flags that
+    chose otherwise are usage errors."""
+
+    def test_anchors_key_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "a.cfg", BASIC + "anchors = halton\n")
+        assert run(["simulate", cfg, "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "usage error: unknown key 'anchors' in [experiment]\n"
+
+    def test_old_manifest_is_rejected(self, tmp_path, capsys):
+        manifest = echo_config(parse_config(CONFIG_DIR / "power_cubic.cfg"))
+        manifest = manifest.replace("error_law =", "anchors = halton\nerror_law =")
+        cfg = write_config(tmp_path / "manifest.cfg", manifest)
+        assert run(["power", cfg, "-o", str(tmp_path / "out")]) == 1
+        assert "unknown key 'anchors'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "DATA", "--model", "bilinear2d", "--seed", "1", "--anchors", "halton"],
+            ["assign", "DATA", "--anchors", "halton"],
+            ["fit", "DATA", "--model", "bilinear2d", "--seed", "1"],
+            ["assign", "DATA", "--seed", "1"],
+            ["limits", "--seed", "1"],
+        ],
+        ids=["test-anchors", "assign-anchors", "fit-seed", "assign-seed", "limits-seed"],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        data = str(_bilinear_file(tmp_path))
+        out = tmp_path / "out"
+        assert run([data if arg == "DATA" else arg for arg in argv] + ["-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unrecognized arguments:") and argv[-2] in err
+        assert not out.exists()
+
+
+def _usage_flags():
+    """The flags that each usage line of the README's command-line block
+    names, by command."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line.split() for line in block.splitlines() if line.startswith("dfgof ")]
+    return {words[1]: set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", " ".join(words[2:]))) for words in lines}
+
+
+USAGE_FLAGS = _usage_flags()
+
+
+def _subcommands():
+    return next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_FLAGS))
+def test_readme_usage_line_names_only_accepted_flags(command):
+    assert USAGE_FLAGS[command] <= set(_subcommands()[command]._option_string_actions)
+
+
+def test_readme_has_a_usage_line_per_command():
+    assert sorted(USAGE_FLAGS) == sorted(_subcommands())
 
 
 class TestExitCodes:

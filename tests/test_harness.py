@@ -107,20 +107,9 @@ class TestCovariateDesign:
 
 class TestFixedAnchors:
     def test_one_halton_net_serves_every_seed(self):
-        net = fixed_anchors(300, 2, "halton", 1)
-        assert fixed_anchors(300, 2, "halton", 2) is net
-        assert fixed_anchors(300, 2, "halton", None) is net
+        net = fixed_anchors(300, 2)
+        assert fixed_anchors(300, 2) is net
         assert np.array_equal(net.points, generate_anchors(300, 2, "halton").points)
-
-    def test_random_anchors_differ_by_seed(self):
-        a = fixed_anchors(300, 2, "random", 1)
-        assert fixed_anchors(300, 2, "random", 1) is a
-        b = fixed_anchors(300, 2, "random", 2)
-        assert not np.array_equal(a.points, b.points)
-
-    def test_random_anchors_require_a_seed(self):
-        with pytest.raises(ConfigError, match="seed"):
-            fixed_anchors(300, 2, "random", None)
 
 
 class TestConfigValidation:
@@ -374,16 +363,16 @@ class TestTiedCovariates:
 
     def test_bootstrap_pvalues_do_not_depend_on_row_order(self):
         x, y = self._data()
-        _assert_bootstrap_row_order_free("centered_linear", x, y, anchors=None)
+        _assert_bootstrap_row_order_free("centered_linear", x, y)
 
 
-def _bootstrap_statistics(kind, x, y, anchors, *, seed=3, reps=40):
+def _bootstrap_statistics(kind, x, y, *, seed=3, reps=40):
     """Every statistic of the observed column and the bootstrap columns, as
     ``dfgof test`` computes them."""
     sample = Sample(x, y)
     model = build_model(kind, sample)
     observed_fit = fit(model, sample)
-    geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
+    geometry = fixed_geometry(model, sample, observed_fit)
     residuals = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law="normal")
     return _all_statistics(geometry, residuals)[0]
 
@@ -408,12 +397,12 @@ def _assert_same_statistics(reference, other, rel=1e-9):
         assert np.all(np.abs(np.asarray(other[key]) - value) <= rel * scale), key
 
 
-def _assert_bootstrap_row_order_free(kind, x, y, anchors):
+def _assert_bootstrap_row_order_free(kind, x, y):
     n = x.shape[0]
-    stats = [_bootstrap_statistics(kind, x, y, anchors)]
+    stats = [_bootstrap_statistics(kind, x, y)]
     for k in range(3):
         perm = np.random.default_rng(k).permutation(n)
-        stats.append(_bootstrap_statistics(kind, x[perm], y[perm], anchors))
+        stats.append(_bootstrap_statistics(kind, x[perm], y[perm]))
     for other in stats[1:]:
         _assert_same_statistics(stats[0], other)
         for key, values in other.items():
@@ -427,14 +416,13 @@ def test_bivariate_bootstrap_pvalues_do_not_depend_on_row_order():
     assert n > DENSE_MAX
     x = covariate_design("beta_dep_a", n, seed=6)
     y = 1.0 + x.sum(axis=1) + np.random.default_rng(6).standard_normal(n)
-    _assert_bootstrap_row_order_free("bilinear2d", x, y, generate_anchors(n, 2, "halton"))
+    _assert_bootstrap_row_order_free("bilinear2d", x, y)
 
 
 def _records(kind, x, y):
     sample = Sample(x, y)
     model = build_model(kind, sample)
-    anchors = generate_anchors(sample.n, 2, "halton") if sample.p == 2 else None
-    return pipeline_records(model, sample, fit(model, sample), anchor_set=anchors)
+    return pipeline_records(model, sample, fit(model, sample))
 
 
 class TestPipelineInvariance:
@@ -492,8 +480,7 @@ def _bootstrap_case(kind, n, seed):
     probe = Sample(x, np.zeros(n))
     model = build_model(model_kind, probe)
     sample = Sample(x, model.mean(np.ones(model.d), probe.X) + rng.standard_normal(n))
-    anchors = generate_anchors(n, 2, "halton") if sample.p == 2 else None
-    return model, sample, anchors
+    return model, sample
 
 
 def _pvalue(boot, observed):
@@ -508,9 +495,9 @@ class TestBatchedBootstrap:
     @pytest.mark.parametrize("kind", ["simple_linear", "centered_linear", "tied_linear", "bilinear2d"])
     def test_matches_refit_per_replicate(self, kind, law):
         reps, seed = 30, 17
-        model, sample, anchors = _bootstrap_case(kind, 60, 4)
+        model, sample = _bootstrap_case(kind, 60, 4)
         observed_fit = fit(model, sample)
-        geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
+        geometry = fixed_geometry(model, sample, observed_fit)
         residuals = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law=law)
         assert residuals.shape == (sample.n, reps + 1)
         batch, first = _all_statistics(geometry, residuals)
@@ -520,12 +507,12 @@ class TestBatchedBootstrap:
         # lexicographic order (rows of a tie in row order)
         points = geometry.points.reshape(sample.n, -1)
         scan = sorted(range(sample.n), key=lambda i: (tuple(points[i]), i))
-        records = [pipeline_records(model, sample, observed_fit, anchor_set=anchors)]
+        records = [pipeline_records(model, sample, observed_fit)]
         for b in range(reps):
             eps = np.empty(sample.n)
             eps[scan] = _draw_errors(law, sample.n, rng_for(seed, "bootstrap", b))
             boot = Sample(sample.X, null_mean + eps)
-            records.append(pipeline_records(model, boot, fit(model, boot), anchor_set=anchors))
+            records.append(pipeline_records(model, boot, fit(model, boot)))
 
         assert set(batch) == {f"{kind}.{stat}" for kind in ("transformed", "raw") for stat in STATISTICS}
         for key, values in batch.items():
@@ -545,10 +532,10 @@ class TestBatchedBootstrap:
     def test_observed_column_is_the_simulation_record(self, kind):
         # one evaluation path: column 0 of the bootstrap matrix gets what a
         # simulation records for the sample, bit for bit, whatever B is
-        model, sample, anchors = _bootstrap_case(kind, 200, 9)
+        model, sample = _bootstrap_case(kind, 200, 9)
         observed_fit = fit(model, sample)
-        record = pipeline_records(model, sample, observed_fit, anchor_set=anchors)
-        geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
+        record = pipeline_records(model, sample, observed_fit)
+        geometry = fixed_geometry(model, sample, observed_fit)
         for reps in (1, 7, 40):
             residuals = bootstrap_residuals(model, geometry, observed_fit, seed=5, reps=reps, error_law="normal")
             for process in PROCESS_KINDS:
@@ -562,9 +549,9 @@ class TestBatchedBootstrap:
         # each column is divided by |e| / sqrt(n - d): its raw process is
         # that of the unit-scale column, and multiples of it by powers of
         # two get the same statistics bit for bit
-        model, sample, anchors = _bootstrap_case(kind, 60, 4)
+        model, sample = _bootstrap_case(kind, 60, 4)
         observed_fit = fit(model, sample)
-        geometry = fixed_geometry(model, sample, observed_fit, anchor_set=anchors)
+        geometry = fixed_geometry(model, sample, observed_fit)
         e = observed_fit.residuals
         unit = e / (np.linalg.norm(e) / np.sqrt(60 - model.d))
         for process in PROCESS_KINDS:
@@ -575,14 +562,14 @@ class TestBatchedBootstrap:
         assert stats["raw.ks_abs"][0] == pytest.approx(reference["ks_abs"], rel=1e-12)
 
     def test_zero_residual_column_raises(self):
-        model, sample, _ = _bootstrap_case("simple_linear", 30, 5)
+        model, sample = _bootstrap_case("simple_linear", 30, 5)
         geometry = fixed_geometry(model, sample, fit(model, sample))
         residuals = np.column_stack([fit(model, sample).residuals, np.zeros(30)])
         with pytest.raises(NumericalError, match="zero norm"):
             residual_statistics(geometry, residuals, "transformed")
 
     def test_nonlinear_model_rejected(self):
-        model, sample, _ = _bootstrap_case("simple_linear", 30, 5)
+        model, sample = _bootstrap_case("simple_linear", 30, 5)
         custom = build_model("custom", mean=model.mean, grad=model.grad, d=1)
         fitres = fit(model, sample)
         geometry = fixed_geometry(model, sample, fitres)
