@@ -324,6 +324,36 @@ class TestTestCommand:
         assert err.startswith("numerical failure: NumericalError: the simple_linear model fits the data to rounding")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("model", "response"),
+        [
+            ("centered_linear", lambda x: 3 + 2 * x[:, 0]),
+            ("centered_linear", lambda x: 1e13 + x[:, 0]),
+            ("bilinear2d", lambda x: 1 + x[:, 0] + x[:, 1] + x[:, 0] * x[:, 1]),
+        ],
+        ids=["centered", "mean-1e13", "bilinear2d"],
+    )
+    def test_exact_fits_exit_two(self, tmp_path, capsys, model, response):
+        x = np.random.default_rng(8).uniform(0.0, 2.0, size=(200, 2 if model == "bilinear2d" else 1))
+        data = tmp_path / "d.csv"
+        data.write_text("".join(",".join(f"{v:.17g}" for v in (*row, y)) + "\n" for row, y in zip(x, response(x))))
+        out = tmp_path / "out"
+        assert run(["test", str(data), "--model", model, "--seed", "4", "--reps", "9", "-o", str(out)]) == 2
+        assert "fits the data to rounding" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noise_on_a_large_mean_is_tested(self, tmp_path):
+        # unit noise on a mean of 1e13 is far above the rounding of the fit
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.0, 2.0, 200)
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{a:.17g},{1e13 + a + e:.17g}\n" for a, e in zip(x, rng.standard_normal(200))))
+        out = tmp_path / "out"
+        argv = ["test", str(data), "--model", "centered_linear", "--seed", "4", "--reps", "19", "-o", str(out)]
+        assert run(argv) == 0
+        sigma_hat = float((out / "summary.txt").read_text().split("sigma_hat: ")[1].split()[0])
+        assert sigma_hat == pytest.approx(1.0, abs=0.15)
+
     def test_outputs_and_the_residual_scale(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         x = np.linspace(0.5, 2.0, 24)
