@@ -2,8 +2,8 @@
 
 All randomness in an experiment flows from a single integer seed.  Child
 streams are addressed by a label path, e.g. ``rng_for(seed, "design",
-"uniform_0_2", "rep", 17)``.  String labels are hashed with SHA-256 so the
-derivation does not depend on the platform or on Python's hash
+"uniform_0_2", "null", "rep", 17)``.  String labels are hashed with SHA-256
+so the derivation does not depend on the platform or on Python's hash
 randomization; results are therefore reproducible across runs, machines and
 worker counts.
 
