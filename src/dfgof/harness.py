@@ -9,19 +9,21 @@ both the transformed and the untransformed residual process.
 Replications run in blocks of ``BLOCK`` consecutive indices: block b holds
 replications b * BLOCK up to (b + 1) * BLOCK - 1, the last block fewer.
 Replication i draws X and then its errors from its own RNG stream, derived
-from (seed, design id, variant tag, i), and each block stacks its draws
+from (seed, design id, variant tag, i); a block makes the streams of its
+replications together (``seeding.rngs_for``) and stacks their draws
 along a leading sample axis.  Fit, score and reference sets, reflection
 chains, both processes and their statistics then run once per block over
 that axis, and every sample gets the numbers it would get on its own.  The
 block boundaries depend on the replication count alone, never on
-the worker count: the process pool hands out whole blocks, so results are
-bit-identical for any number of workers.  ``run_experiments`` runs the
+the worker count: the process pool hands out chunks of whole blocks and
+returns them in task order, so results are bit-identical for any number
+of workers.  ``run_experiments`` runs the
 blocks of several single-design configs as one task list, such as every
 design of a command, or the null and alternative runs of ``power``; one
 process pool of at most ``workers`` processes, and no more than the tasks
 or the cores, serves the whole list and lives for that call only.
 Per-sample Python work is left where the data force it: each
-replication's stream, draws and centering constants, and for p >= 2 the
+replication's generator, draws and centering constants, and for p >= 2 the
 optimal assignment and the setup of the dominance sweep of each sample.  A
 block in which a sample fails (rank-deficient fit, too few distinct
 covariate values) is evaluated again one sample at a time, the failing
@@ -78,7 +80,7 @@ from .process import (
     process_plan,
 )
 from .rotations import OrthonormalSet
-from .seeding import rng_for
+from .seeding import rngs_for
 from .transform import transform_residuals
 from .transport import AnchorSet, generate_anchors, rescale_unit_cube, solve_assignment
 
@@ -379,8 +381,10 @@ def bootstrap_residuals(
     out = np.empty((n, reps + 1))
     out[:, 0] = fitres.residuals
     scan = np.lexsort(geometry.points.reshape(n, -1).T[::-1])
-    for b in range(reps):
-        out[scan, b + 1] = _draw_errors(error_law, n, rng_for(seed, "bootstrap", b))
+    for start in range(0, reps, BLOCK):
+        rngs = rngs_for(seed, "bootstrap", indices=range(start, min(start + BLOCK, reps)))
+        for b, rng in enumerate(rngs, start + 1):
+            out[scan, b] = _draw_errors(error_law, n, rng)
     scores = geometry.score_set.vectors
     boot = out[:, 1:]
     boot -= scores.T @ (scores @ boot)
@@ -404,12 +408,12 @@ def pipeline_records(
     return process_statistics(pipeline_processes(model, sample, fitres, grid=grid))
 
 
-def _draws(config: ExperimentConfig, design_id: str, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Covariates and then errors of replication ``index``, from its own
-    generator."""
-    rng = rng_for(config.seed, "design", design_id, _variant_tag(config), "rep", index)
-    x = DESIGNS[design_id][1](config.n, rng)
-    return x, _draw_errors(config.error_law, config.n, rng)
+def _draws(config: ExperimentConfig, design_id: str, indices: range) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Covariates and then errors of each replication of ``indices``, each
+    from its own generator."""
+    rngs = rngs_for(config.seed, "design", design_id, _variant_tag(config), "rep", indices=indices)
+    draw = DESIGNS[design_id][1]
+    return [(draw(config.n, rng), _draw_errors(config.error_law, config.n, rng)) for rng in rngs]
 
 
 def _stack_records(config: ExperimentConfig, draws: list[tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -436,7 +440,7 @@ def _block(config: ExperimentConfig, design_id: str, start: int) -> tuple[dict[s
     is evaluated again as a stack of one, which gives it the same numbers,
     and the failing ones are dropped.
     """
-    draws = [_draws(config, design_id, i) for i in range(start, min(start + BLOCK, config.reps))]
+    draws = _draws(config, design_id, range(start, min(start + BLOCK, config.reps)))
     try:
         return _stack_records(config, draws), 0
     except RankDeficiencyError:
@@ -498,24 +502,32 @@ def run_experiments(configs: Sequence[ExperimentConfig], workers: int = 1) -> li
     count, as a pool starts all its processes at once.  When that leaves
     more than one, one process pool runs the whole list and is shut down
     before this returns, also when it raises; otherwise the blocks run in a
-    plain loop.  Results are collected in task order, and the blocks do not
-    depend on the worker count or on the other configs, so every result is
-    bit-identical for any worker count.  A result's ``elapsed`` is the wall time from the last
-    block of the config before it (the call's start, for the first) to its
-    own last block, so the values add up to the wall time of the run.  The
-    configs are checked in order as their blocks arrive: the first with
-    more than MAX_FAILURE_FRACTION dropped replications raises
-    NumericalError, and the tasks not yet started are cancelled.
+    plain loop.  The pool is sent the tasks in chunks of
+    ceil(tasks / (4 * pool size)) consecutive blocks, one round trip per
+    chunk.  Results are collected in task order, and the blocks do not
+    depend on the worker count, the chunks or the other configs, so every
+    result is bit-identical for any worker count.  A result's ``elapsed``
+    is the wall time from the last block of the config before it (the
+    call's start, for the first) to its own last block, which arrives
+    with the rest of its chunk, so the values add up to the wall time of
+    the run.  The configs are checked in order as their blocks arrive: the
+    first with more than MAX_FAILURE_FRACTION dropped replications raises
+    NumericalError, and the chunks not yet started are cancelled.
     """
     for config in configs:
         if len(config.design) != 1:
-            raise ConfigError(f"run_experiment needs exactly one design, got {config.design}")
+            raise ConfigError(f"run_experiments needs exactly one design per config, got {config.design}")
     tasks = [(config, config.design[0], start) for config in configs for start in range(0, config.reps, BLOCK)]
     last = time.perf_counter()
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        blocks = map(_task, tasks) if pool is None else pool.map(_task, tasks)
+        if pool is None:
+            blocks = map(_task, tasks)
+        else:
+            # about 4 chunks per process: few round trips, and the chunks
+            # left at the end still even out the load
+            blocks = pool.map(_task, tasks, chunksize=math.ceil(len(tasks) / (4 * workers)))
         results = []
         for config in configs:
             parts = [next(blocks) for _ in range(0, config.reps, BLOCK)]

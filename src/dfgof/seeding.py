@@ -11,15 +11,26 @@ The stream of (master, *labels) is the one numpy derives from
 ``SeedSequence([master, *encoded labels])``: every label becomes a 64-bit
 integer, which numpy splits into little-endian 32-bit words (one word when
 it is below 2**32), and the words of all labels, in order, are the
-entropy.  Replications differ in their last label only, so the words of
-everything before it are cached per label path and the last label's words
-are appended: a stream costs one SeedSequence and one PCG64, not a fresh
-coercion of the whole path.  A path is identified by its words, so
-(..., 2**32) and (..., 0, 1) address one stream.  The package derives paths
-of two shapes, ("design", design id, variant, "rep", i) for the draws of a
-replication and ("bootstrap", b) for a bootstrap replicate of ``dfgof
-test``.  Each shape is fixed and the two differ in their first label, so
-no two of them meet that way.
+entropy.  A path is identified by its words, so (..., 2**32) and
+(..., 0, 1) address one stream.  The package derives paths of two shapes,
+("design", design id, variant, "rep", i) for the draws of a replication
+and ("bootstrap", b) for a bootstrap replicate of ``dfgof test``.  Each
+shape is fixed and the two differ in their first label, so no two of them
+meet that way.
+
+Replications differ in their last label only, so streams are made a block
+at a time: ``rngs_for(master, *labels, indices=range(a, b))`` gives the
+generators of (master, *labels, i) for every i of the range, and
+``rng_for`` is its one-stream case.  The entropy words of a label path, and
+numpy's entropy pool mixed from them, are cached per path; the last
+label's words are mixed into that pool, and the pool is expanded into
+the PCG64 state, once for the whole block, over a (B, 4) array of 32-bit
+words with numpy's published SeedSequence constants.  When a path has
+fewer words than the pool (the ("bootstrap",) path under a master below
+2**32), the last label's words land inside the pool fill, and the whole
+mix runs over the block.  Each PCG64 then takes its precomputed state
+through ``_state_words.StateWords``, so every generator is bit-identical to
+``np.random.default_rng(np.random.SeedSequence(entropy))``.
 """
 
 from __future__ import annotations
@@ -31,6 +42,90 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4 words,
+# the hash constants of the entropy mix (A) and of the state expansion (B),
+# the pool mixing multipliers and the xorshift
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+# PCG64 draws its state as 4 64-bit words, that is 8 32-bit words
+_STATE_WORDS = 8
+
+
+def _powers(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = first, ..., first + count - 1."""
+    value = init * pow(mult, first, 1 << 32) & _MASK32
+    out = []
+    for _ in range(count):
+        out.append(value)
+        value = value * mult & _MASK32
+    return np.array(out, dtype=np.uint32)
+
+
+@lru_cache(maxsize=256)
+def _hash_consts(call: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constant before and after each of ``count`` consecutive
+    hashmix calls of the entropy mix, from its call number ``call``."""
+    consts = _powers(_INIT_A, _MULT_A, call, count + 1)
+    return consts[:-1], consts[1:]
+
+
+# the state expansion cycles the pool twice, one hash constant per word
+_STATE_SOURCE = np.arange(_STATE_WORDS) % _POOL
+_STATE_XOR = _powers(_INIT_B, _MULT_B, 0, _STATE_WORDS)
+_STATE_MUL = _powers(_INIT_B, _MULT_B, 1, _STATE_WORDS)
+
+
+def _hashmix(values: np.ndarray, call: int, count: int) -> np.ndarray:
+    """numpy's hashmix of values[..., j] (broadcast to ``count`` columns) at
+    call number call + j."""
+    xor, mul = _hash_consts(call, count)
+    mixed = (values ^ xor) * mul
+    return mixed ^ (mixed >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> _XSHIFT)
+
+
+def _fill(entropy: np.ndarray) -> np.ndarray:
+    """numpy's entropy pool, per row, after the first 4 words of a (B, L)
+    entropy array (zeros beyond L) and the all-pairs mix of the pool."""
+    words = np.zeros((entropy.shape[0], _POOL), dtype=np.uint32)
+    words[:, : entropy.shape[1]] = entropy[:, :_POOL]
+    pool = _hashmix(words, 0, _POOL)
+    call = _POOL
+    for src in range(_POOL):
+        # pool[:, src] is the same for every destination of this source
+        others = [dst for dst in range(_POOL) if dst != src]
+        pool[:, others] = _mix(pool[:, others], _hashmix(pool[:, src, None], call, _POOL - 1))
+        call += _POOL - 1
+    return pool
+
+
+def _absorb(pool: np.ndarray, words: np.ndarray, position: int) -> np.ndarray:
+    """Mix the (B, k) entropy words at entropy positions position, ...,
+    position + k - 1 (all past the pool fill) into a (B, 4) pool, or into
+    one (1, 4) pool shared by every row."""
+    call = _POOL * _POOL + _POOL * (position - _POOL)
+    for j in range(words.shape[1]):
+        pool = _mix(pool, _hashmix(words[:, j, None], call, _POOL))
+        call += _POOL
+    return pool
+
+
+def _expand(pool: np.ndarray) -> np.ndarray:
+    """The (B, 4) uint64 states ``generate_state(4, np.uint64)`` gives for
+    each (B, 4) pool."""
+    state = pool[:, _STATE_SOURCE] ^ _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> _XSHIFT
+    # numpy reads the 32-bit words as little-endian pairs, whatever the platform
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 @lru_cache(maxsize=256)
@@ -61,6 +156,50 @@ def _prefix(*path) -> tuple[int, ...]:
     return tuple(word for label in path for word in _words(label))
 
 
+@lru_cache(maxsize=256, typed=True)
+def _prefix_pool(*path) -> np.ndarray | None:
+    """numpy's (1, 4) entropy pool after the words of a label path, or None
+    when the path has fewer words than the pool, so that the next label's
+    words still land inside the fill."""
+    words = _prefix(*path)
+    if len(words) < _POOL:
+        return None
+    entropy = np.array([words], dtype=np.uint32)
+    pool = _absorb(_fill(entropy), entropy[:, _POOL:], _POOL)
+    pool.flags.writeable = False  # one cached array serves every block
+    return pool
+
+
+def _states(path: tuple, last: np.ndarray) -> np.ndarray:
+    """(B, 4) uint64 PCG64 states of the streams (*path, v) for a (B, k)
+    array of the k entropy words of each last label v."""
+    prefix = _prefix(*path)
+    pool = _prefix_pool(*path)
+    if pool is None:
+        entropy = np.concatenate([np.tile(np.array(prefix, dtype=np.uint32), (last.shape[0], 1)), last], axis=1)
+        pool = _absorb(_fill(entropy), entropy[:, _POOL:], _POOL)
+    else:
+        pool = _absorb(pool, last, len(prefix))
+    return _expand(pool)
+
+
+def _generators(path: tuple, values: np.ndarray) -> list[np.random.Generator]:
+    """Generators of the streams (*path, v) for a uint64 array of encoded
+    last labels v."""
+    low = values.astype(np.uint32)  # the low 32 bits
+    wide = values > _MASK32  # two entropy words, not one
+    if wide.any():
+        states = np.empty((values.size, 4), dtype=np.uint64)
+        states[wide] = _states(path, np.column_stack([low[wide], (values[wide] >> 32).astype(np.uint32)]))
+        if not wide.all():
+            states[~wide] = _states(path, low[~wide, None])
+    else:
+        states = _states(path, low[:, None])
+    from ._state_words import StateWords  # loads numpy.random on the first stream only
+
+    return [np.random.Generator(np.random.PCG64(StateWords(state))) for state in states]
+
+
 def seed_sequence(master: int, *labels) -> np.random.SeedSequence:
     """SeedSequence for the stream addressed by (master, *labels)."""
     *path, last = (master,) + labels
@@ -68,6 +207,16 @@ def seed_sequence(master: int, *labels) -> np.random.SeedSequence:
     return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
+def rngs_for(master: int, *labels, indices: range) -> list[np.random.Generator]:
+    """Fresh generators for the streams addressed by (master, *labels, i),
+    one for each i in ``indices``, in order: the same generators as
+    ``[rng_for(master, *labels, i) for i in indices]``."""
+    # encoded as _encode does, modulo 2**64; uint64 arrays wrap silently
+    steps = np.arange(len(indices), dtype=np.uint64) * np.uint64(indices.step & _MASK64)
+    return _generators((master,) + labels, steps + np.uint64(indices.start & _MASK64))
+
+
 def rng_for(master: int, *labels) -> np.random.Generator:
     """Fresh generator for the stream addressed by (master, *labels)."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(master, *labels)))
+    *path, last = (master,) + labels
+    return _generators(tuple(path), np.array([_encode(last)], dtype=np.uint64))[0]

@@ -317,7 +317,7 @@ def _transformed_processes(config: ExperimentConfig):
     """The stacked transformed process of each block of a null run's
     replications, drawn from the run's own streams."""
     for start in range(0, config.reps, BLOCK):
-        draws = [_draws(config, config.design[0], i) for i in range(start, min(start + BLOCK, config.reps))]
+        draws = _draws(config, config.design[0], range(start, min(start + BLOCK, config.reps)))
         x = np.stack([xi for xi, _ in draws])
         errors = np.stack([ei for _, ei in draws])
         model = build_model(config.model, Sample(x, np.zeros(errors.shape)))

@@ -169,9 +169,11 @@ class TestFewDistinctCovariateValues:
         clean = run_experiment(config)
         draws = harness._draws
 
-        def constant_covariate_at_70(config, design_id, index):
-            x, errors = draws(config, design_id, index)
-            return (np.full_like(x, 3.0), errors) if index == 70 else (x, errors)
+        def constant_covariate_at_70(config, design_id, indices):
+            return [
+                (np.full_like(x, 3.0), errors) if index == 70 else (x, errors)
+                for index, (x, errors) in zip(indices, draws(config, design_id, indices))
+            ]
 
         monkeypatch.setattr(harness, "_draws", constant_covariate_at_70)
         dropped = run_experiment(config)

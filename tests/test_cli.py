@@ -686,9 +686,10 @@ class TestExitCodes:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_scipy_solvers_unloaded(self):
+    def test_cli_import_leaves_scipy_solvers_and_numpy_random_unloaded(self):
         # scipy.optimize and scipy.spatial cost most of a CLI start-up and
-        # only the p >= 2 assignment needs them; they load on first use
+        # only the p >= 2 assignment needs them; numpy.random is needed from
+        # the first stream on; they load on first use
         import os
         import subprocess
         import sys
@@ -699,7 +700,7 @@ class TestImportCost:
         src = str(Path(dfgof.__file__).resolve().parent.parent)
         probe = (
             "import sys, dfgof.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.spatial'))))"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.spatial', 'numpy.random'))))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True

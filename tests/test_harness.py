@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import time
@@ -32,7 +33,7 @@ from dfgof.harness import (
 )
 from dfgof.model import Sample, build_model, fit
 from dfgof.process import Ecdf, build_process, ecdf_sup_distance, ecdf_vs_cdf_sup, ks_statistics
-from dfgof.seeding import rng_for
+from dfgof.seeding import rng_for, seed_sequence
 from dfgof.transport import DENSE_MAX, generate_anchors
 
 
@@ -210,8 +211,37 @@ class TestRunExperiment:
 
     def test_multi_design_config_rejected_at_run(self):
         cfg = small_config(design=("uniform_0_2", "normal_1_2"))
-        with pytest.raises(ConfigError, match="exactly one design"):
+        with pytest.raises(ConfigError, match="run_experiments needs exactly one design"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            small_config(reps=BLOCK + 9),
+            small_config(
+                design=("beta_dep_a",), model="bilinear2d", n=24, reps=BLOCK + 9,
+                alternative=AlternativeSpec(psi="x2_squared", amplitude=0.5),
+            ),
+        ],  # fmt: skip
+        ids=["p1-null", "p2-alt"],
+    )
+    def test_block_records_are_those_of_per_replication_streams(self, config):
+        # a block makes its streams together; each replication must get the
+        # draws of its own rng_for stream, numpy's SeedSequence stream of its
+        # path, in a whole and a partial block
+        design = config.design[0]
+        for start in (0, BLOCK):
+            draws = []
+            for i in range(start, min(start + BLOCK, config.reps)):
+                path = (config.seed, "design", design, harness._variant_tag(config), "rep", i)
+                rng = rng_for(*path)
+                assert rng.bit_generator.state == np.random.default_rng(seed_sequence(*path)).bit_generator.state
+                draws.append((DESIGNS[design][1](config.n, rng), _draw_errors(config.error_law, config.n, rng)))
+            records, dropped = harness._block(config, design, start)
+            expected = harness._stack_records(config, draws)
+            assert dropped == 0 and records.keys() == expected.keys()
+            for key, column in expected.items():
+                assert records[key].tobytes() == column.tobytes(), (start, key)
 
     @pytest.mark.usefixtures("first_replication_fails")
     def test_failure_fraction_guard(self):
@@ -255,7 +285,7 @@ class TestRunExperiments:
         assert sum(res.elapsed for res in results) <= wall
 
     def test_multi_design_config_rejected(self):
-        with pytest.raises(ConfigError, match="exactly one design"):
+        with pytest.raises(ConfigError, match="run_experiments needs exactly one design"):
             run_experiments([small_config(), small_config(design=("uniform_0_2", "normal_1_2"))])
 
     @pytest.mark.usefixtures("first_replication_fails")
@@ -275,7 +305,8 @@ class TestRunExperiments:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            map = staticmethod(map)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
             def shutdown(self, cancel_futures=False):
                 pass
@@ -290,6 +321,36 @@ class TestRunExperiments:
             assert np.array_equal(huge.columns[key], plain.columns[key])
         run_experiment(small_config(reps=BLOCK + 1), workers=10**6)
         assert sizes == ([2] if (os.cpu_count() or 1) >= 2 else [])
+
+
+    def test_long_task_lists_go_out_in_chunks_of_blocks(self, monkeypatch):
+        # 25 blocks: more than 4 per process of any pool this machine makes,
+        # so the pool gets chunks of ceil(25 / (4 * pool size)) blocks
+        chunks = []
+
+        class ChunkRecordingPool(harness.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                chunks.append(len(args[0]))  # the blocks of one chunk
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", ChunkRecordingPool)
+        blocks = 25
+        config = small_config(reps=(blocks - 1) * BLOCK + 5)
+        expected = []
+        results = {}
+        for workers in (1, 2, 3):
+            results[workers] = run_experiments([config], workers=workers)[0]
+            size = min(workers, os.cpu_count() or 1)
+            if size > 1:
+                chunk = math.ceil(blocks / (4 * size))
+                expected += [chunk] * (blocks // chunk) + ([blocks % chunk] if blocks % chunk else [])
+        assert chunks == expected
+        assert (os.cpu_count() or 1) < 2 or max(chunks) > 1
+        for workers in (2, 3):
+            assert results[workers].columns.keys() == results[1].columns.keys()
+            for key, column in results[1].columns.items():
+                assert results[workers].columns[key].tobytes() == column.tobytes(), (workers, key)
+        assert multiprocessing.active_children() == []
 
 
 class TestSimulate:

@@ -378,7 +378,7 @@ class TestMonteCarloProcessCovariance:
         columns = [round(t * cfg.n) for t in times]
         values = []
         for start in range(0, cfg.reps, BLOCK):
-            draws = [_draws(cfg, cfg.design[0], i) for i in range(start, min(start + BLOCK, cfg.reps))]
+            draws = _draws(cfg, cfg.design[0], range(start, min(start + BLOCK, cfg.reps)))
             x = np.stack([xi for xi, _ in draws])
             errors = np.stack([ei for _, ei in draws])
             model = build_model(cfg.model, Sample(x, np.zeros(errors.shape)))

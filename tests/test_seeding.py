@@ -2,8 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from dfgof.seeding import rng_for, seed_sequence
+from dfgof._state_words import StateWords
+from dfgof.seeding import rng_for, rngs_for, seed_sequence
 
 
 def _encoded(label) -> int:
@@ -33,6 +36,51 @@ def test_streams_are_numpys_seed_sequence_of_the_encoded_path(master, labels):
     reference = np.random.SeedSequence(entropy)
     assert np.array_equal(seed_sequence(master, *labels).generate_state(8), reference.generate_state(8))
     assert np.array_equal(rng_for(master, *labels).random(16), np.random.default_rng(reference).random(16))
+
+
+def _reference(entropy):
+    return np.random.default_rng(np.random.SeedSequence([_encoded(label) for label in entropy]))
+
+
+# the two label paths the package derives, under both variant tags; the
+# ("bootstrap",) path has fewer than 4 entropy words under a master below
+# 2**32, so its last label lands inside numpy's pool fill
+BLOCK_PATHS = [("design", design, variant, "rep") for design in ("uniform_0_2", "beta_dep_a") for variant in ("null", "alt")]
+BLOCK_PATHS.append(("bootstrap",))
+
+
+@given(
+    master=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+    labels=st.sampled_from(BLOCK_PATHS),
+    start=st.sampled_from([0, 3 * 64, 2**32 - 40, 2**64 - 8]),
+    size=st.integers(1, 64),
+)
+@example(master=0, labels=("bootstrap",), start=0, size=64)  # a whole first block
+@example(master=2**32, labels=BLOCK_PATHS[0], start=3 * 64, size=17)  # a last partial block
+@example(master=2**32 - 1, labels=BLOCK_PATHS[-2], start=2**32 - 40, size=64)  # one and two words
+@example(master=0, labels=("bootstrap",), start=2**32 - 40, size=64)
+def test_block_streams_are_numpys_seed_sequences(master, labels, start, size):
+    indices = range(start, start + size)
+    generators = rngs_for(master, *labels, indices=indices)
+    assert len(generators) == size
+    for i, rng in zip(indices, generators):
+        reference = _reference((master, *labels, i))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(rng.random(16), reference.random(16))
+
+
+@pytest.mark.parametrize("indices", [range(0), range(5, -5, -3), range(2**64 - 2, 2**64 + 2)])
+def test_block_streams_of_any_range_are_those_of_rng_for(indices):
+    # labels are taken modulo 2**64, as rng_for takes them
+    generators = rngs_for(7, "a", indices=indices)
+    assert [rng.random() for rng in generators] == [rng_for(7, "a", i).random() for i in indices]
+
+
+def test_state_words_serve_pcg64_alone():
+    words = np.zeros(4, dtype=np.uint64)
+    assert np.random.PCG64(StateWords(words)).state["state"]["state"] >= 0
+    with pytest.raises(ValueError, match="4 uint64 state words"):
+        np.random.MT19937(StateWords(words))
 
 
 def test_cached_prefixes_keep_streams_apart():
