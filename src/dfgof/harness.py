@@ -525,8 +525,10 @@ def run_experiments(configs: Sequence[ExperimentConfig], workers: int = 1) -> li
         if pool is None:
             blocks = map(_task, tasks)
         else:
-            # about 4 chunks per process: few round trips, and the chunks
-            # left at the end still even out the load
+            # about 4 chunks per process: few round trips for cheap p = 1
+            # blocks, while a process that finishes early still takes over
+            # the chunks left; the wall time of 2-worker p = 2 commands
+            # did not move against one block per round trip (BENCH_25.json)
             blocks = pool.map(_task, tasks, chunksize=math.ceil(len(tasks) / (4 * workers)))
         results = []
         for config in configs:

@@ -21,15 +21,18 @@ meet that way.
 Replications differ in their last label only, so streams are made a block
 at a time: ``rngs_for(master, *labels, indices=range(a, b))`` gives the
 generators of (master, *labels, i) for every i of the range, and
-``rng_for`` is its one-stream case.  The entropy words of a label path, and
-numpy's entropy pool mixed from them, are cached per path; the last
-label's words are mixed into that pool, and the pool is expanded into
-the PCG64 state, once for the whole block, over a (B, 4) array of 32-bit
-words with numpy's published SeedSequence constants.  When a path has
-fewer words than the pool (the ("bootstrap",) path under a master below
-2**32), the last label's words land inside the pool fill, and the whole
-mix runs over the block.  Each PCG64 then takes its precomputed state
-through ``_state_words.StateWords``, so every generator is bit-identical to
+``rng_for`` is its one-stream case.  numpy's SeedSequence mixes the words
+of the label path into its entropy pool once per path, and the pool is
+cached.  The last label's word is then mixed into that pool, and the
+pools are expanded into the PCG64 states, once for the whole block over a
+(B, 4) array of 32-bit words with numpy's published SeedSequence
+constants, where numpy would build a SeedSequence and run its Python-level
+``generate_state`` per stream.  When a block's last labels are not all
+one word past the pool fill (a label of 2**32 or more, or the
+("bootstrap",) path under a master below 2**32, whose words do not fill
+the pool), numpy's SeedSequence mixes the pool of each stream instead.
+Each PCG64 then takes its precomputed state through
+``_state_words.StateWords``, so every generator is bit-identical to
 ``np.random.default_rng(np.random.SeedSequence(entropy))``.
 """
 
@@ -43,9 +46,11 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4 words,
-# the hash constants of the entropy mix (A) and of the state expansion (B),
-# the pool mixing multipliers and the xorshift
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) keeps a pool of 4
+# words.  Its entropy mix hashes one word per call, with the constants
+# INIT_A * MULT_A**c (mod 2**32) for the c-th call, and mixes the hashed
+# words into the pool words; its state expansion cycles the pool and hashes
+# state word k with INIT_B * MULT_B**k
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -53,77 +58,37 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 # PCG64 draws its state as 4 64-bit words, that is 8 32-bit words
 _STATE_WORDS = 8
-
-
-def _powers(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = first, ..., first + count - 1."""
-    value = init * pow(mult, first, 1 << 32) & _MASK32
-    out = []
-    for _ in range(count):
-        out.append(value)
-        value = value * mult & _MASK32
-    return np.array(out, dtype=np.uint32)
-
-
-@lru_cache(maxsize=256)
-def _hash_consts(call: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hash constant before and after each of ``count`` consecutive
-    hashmix calls of the entropy mix, from its call number ``call``."""
-    consts = _powers(_INIT_A, _MULT_A, call, count + 1)
-    return consts[:-1], consts[1:]
-
-
-# the state expansion cycles the pool twice, one hash constant per word
 _STATE_SOURCE = np.arange(_STATE_WORDS) % _POOL
-_STATE_XOR = _powers(_INIT_B, _MULT_B, 0, _STATE_WORDS)
-_STATE_MUL = _powers(_INIT_B, _MULT_B, 1, _STATE_WORDS)
 
 
-def _hashmix(values: np.ndarray, call: int, count: int) -> np.ndarray:
-    """numpy's hashmix of values[..., j] (broadcast to ``count`` columns) at
-    call number call + j."""
-    xor, mul = _hash_consts(call, count)
-    mixed = (values ^ xor) * mul
-    return mixed ^ (mixed >> _XSHIFT)
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = first, ..., first + count."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + count + 1)], dtype=np.uint32)
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = _MIX_L * x - _MIX_R * y
-    return mixed ^ (mixed >> _XSHIFT)
+_STATE_HASH = _hash_consts(_INIT_B, _MULT_B, 0, _STATE_WORDS)
 
 
-def _fill(entropy: np.ndarray) -> np.ndarray:
-    """numpy's entropy pool, per row, after the first 4 words of a (B, L)
-    entropy array (zeros beyond L) and the all-pairs mix of the pool."""
-    words = np.zeros((entropy.shape[0], _POOL), dtype=np.uint32)
-    words[:, : entropy.shape[1]] = entropy[:, :_POOL]
-    pool = _hashmix(words, 0, _POOL)
-    call = _POOL
-    for src in range(_POOL):
-        # pool[:, src] is the same for every destination of this source
-        others = [dst for dst in range(_POOL) if dst != src]
-        pool[:, others] = _mix(pool[:, others], _hashmix(pool[:, src, None], call, _POOL - 1))
-        call += _POOL - 1
-    return pool
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of values[..., j] with the hash constant consts[j]
+    (the one after it multiplies)."""
+    hashed = (values ^ consts[:-1]) * consts[1:]
+    return hashed ^ (hashed >> _XSHIFT)
 
 
 def _absorb(pool: np.ndarray, words: np.ndarray, position: int) -> np.ndarray:
-    """Mix the (B, k) entropy words at entropy positions position, ...,
-    position + k - 1 (all past the pool fill) into a (B, 4) pool, or into
-    one (1, 4) pool shared by every row."""
-    call = _POOL * _POOL + _POOL * (position - _POOL)
-    for j in range(words.shape[1]):
-        pool = _mix(pool, _hashmix(words[:, j, None], call, _POOL))
-        call += _POOL
-    return pool
+    """numpy's mix of the (B,) entropy words at ``position``, past the pool
+    fill, into a (1, 4) pool: the (B, 4) pools of the B entropies."""
+    # 4 hash calls fill the pool, 12 mix it, and each later word takes 4
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (position - _POOL), _POOL)
+    mixed = _MIX_L * pool - _MIX_R * _hashmix(words[:, None], consts)
+    return mixed ^ (mixed >> _XSHIFT)
 
 
 def _expand(pool: np.ndarray) -> np.ndarray:
     """The (B, 4) uint64 states ``generate_state(4, np.uint64)`` gives for
     each (B, 4) pool."""
-    state = pool[:, _STATE_SOURCE] ^ _STATE_XOR
-    state *= _STATE_MUL
-    state ^= state >> _XSHIFT
+    state = _hashmix(pool[:, _STATE_SOURCE], _STATE_HASH)
     # numpy reads the 32-bit words as little-endian pairs, whatever the platform
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
@@ -156,45 +121,9 @@ def _prefix(*path) -> tuple[int, ...]:
     return tuple(word for label in path for word in _words(label))
 
 
-@lru_cache(maxsize=256, typed=True)
-def _prefix_pool(*path) -> np.ndarray | None:
-    """numpy's (1, 4) entropy pool after the words of a label path, or None
-    when the path has fewer words than the pool, so that the next label's
-    words still land inside the fill."""
-    words = _prefix(*path)
-    if len(words) < _POOL:
-        return None
-    entropy = np.array([words], dtype=np.uint32)
-    pool = _absorb(_fill(entropy), entropy[:, _POOL:], _POOL)
-    pool.flags.writeable = False  # one cached array serves every block
-    return pool
-
-
-def _states(path: tuple, last: np.ndarray) -> np.ndarray:
-    """(B, 4) uint64 PCG64 states of the streams (*path, v) for a (B, k)
-    array of the k entropy words of each last label v."""
-    prefix = _prefix(*path)
-    pool = _prefix_pool(*path)
-    if pool is None:
-        entropy = np.concatenate([np.tile(np.array(prefix, dtype=np.uint32), (last.shape[0], 1)), last], axis=1)
-        pool = _absorb(_fill(entropy), entropy[:, _POOL:], _POOL)
-    else:
-        pool = _absorb(pool, last, len(prefix))
-    return _expand(pool)
-
-
-def _generators(path: tuple, values: np.ndarray) -> list[np.random.Generator]:
-    """Generators of the streams (*path, v) for a uint64 array of encoded
-    last labels v."""
-    low = values.astype(np.uint32)  # the low 32 bits
-    wide = values > _MASK32  # two entropy words, not one
-    if wide.any():
-        states = np.empty((values.size, 4), dtype=np.uint64)
-        states[wide] = _states(path, np.column_stack([low[wide], (values[wide] >> 32).astype(np.uint32)]))
-        if not wide.all():
-            states[~wide] = _states(path, low[~wide, None])
-    else:
-        states = _states(path, low[:, None])
+def _generators(pools) -> list[np.random.Generator]:
+    """Generators of the streams of B entropy pools."""
+    states = _expand(np.asarray(pools, dtype=np.uint32).reshape(-1, _POOL))
     from ._state_words import StateWords  # loads numpy.random on the first stream only
 
     return [np.random.Generator(np.random.PCG64(StateWords(state))) for state in states]
@@ -207,16 +136,29 @@ def seed_sequence(master: int, *labels) -> np.random.SeedSequence:
     return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
+@lru_cache(maxsize=256, typed=True)
+def _path_pool(*path) -> np.ndarray:
+    """numpy's (1, 4) entropy pool after the words of a label path."""
+    pool = seed_sequence(*path).pool[None, :]
+    pool.flags.writeable = False  # one cached array serves every block
+    return pool
+
+
 def rngs_for(master: int, *labels, indices: range) -> list[np.random.Generator]:
     """Fresh generators for the streams addressed by (master, *labels, i),
     one for each i in ``indices``, in order: the same generators as
     ``[rng_for(master, *labels, i) for i in indices]``."""
-    # encoded as _encode does, modulo 2**64; uint64 arrays wrap silently
-    steps = np.arange(len(indices), dtype=np.uint64) * np.uint64(indices.step & _MASK64)
-    return _generators((master,) + labels, steps + np.uint64(indices.start & _MASK64))
+    path = (master,) + labels
+    position = len(_prefix(*path))
+    values = [_encode(i) for i in indices]
+    if position >= _POOL and all(value <= _MASK32 for value in values):
+        # every last label is one word past the pool fill
+        pools = _absorb(_path_pool(*path), np.array(values, dtype=np.uint32), position)
+    else:
+        pools = [seed_sequence(*path, i).pool for i in indices]
+    return _generators(pools)
 
 
 def rng_for(master: int, *labels) -> np.random.Generator:
     """Fresh generator for the stream addressed by (master, *labels)."""
-    *path, last = (master,) + labels
-    return _generators(tuple(path), np.array([_encode(last)], dtype=np.uint64))[0]
+    return _generators([seed_sequence(master, *labels).pool])[0]
