@@ -56,6 +56,7 @@ from .process import (
     lattice_resolution,
     limit_covariance,
 )
+from .seeding import check_seed
 from .transport import rescale_unit_cube, solve_assignment
 
 OUTPUT_DIR_ENV = "DFGOF_OUTPUT_DIR"
@@ -246,9 +247,9 @@ def _cmd_simulate(args) -> None:
     config = parse_config(args.config, _overrides(args, _EXPERIMENT_FLAGS))
     if config.alternative is not None:
         raise ConfigError("'simulate' runs the null only; use 'power' for configs with an [alternative]")
+    runs = run_experiments([config.single(design_id) for design_id in config.design], workers=args.workers)
     outdir = _resolve_outdir(args)
     delim = args.delimiter
-    runs = run_experiments([config.single(design_id) for design_id in config.design], workers=args.workers)
     results = dict(zip(config.design, runs))
     files = []
     for design_id, res in results.items():
@@ -296,6 +297,8 @@ def _cmd_power(args) -> None:
     alt = config.alternative
     if alt is None:
         raise ConfigError("'power' requires an [alternative] section or --psi/--amplitude flags")
+    pairs = [paired_runs(config.single(design_id)) for design_id in config.design]
+    runs = run_experiments([run for pair in pairs for run in pair], workers=args.workers)
     outdir = _resolve_outdir(args)
     delim = args.delimiter
     lines = _summary_header("power", args, outdir, config.seed, overridable)
@@ -305,8 +308,6 @@ def _cmd_power(args) -> None:
     lines.append(
         f"alternative: psi={alt.psi} amplitude={_fmt_float(alt.amplitude)} local_scaling={alt.local_scaling}"
     )
-    pairs = [paired_runs(config.single(design_id)) for design_id in config.design]
-    runs = run_experiments([run for pair in pairs for run in pair], workers=args.workers)
     files = []
     for design_id, null, alternative in zip(config.design, runs[::2], runs[1::2]):
         power = power_result(null, alternative)
@@ -358,6 +359,7 @@ def _cmd_fit(args) -> None:
 def _cmd_test(args) -> None:
     if args.seed is None:
         raise ConfigError("'test' requires --seed (Monte Carlo p-value must be reproducible)")
+    check_seed(args.seed)
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     sample = load_sample(args.data, args.delimiter)
@@ -425,7 +427,6 @@ def _cmd_assign(args) -> None:
     lines = [
         "command: assign",
         f"data: {args.data}",
-        f"anchors: {anchors.mode}",
         f"n: {points.shape[0]}  p: {points.shape[1]}",
         "rescale_low: " + ", ".join(_fmt_float(v) for v in lo),
         "rescale_high: " + ", ".join(_fmt_float(v) for v in hi),

@@ -80,7 +80,7 @@ from .process import (
     process_plan,
 )
 from .rotations import OrthonormalSet
-from .seeding import rngs_for
+from .seeding import check_seed, rngs_for
 from .transform import transform_residuals
 from .transport import AnchorSet, generate_anchors, rescale_unit_cube, solve_assignment
 
@@ -183,8 +183,7 @@ class ExperimentConfig:
             raise ConfigError(f"n must be >= 10, got {self.n}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        check_seed(self.seed)
         if self.statistic not in STATISTICS:
             raise ConfigError(f"unknown statistic {self.statistic!r}; known: {STATISTICS}")
         if self.process not in PROCESS_KINDS:
@@ -215,14 +214,11 @@ class ExperimentConfig:
         return replace(self, design=(design_id,))
 
 
-def covariate_design(design_id: str, n: int, p: int | None = None, seed=None) -> np.ndarray:
+def covariate_design(design_id: str, n: int, seed=None) -> np.ndarray:
     """Draw the n x p covariate matrix of a built-in design, deterministically per seed."""
     if design_id not in DESIGNS:
         raise ConfigError(f"unknown design id {design_id!r}; known: {sorted(DESIGNS)}")
-    dim, draw = DESIGNS[design_id]
-    if p is not None and p != dim:
-        raise ConfigError(f"design {design_id!r} has dimension {dim}, not {p}")
-    return draw(n, np.random.default_rng(seed))
+    return DESIGNS[design_id][1](n, np.random.default_rng(seed))
 
 
 def _draw_errors(law: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -363,11 +359,14 @@ def bootstrap_residuals(
 
     Column 0 holds the observed residuals.  Column b holds
     eps_b - S^T (S eps_b), with S the vectors of ``geometry.score_set`` and
-    eps_b drawn from the stream rng_for(seed, "bootstrap", b - 1): the
+    eps_b drawn from the stream (seed, "bootstrap", b - 1): the
     least-squares residuals of null_mean + eps_b, as the null mean lies in
     the score span; ``residual_statistics`` studentizes every column, so
-    the unit variance of the draws does not matter.  The k-th draw goes to
-    the row at scan position k (scan points in lexicographic order), so
+    the unit variance of the draws does not matter.  Each draw is projected
+    on its own, by two matrix-vector products that see no other draw, so a
+    column gets the same bits whatever ``reps`` is (one BLAS product over
+    all the columns rounds by their count).  The k-th draw goes to the row at
+    scan position k (scan points in lexicographic order), so
     the columns do not depend on the row order of the data: the scan
     points of p >= 2 are distinct anchors, and the reflections treat the
     rows of a p = 1 tie group alike.  Linear model kinds only: their score
@@ -381,13 +380,14 @@ def bootstrap_residuals(
     out = np.empty((n, reps + 1))
     out[:, 0] = fitres.residuals
     scan = np.lexsort(geometry.points.reshape(n, -1).T[::-1])
+    scores = geometry.score_set.vectors
     for start in range(0, reps, BLOCK):
         rngs = rngs_for(seed, "bootstrap", indices=range(start, min(start + BLOCK, reps)))
-        for b, rng in enumerate(rngs, start + 1):
-            out[scan, b] = _draw_errors(error_law, n, rng)
-    scores = geometry.score_set.vectors
-    boot = out[:, 1:]
-    boot -= scores.T @ (scores @ boot)
+        rows = np.empty((len(rngs), n))
+        for row, rng in zip(rows, rngs):
+            row[scan] = _draw_errors(error_law, n, rng)
+            row -= (scores @ row) @ scores
+        out[:, start + 1 : start + 1 + len(rngs)] = rows.T
     return out
 
 
@@ -498,11 +498,11 @@ def run_experiments(configs: Sequence[ExperimentConfig], workers: int = 1) -> li
     list, one result per config in the order given.
 
     The tasks are the blocks of each config in turn.  The pool size is
-    ``workers``, capped at the number of tasks and at the machine's core
-    count, as a pool starts all its processes at once.  When that leaves
-    more than one, one process pool runs the whole list and is shut down
-    before this returns, also when it raises; otherwise the blocks run in a
-    plain loop.  The pool is sent the tasks in chunks of
+    ``workers``, which must be at least 1, capped at the number of tasks
+    and at the machine's core count, as a pool starts all its processes at
+    once.  When that leaves more than one, one process pool runs the whole
+    list and is shut down before this returns, also when it raises;
+    otherwise the blocks run in a plain loop.  The pool is sent the tasks in chunks of
     ceil(tasks / (4 * pool size)) consecutive blocks, one round trip per
     chunk.  Results are collected in task order, and the blocks do not
     depend on the worker count, the chunks or the other configs, so every
@@ -514,6 +514,8 @@ def run_experiments(configs: Sequence[ExperimentConfig], workers: int = 1) -> li
     first with more than MAX_FAILURE_FRACTION dropped replications raises
     NumericalError, and the chunks not yet started are cancelled.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     for config in configs:
         if len(config.design) != 1:
             raise ConfigError(f"run_experiments needs exactly one design per config, got {config.design}")

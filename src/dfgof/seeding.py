@@ -1,17 +1,18 @@
 """Deterministic derivation of RNG streams from one master seed.
 
 All randomness in an experiment flows from a single integer seed.  Child
-streams are addressed by a label path, e.g. ``rng_for(seed, "design",
-"uniform_0_2", "null", "rep", 17)``.  String labels are hashed with SHA-256
+streams are addressed by a label path, e.g. (seed, "design",
+"uniform_0_2", "null", "rep", 17).  String labels are hashed with SHA-256
 so the derivation does not depend on the platform or on Python's hash
 randomization; results are therefore reproducible across runs, machines and
 worker counts.
 
 The stream of (master, *labels) is the one numpy derives from
 ``SeedSequence([master, *encoded labels])``: every label becomes a 64-bit
-integer, which numpy splits into little-endian 32-bit words (one word when
-it is below 2**32), and the words of all labels, in order, are the
-entropy.  A path is identified by its words, so (..., 2**32) and
+integer (an int modulo 2**64, so ``check_seed`` refuses a master seed
+outside [0, 2**64)), which numpy splits into little-endian 32-bit words
+(one word when it is below 2**32), and the words of all labels, in order,
+are the entropy.  A path is identified by its words, so (..., 2**32) and
 (..., 0, 1) address one stream.  The package derives paths of two shapes,
 ("design", design id, variant, "rep", i) for the draws of a replication
 and ("bootstrap", b) for a bootstrap replicate of ``dfgof test``.  Each
@@ -20,15 +21,14 @@ meet that way.
 
 Replications differ in their last label only, so streams are made a block
 at a time: ``rngs_for(master, *labels, indices=range(a, b))`` gives the
-generators of (master, *labels, i) for every i of the range, and
-``rng_for`` is its one-stream case.  numpy's SeedSequence mixes the words
-of the label path into its entropy pool once per path, and the pool is
-cached.  The last label's word is then mixed into that pool, and the
-pools are expanded into the PCG64 states, once for the whole block over a
-(B, 4) array of 32-bit words with numpy's published SeedSequence
-constants, where numpy would build a SeedSequence and run its Python-level
-``generate_state`` per stream.  When a block's last labels are not all
-one word past the pool fill (a label of 2**32 or more, or the
+generators of (master, *labels, i) for every i of the range.  numpy's
+SeedSequence mixes the words of the label path into its entropy pool once
+per path, and the pool is cached.  The last label's word is then mixed
+into that pool, and the pools are expanded into the PCG64 states, once for
+the whole block over a (B, 4) array of 32-bit words with numpy's published
+SeedSequence constants, where numpy would build a SeedSequence and run its
+Python-level ``generate_state`` per stream.  When a block's last labels
+are not all one word past the pool fill (a label of 2**32 or more, or the
 ("bootstrap",) path under a master below 2**32, whose words do not fill
 the pool), numpy's SeedSequence mixes the pool of each stream instead.
 Each PCG64 then takes its precomputed state through
@@ -42,6 +42,8 @@ import hashlib
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -129,6 +131,13 @@ def _generators(pools) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(StateWords(state))) for state in states]
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a master seed outside [0, 2**64): labels are taken modulo
+    2**64, so such a seed would run the draws of another one."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
+
+
 def seed_sequence(master: int, *labels) -> np.random.SeedSequence:
     """SeedSequence for the stream addressed by (master, *labels)."""
     *path, last = (master,) + labels
@@ -146,8 +155,8 @@ def _path_pool(*path) -> np.ndarray:
 
 def rngs_for(master: int, *labels, indices: range) -> list[np.random.Generator]:
     """Fresh generators for the streams addressed by (master, *labels, i),
-    one for each i in ``indices``, in order: the same generators as
-    ``[rng_for(master, *labels, i) for i in indices]``."""
+    one for each i in ``indices``, in order: each is the generator
+    ``np.random.default_rng(seed_sequence(master, *labels, i))``."""
     path = (master,) + labels
     position = len(_prefix(*path))
     values = [_encode(i) for i in indices]
@@ -158,7 +167,3 @@ def rngs_for(master: int, *labels, indices: range) -> list[np.random.Generator]:
         pools = [seed_sequence(*path, i).pool for i in indices]
     return _generators(pools)
 
-
-def rng_for(master: int, *labels) -> np.random.Generator:
-    """Fresh generator for the stream addressed by (master, *labels)."""
-    return _generators([seed_sequence(master, *labels).pool])[0]

@@ -1,12 +1,12 @@
 """Optimal-assignment standardization of multidimensional covariates.
 
 Covariate clouds in dimension p >= 2 have no canonical scan order.  We fix
-n anchor points spread over [0,1]^p (a low-discrepancy Halton net by
-default, or seeded i.i.d. uniforms) and match covariates to anchors by the
-bijection minimizing the total Euclidean distance.  The matched anchor
-points then play the role the rank transform plays in one dimension: the
-empirical distribution of the transported covariates is exactly the anchor
-distribution, whatever the covariates were.
+n anchor points spread over [0,1]^p (a low-discrepancy Halton net) and
+match covariates to anchors by the bijection minimizing the total
+Euclidean distance.  The matched anchor points then play the role the rank
+transform plays in one dimension: the empirical distribution of the
+transported covariates is exactly the anchor distribution, whatever the
+covariates were.
 
 Covariates are affinely rescaled per coordinate into [0,1]^p before
 matching; the rescale is monotone in every coordinate, so box indicators
@@ -45,7 +45,6 @@ class AnchorSet:
     """n pairwise-distinct points in [0,1]^p."""
 
     points: np.ndarray
-    mode: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -112,24 +111,15 @@ def _halton(n: int, p: int) -> np.ndarray:
     return pts
 
 
-def generate_anchors(n: int, p: int, mode: str = "halton", seed=None) -> AnchorSet:
-    """Anchor net in [0,1]^p.
-
-    "halton": first n points of the Halton sequence (bases 2, 3, 5, ... per
-    coordinate, starting at index 1) -- deterministic, uniformly spread.
-    "random": n i.i.d. uniform points from a seeded generator; ``seed`` is
-    required so there is no silent nondeterminism.
-    """
+def generate_anchors(n: int, p: int, mode: str = "halton") -> AnchorSet:
+    """Anchor net in [0,1]^p: the first n points of the Halton sequence
+    (bases 2, 3, 5, ... per coordinate, starting at index 1), deterministic
+    and uniformly spread.  "halton" is the only ``mode``."""
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    if mode == "halton":
-        return AnchorSet(points=_halton(n, p), mode=mode)
-    if mode == "random":
-        if seed is None:
-            raise ValueError("random anchors require an explicit seed")
-        rng = np.random.default_rng(seed)
-        return AnchorSet(points=rng.uniform(0.0, 1.0, size=(n, p)), mode=mode)
-    raise ValueError(f"unknown anchor mode {mode!r}")
+    if mode != "halton":
+        raise ValueError(f"unknown anchor mode {mode!r}")
+    return AnchorSet(points=_halton(n, p))
 
 
 def _check_shapes(x: np.ndarray, anchors: AnchorSet) -> np.ndarray:

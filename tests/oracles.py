@@ -12,6 +12,12 @@ from dfgof.transport import AnchorSet, Assignment
 BRUTE_FORCE_MAX = 8
 
 
+def uniform_anchors(n: int, p: int, seed) -> AnchorSet:
+    """n i.i.d. uniform points in [0,1]^p drawn by ``np.random.default_rng(seed)``:
+    an anchor net with no structure, to check the solver beyond the Halton net."""
+    return AnchorSet(points=np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, p)))
+
+
 def transform_matrix(score_set: OrthonormalSet, reference_set: OrthonormalSet) -> np.ndarray:
     """Dense matrix A mapping error vectors to transformed residuals for
     models whose residuals are an exact projection (linear kinds).

@@ -51,9 +51,9 @@ from dfgof.process import (
     lattice_resolution,
     limit_covariance,
 )
-from dfgof.seeding import rng_for, seed_sequence
+from dfgof.seeding import seed_sequence
 from dfgof.transport import generate_anchors, rescale_unit_cube, solve_assignment
-from oracles import brute_force_assignment, transform_matrix
+from oracles import brute_force_assignment, transform_matrix, uniform_anchors
 
 pytestmark = pytest.mark.acceptance
 
@@ -162,9 +162,9 @@ def _assignment_table(seed_salt: int):
     for p in (1, 2, 3):
         for n in range(2, 8):
             for i in range(100):
-                rng = rng_for(seed_salt, "assign", p, n, i)
+                rng = np.random.default_rng(seed_sequence(seed_salt, "assign", p, n, i))
                 x = rng.uniform(0.0, 1.0, size=(n, p))
-                anchors = generate_anchors(n, p, "random", seed=(seed_salt, p, n, i))
+                anchors = uniform_anchors(n, p, seed=(seed_salt, p, n, i))
                 fast = solve_assignment(x, anchors)
                 slow = brute_force_assignment(x, anchors)
                 rows.append((p, n, i, fast.cost, slow.cost))
@@ -177,7 +177,7 @@ def test_exact_residual_covariance_identities():
     worst = 0.0
     for n in (50, 200):
         for kind in ("simple_linear", "centered_linear", "bilinear2d"):
-            rng = rng_for(1, "identity", kind, n)
+            rng = np.random.default_rng(seed_sequence(1, "identity", kind, n))
             if kind == "bilinear2d":
                 x = np.column_stack([rng.uniform(0, 1, n), rng.beta(2.0, 3.0, n)])
             else:
@@ -220,7 +220,7 @@ def test_discrete_kolmogorov_reference_matches_partial_sum_maxima():
     """The corrected law is within 0.01 of 100,000 exact n=200 maxima of
     partial sums of N(0, I - 11^T/n), where the asymptotic law is > 0.05 off."""
     n, draws, chunk = 200, 100_000, 10_000
-    rng = rng_for(SEED_NULL_P1, "discrete kolmogorov reference")
+    rng = np.random.default_rng(seed_sequence(SEED_NULL_P1, "discrete kolmogorov reference"))
     maxima = []
     for _ in range(draws // chunk):
         z = rng.standard_normal((chunk, n))
@@ -417,7 +417,7 @@ def _bootstrap_pvalues(kind: str, design: str, n: int, index: int) -> list[float
     file, X and errors drawn once, at each response c * (mean + eps) with c
     in LEVEL_SCALES: the path of ``dfgof test``."""
     p = DESIGNS[design][0]
-    rng = rng_for(SEED_LEVEL, "level", design, index)
+    rng = np.random.default_rng(seed_sequence(SEED_LEVEL, "level", design, index))
     x = DESIGNS[design][1](n, rng)
     eps = rng.standard_normal(n)
     model = build_model(kind, Sample(x, np.zeros(n)))

@@ -540,6 +540,9 @@ class TestAssignCommand:
         assert lines[-1] == "# total_cost=0.75"
         pairs = {tuple(line.split(",")[:2]) for line in lines[1:3]}
         assert pairs == {("0", "1"), ("1", "0")}
+        # every sample is matched to the Halton net: the summary names no net
+        keys = [line.split(":")[0] for line in (out / "summary.txt").read_text().splitlines()]
+        assert keys == ["command", "data", "n", "rescale_low", "rescale_high", "total_cost"]
 
 
 class TestLimitsCommand:
@@ -610,6 +613,43 @@ class TestInputErrorsExitOne:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
         assert not out.exists()
+
+
+class TestSeedsOutside64BitsExitOne:
+    """Streams take a seed modulo 2**64, so a seed outside [0, 2**64) would
+    run the draws of another one: it is a usage error, and nothing is
+    written."""
+
+    SEEDS = ["-1", str(2**64)]
+
+    @staticmethod
+    def _refused(argv, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        assert run(argv + ["-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: seed must be an integer in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_config_key(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path / "a.cfg", BASIC.replace("seed = 11", f"seed = {seed}"))
+        self._refused(["simulate", cfg], tmp_path, capsys, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(("command", "text"), [("simulate", BASIC), ("power", WITH_ALTERNATIVE)])
+    def test_seed_flag(self, tmp_path, capsys, command, text, seed):
+        cfg = write_config(tmp_path / "a.cfg", text)
+        self._refused([command, cfg, f"--seed={seed}"], tmp_path, capsys, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_flag_of_test(self, tmp_path, capsys, seed):
+        argv = ["test", str(_bilinear_file(tmp_path)), "--model", "bilinear2d", f"--seed={seed}", "--reps", "9"]
+        self._refused(argv, tmp_path, capsys, seed)
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "a.cfg", BASIC)
+        out = tmp_path / "o"
+        assert run(["simulate", cfg, f"--seed={2**64 - 1}", "-o", str(out)]) == 0
+        assert f"seed = {2**64 - 1}" in (out / "manifest.cfg").read_text().splitlines()
 
 
 class TestRemovedOptions:
@@ -766,6 +806,15 @@ class TestOnePoolPerCommand:
         assert "numerical failure: NumericalError: 1 of 70 replications failed to fit" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, text", COMMANDS, ids=["simulate", "power"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_one(self, tmp_path, capsys, command, text, workers):
+        cfg = write_config(tmp_path / "a.cfg", text)
+        out = tmp_path / "out"
+        assert run([command, cfg, "-o", str(out), f"--workers={workers}"]) == 1
+        assert f"usage error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParserReuse:

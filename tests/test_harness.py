@@ -33,7 +33,7 @@ from dfgof.harness import (
 )
 from dfgof.model import Sample, build_model, fit
 from dfgof.process import Ecdf, build_process, ecdf_sup_distance, ecdf_vs_cdf_sup, ks_statistics
-from dfgof.seeding import rng_for, seed_sequence
+from dfgof.seeding import rngs_for, seed_sequence
 from dfgof.transport import DENSE_MAX, generate_anchors
 
 
@@ -76,13 +76,14 @@ class TestCovariateDesign:
             covariate_design("lognormal", 10, seed=0)
 
     def test_dimension_check(self):
-        with pytest.raises(ConfigError):
-            covariate_design("uniform_0_2", 10, p=2, seed=0)
+        # a design's dimension is checked against the model's in the config
+        with pytest.raises(ConfigError, match="2-dimensional designs"):
+            ExperimentConfig(design=("uniform_0_2",), model="bilinear2d", n=30, reps=5, seed=1)
 
     @pytest.mark.parametrize("design", sorted(DESIGNS))
     def test_table_dimension_is_the_draw_width(self, design):
         p = DESIGNS[design][0]
-        x = covariate_design(design, 40, p=p, seed=4)
+        x = covariate_design(design, 40, seed=4)
         assert x.shape == (40, p)
         assert np.all(np.isfinite(x))
 
@@ -142,6 +143,13 @@ class TestConfigValidation:
         # p = 1 scans no lattice, so a grid there is an error, not ignored
         with pytest.raises(ConfigError, match="p >= 2 only"):
             ExperimentConfig(design=("uniform_0_2",), model="simple_linear", n=30, reps=5, seed=1, grid=16)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # streams take a seed modulo 2**64: -1 would run the draws of 2**64 - 1
+        with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            small_config(seed=seed)
+        assert small_config(seed=seed % 2**64).seed == seed % 2**64
 
     def test_string_design_promoted_to_tuple(self):
         cfg = ExperimentConfig(design="uniform_0_2", model="simple_linear", n=30, reps=5, seed=1)
@@ -227,14 +235,14 @@ class TestRunExperiment:
     )
     def test_block_records_are_those_of_per_replication_streams(self, config):
         # a block makes its streams together; each replication must get the
-        # draws of its own rng_for stream, numpy's SeedSequence stream of its
-        # path, in a whole and a partial block
+        # draws of its own one-stream range, numpy's SeedSequence stream of
+        # its path, in a whole and a partial block
         design = config.design[0]
         for start in (0, BLOCK):
             draws = []
             for i in range(start, min(start + BLOCK, config.reps)):
                 path = (config.seed, "design", design, harness._variant_tag(config), "rep", i)
-                rng = rng_for(*path)
+                (rng,) = rngs_for(*path[:-1], indices=range(i, i + 1))
                 assert rng.bit_generator.state == np.random.default_rng(seed_sequence(*path)).bit_generator.state
                 draws.append((DESIGNS[design][1](config.n, rng), _draw_errors(config.error_law, config.n, rng)))
             records, dropped = harness._block(config, design, start)
@@ -283,6 +291,11 @@ class TestRunExperiments:
         wall = time.perf_counter() - start
         assert all(res.elapsed >= 0.0 for res in results)
         assert sum(res.elapsed for res in results) <= wall
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            run_experiments([small_config()], workers=workers)
 
     def test_multi_design_config_rejected(self):
         with pytest.raises(ConfigError, match="run_experiments needs exactly one design"):
@@ -571,7 +584,7 @@ class TestBatchedBootstrap:
         records = [pipeline_records(model, sample, observed_fit)]
         for b in range(reps):
             eps = np.empty(sample.n)
-            eps[scan] = _draw_errors(law, sample.n, rng_for(seed, "bootstrap", b))
+            eps[scan] = _draw_errors(law, sample.n, np.random.default_rng(seed_sequence(seed, "bootstrap", b)))
             boot = Sample(sample.X, null_mean + eps)
             records.append(pipeline_records(model, boot, fit(model, boot)))
 
@@ -604,6 +617,23 @@ class TestBatchedBootstrap:
                 assert process_statistics(first) == record, (reps, process)
                 for key, values in stats.items():
                     assert values[0] == record[key], (reps, key)
+
+    @pytest.mark.parametrize(("kind", "n"), [("centered_linear", 2000), ("bilinear2d", 500)])
+    def test_null_columns_do_not_depend_on_reps(self, kind, n):
+        # each draw is projected on its own, so the first 100 null columns
+        # and statistics of 200 replicates are those of 100, bit for bit
+        model, sample = _bootstrap_case(kind, n, 8)
+        observed_fit = fit(model, sample)
+        geometry = fixed_geometry(model, sample, observed_fit)
+        runs = {}
+        for reps in (100, 200):
+            residuals = bootstrap_residuals(model, geometry, observed_fit, seed=3, reps=reps, error_law="normal")
+            runs[reps] = residuals, *(residual_statistics(geometry, residuals, process)[0] for process in PROCESS_KINDS)
+        (short, *short_stats), (long, *long_stats) = runs[100], runs[200]
+        assert long[:, :101].tobytes() == short.tobytes()
+        for few, many in zip(short_stats, long_stats):
+            for key, values in few.items():
+                assert many[key][:101].tobytes() == values.tobytes(), key
 
     @pytest.mark.parametrize("kind", ["simple_linear", "bilinear2d"])
     def test_columns_are_studentized(self, kind):

@@ -9,7 +9,7 @@ from oracles import brute_force_assignment
 
 class TestBruteForce:
     def test_single_point(self):
-        anchors = AnchorSet(points=np.array([[0.3]]), mode="halton")
+        anchors = AnchorSet(points=np.array([[0.3]]))
         out = brute_force_assignment(np.array([[0.9]]), anchors)
         assert np.array_equal(out.sigma, np.array([0]))
 

@@ -424,7 +424,7 @@ class TestLimitCovariance:
         ("scan points", lambda bad: build_process(np.ones(3), np.array([[0.5, bad], [0.5, 0.5], [1.0, 1.0]]))),
         ("points", lambda bad: limit_covariance([bad], [0.5], make_basis(1, 1))),
         ("points", lambda bad: legendre_shifted(2, np.array([0.5, bad]))),
-        ("anchor coordinates", lambda bad: AnchorSet(np.array([[bad, 0.5], [0.5, 0.5]]), "halton")),
+        ("anchor coordinates", lambda bad: AnchorSet(np.array([[bad, 0.5], [0.5, 0.5]]))),
     ],
     ids=["build_process_p1", "build_process_p2", "limit_covariance", "legendre_shifted", "AnchorSet"],
 )

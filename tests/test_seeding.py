@@ -6,13 +6,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dfgof._state_words import StateWords
-from dfgof.seeding import rng_for, rngs_for, seed_sequence
+from dfgof.seeding import rngs_for, seed_sequence
 
 
 def _encoded(label) -> int:
     if isinstance(label, str):
         return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
     return label % 2**64
+
+
+def _one_stream(master, *labels):
+    """The generator of (master, *labels), an int last, from a one-index range."""
+    *prefix, last = labels
+    return rngs_for(master, *prefix, indices=range(last, last + 1))[0]
 
 
 # ints at the 32- and 64-bit word edges, and hashed strings
@@ -35,7 +41,8 @@ def test_streams_are_numpys_seed_sequence_of_the_encoded_path(master, labels):
     entropy = [_encoded(master)] + [_encoded(label) for label in labels]
     reference = np.random.SeedSequence(entropy)
     assert np.array_equal(seed_sequence(master, *labels).generate_state(8), reference.generate_state(8))
-    assert np.array_equal(rng_for(master, *labels).random(16), np.random.default_rng(reference).random(16))
+    if isinstance(labels[-1], int):
+        assert np.array_equal(_one_stream(master, *labels).random(16), np.random.default_rng(reference).random(16))
 
 
 def _reference(entropy):
@@ -70,10 +77,10 @@ def test_block_streams_are_numpys_seed_sequences(master, labels, start, size):
 
 
 @pytest.mark.parametrize("indices", [range(0), range(5, -5, -3), range(2**64 - 2, 2**64 + 2)])
-def test_block_streams_of_any_range_are_those_of_rng_for(indices):
-    # labels are taken modulo 2**64, as rng_for takes them
+def test_block_streams_of_any_range_are_those_of_one_stream_ranges(indices):
+    # labels are taken modulo 2**64, as a one-index range takes them
     generators = rngs_for(7, "a", indices=indices)
-    assert [rng.random() for rng in generators] == [rng_for(7, "a", i).random() for i in indices]
+    assert [rng.random() for rng in generators] == [_one_stream(7, "a", i).random() for i in indices]
 
 
 def test_state_words_serve_pcg64_alone():
@@ -87,30 +94,32 @@ def test_cached_prefixes_keep_streams_apart():
     # the same last label under different prefixes, and the same prefix
     # with different last labels, all give different streams
     draws = {
-        (prefix, last): rng_for(5, *prefix, last).random()
+        (prefix, last): _one_stream(5, *prefix, last).random()
         for prefix in [("a",), ("b",), ("a", 0), (0, "a")]
         for last in (0, 1, 2**31)
     }
     assert len(set(draws.values())) == len(draws)
-    assert rng_for(5, "a", 1).random() == draws[(("a",), 1)]
+    assert _one_stream(5, "a", 1).random() == draws[(("a",), 1)]
 
 
 def test_a_path_is_its_entropy_words():
     # numpy splits 2**32 into the words (0, 1), so a path ending (0, 1)
     # addresses the same stream; the package's paths have fixed shapes
-    assert rng_for(5, "a", 2**32).random() == rng_for(5, "a", 0, 1).random()
+    assert _one_stream(5, "a", 2**32).random() == _one_stream(5, "a", 0, 1).random()
 
 
 def test_master_alone_and_numpy_integer_labels():
     assert np.array_equal(seed_sequence(3).generate_state(4), np.random.SeedSequence([3]).generate_state(4))
-    assert rng_for(3, np.int64(9), np.uint32(4)).random() == rng_for(3, 9, 4).random()
-    assert rng_for(3, -1).random() == rng_for(3, 2**64 - 1).random()
+    assert np.array_equal(
+        seed_sequence(3, np.int64(9), np.uint32(4)).generate_state(4), seed_sequence(3, 9, 4).generate_state(4)
+    )
+    assert _one_stream(3, -1).random() == _one_stream(3, 2**64 - 1).random()
 
 
 @pytest.mark.parametrize("bad", [1.0, None, (1,)])
 def test_labels_other_than_ints_and_strings_are_rejected(bad):
-    rng_for(3, 1, 1)  # an equal int path cached first does not admit the float
+    rngs_for(3, 1, indices=range(1, 2))  # an equal int path cached first does not admit the float
     with pytest.raises(TypeError):
-        rng_for(3, bad, 1)
+        rngs_for(3, bad, indices=range(1, 2))
     with pytest.raises(TypeError):
-        rng_for(3, 1, bad)
+        seed_sequence(3, 1, bad)

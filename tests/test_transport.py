@@ -19,7 +19,7 @@ from dfgof.transport import (
     rescale_unit_cube,
     solve_assignment,
 )
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, uniform_anchors
 
 
 def _ecdf_of_transported(assignment, anchors, x):
@@ -87,24 +87,13 @@ class TestGenerateAnchors:
         with pytest.raises(ValueError, match="p <= 15"):
             generate_anchors(4, 16, "halton")
 
-    def test_random_is_deterministic_per_seed(self):
-        a = generate_anchors(20, 2, "random", seed=42)
-        b = generate_anchors(20, 2, "random", seed=42)
-        assert np.array_equal(a.points, b.points)
-        c = generate_anchors(20, 2, "random", seed=43)
-        assert not np.array_equal(a.points, c.points)
-
-    def test_random_requires_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            generate_anchors(5, 1, "random")
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             generate_anchors(5, 1, "sobol")
 
     def test_points_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
-            AnchorSet(points=np.array([[0.5], [0.5]]), mode="halton")
+            AnchorSet(points=np.array([[0.5], [0.5]]))
 
 
 class TestSolveAssignment:
@@ -115,7 +104,7 @@ class TestSolveAssignment:
         assert out.cost == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_crossing(self):
-        anchors = AnchorSet(points=np.array([[0.8], [0.2]]), mode="halton")
+        anchors = AnchorSet(points=np.array([[0.8], [0.2]]))
         out = solve_assignment(np.array([[0.1], [0.9]]), anchors)
         assert np.array_equal(out.sigma, np.array([1, 0]))
         assert out.cost == pytest.approx(0.2, abs=1e-12)
@@ -126,7 +115,7 @@ class TestSolveAssignment:
             n = int(rng.integers(2, 8))
             p = int(rng.integers(1, 4))
             x = rng.uniform(0.0, 1.0, size=(n, p))
-            anchors = generate_anchors(n, p, "random", seed=seed + 1000)
+            anchors = uniform_anchors(n, p, seed=seed + 1000)
             fast = solve_assignment(x, anchors)
             slow = brute_force_assignment(x, anchors)
             assert fast.cost == slow.cost
@@ -175,7 +164,7 @@ class TestWarmStartedSolve:
         x, _, _ = rescale_unit_cube(covariate_design(design, n, seed=n))
         if order == "x1_sorted":
             x = x[np.argsort(x[:, 0], kind="stable")]
-        anchors = generate_anchors(n, 2, mode, seed=n + 1)
+        anchors = generate_anchors(n, 2) if mode == "halton" else uniform_anchors(n, 2, seed=n + 1)
         sigma, cost = _dense_optimum(x, anchors)
         out = solve_assignment(x, anchors)
         assert np.array_equal(out.sigma, sigma)
@@ -365,7 +354,7 @@ class TestTransportedEcdf:
     def test_equals_anchor_ecdf_everywhere(self):
         rng = np.random.default_rng(10)
         x = rng.uniform(0.0, 1.0, size=(25, 2))
-        anchors = generate_anchors(25, 2, "random", seed=77)
+        anchors = uniform_anchors(25, 2, seed=77)
         assignment = solve_assignment(x, anchors)
         for probe in rng.uniform(0.0, 1.0, size=(100, 2)):
             anchor_value = float(np.all(anchors.points <= probe, axis=1).mean())
