@@ -53,7 +53,6 @@ from .process import (
     ecdf_sup_distance,
     ecdf_vs_cdf_sup,
     kolmogorov_cdf,
-    lattice_resolution,
     limit_covariance,
 )
 from .seeding import check_seed
@@ -68,23 +67,12 @@ _ALTERNATIVE_KEYS = tuple(f.name for f in fields(AlternativeSpec))
 # [experiment] keys that simulate and power take as flags too; power also
 # takes every [alternative] key as a flag
 _EXPERIMENT_FLAGS = ("seed", "reps", "n", "design", "statistic", "process")
-_INT_KEYS = {"n", "reps", "seed", "grid"}
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_INT_KEYS = {"n", "reps", "seed"}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors must exit 1, not argparse's 2
         raise ConfigError(message)
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -96,13 +84,6 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_design(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _parse_float_tuple(key: str, raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected comma-separated numbers, got {raw!r}") from None
 
 
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -131,8 +112,6 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
             kwargs[key] = _parse_design(raw)
         elif key in _INT_KEYS:
             kwargs[key] = _parse_int(key, raw)
-        elif key == "theta_true":
-            kwargs[key] = None if raw.strip().lower() in ("", "auto") else _parse_float_tuple(key, raw)
         else:
             kwargs[key] = raw.strip()
 
@@ -146,8 +125,6 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
                     alt[key] = float(raw)
                 except ValueError:
                     raise ConfigError(f"key 'amplitude': expected a number, got {raw!r}") from None
-            elif key == "local_scaling":
-                alt[key] = _parse_bool(key, raw)
             else:
                 alt[key] = raw.strip()
 
@@ -187,16 +164,12 @@ def echo_config(config: ExperimentConfig) -> str:
         f"process = {config.process}",
         f"error_law = {config.error_law}",
     ]
-    lines.append(f"theta_true = {', '.join(_fmt_float(v) for v in config.theta_true)}")
-    if config.grid is not None:
-        lines.append(f"grid = {config.grid}")
     if config.alternative is not None:
         lines += [
             "",
             "[alternative]",
             f"psi = {config.alternative.psi}",
             f"amplitude = {_fmt_float(config.alternative.amplitude)}",
-            f"local_scaling = {'true' if config.alternative.local_scaling else 'false'}",
         ]
     return "\n".join(lines) + "\n"
 
@@ -305,9 +278,7 @@ def _cmd_power(args) -> None:
     basis = make_basis(config.p, config.d)
     lines.append(f"basis: {basis.describe()}")
     lines.append(f"statistic: {config.process}.{config.statistic}")
-    lines.append(
-        f"alternative: psi={alt.psi} amplitude={_fmt_float(alt.amplitude)} local_scaling={alt.local_scaling}"
-    )
+    lines.append(f"alternative: psi={alt.psi} amplitude={_fmt_float(alt.amplitude)}")
     files = []
     for design_id, null, alternative in zip(config.design, runs[::2], runs[1::2]):
         power = power_result(null, alternative)
@@ -363,7 +334,6 @@ def _cmd_test(args) -> None:
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     sample = load_sample(args.data, args.delimiter)
-    grid = lattice_resolution(args.grid, sample.p)
     model = build_model(args.model, sample)
     observed_fit = fit(model, sample)
     residual_norm = float(np.linalg.norm(observed_fit.residuals))
@@ -374,7 +344,7 @@ def _cmd_test(args) -> None:
             f"the {args.model} model fits the data to rounding (residual norm {residual_norm:.3g}): "
             "there is no residual scale to test"
         )
-    geometry = fixed_geometry(model, sample, observed_fit, grid=grid)
+    geometry = fixed_geometry(model, sample, observed_fit)
     residuals = bootstrap_residuals(
         model, geometry, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
     )
@@ -505,7 +475,6 @@ def _build_parser() -> _Parser:
     # overrides of the [alternative] keys, which need both psi and amplitude
     pow_.add_argument("--psi", default=None)
     pow_.add_argument("--amplitude", type=float, default=None)
-    pow_.add_argument("--local-scaling", action="store_const", const=True, default=None)
     pow_.set_defaults(handler=_cmd_power)
 
     fit_ = subs.add_parser("fit", help="fit a model to a data file")
@@ -522,7 +491,6 @@ def _build_parser() -> _Parser:
     test.add_argument("--reps", type=int, default=200, help="null replications for the p-value")
     test.add_argument("--statistic", default=_DEFAULTS["statistic"], choices=STATISTICS)
     test.add_argument("--process", default=_DEFAULTS["process"], choices=PROCESS_KINDS)
-    test.add_argument("--grid", type=int, default=None)
     test.add_argument("--error-law", default=_DEFAULTS["error_law"], choices=ERROR_LAWS)
     test.set_defaults(handler=_cmd_test)
 

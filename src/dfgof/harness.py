@@ -76,7 +76,6 @@ from .process import (
     build_process,
     ecdf_plan,
     ks_statistics,
-    lattice_resolution,
     process_plan,
 )
 from .rotations import OrthonormalSet
@@ -119,8 +118,9 @@ MAX_FAILURE_FRACTION = 0.01
 # BLOCK whatever the worker count.
 BLOCK = 64
 # Evaluation points x residual columns of the processes built together:
-# bounds the arrays of a build whatever the number of columns.  A grid-64
-# p = 2 process of a few hundred points takes 40 bootstrap columns at once.
+# bounds the arrays of a build whatever the number of columns.  A p = 2
+# process of a few hundred points, with its 64 x 64 lattice, takes 40
+# bootstrap columns at once.
 EVAL_ENTRIES = 1 << 18
 # test levels of the rejection rates of a power run
 LEVELS = (0.01, 0.05, 0.10)
@@ -128,11 +128,10 @@ LEVELS = (0.01, 0.05, 0.10)
 
 @dataclass(frozen=True)
 class AlternativeSpec:
-    """Mean shift psi added to the null mean, optionally scaled by 1/sqrt(n)."""
+    """Mean shift amplitude * psi added to the null mean."""
 
     psi: str
     amplitude: float
-    local_scaling: bool = False
 
     def __post_init__(self):
         if self.psi not in PSI_FUNCTIONS:
@@ -148,10 +147,8 @@ class ExperimentConfig:
     ``design`` may list several covariate designs; the simulation entry
     points take single-design configs (the CLI fans a multi-design config
     out into one config per design, and runs them all as one task list).
-    A config holds its effective values: ``grid`` is resolved by
-    ``lattice_resolution`` (None at p = 1), and a missing ``theta_true``
-    becomes 1 per parameter.  All fields are plain values so
-    configs can be shipped to worker processes.
+    All fields are plain values so configs can be shipped to worker
+    processes.
     """
 
     design: tuple[str, ...]
@@ -162,9 +159,7 @@ class ExperimentConfig:
     statistic: str = "ks_abs"
     process: str = "transformed"
     alternative: AlternativeSpec | None = None
-    grid: int | None = None
     error_law: str = "normal"
-    theta_true: tuple[float, ...] | None = None
 
     def __post_init__(self):
         design = (self.design,) if isinstance(self.design, str) else tuple(self.design)
@@ -176,7 +171,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown design id {d!r}; known: {sorted(DESIGNS)}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}; known: {sorted(MODEL_KINDS)}")
-        p, d = MODEL_KINDS[self.model]
+        p = MODEL_KINDS[self.model][0]
         if any(DESIGNS[dd][0] != p for dd in design):
             raise ConfigError(f"model {self.model!r} needs {p}-dimensional designs, got {design}")
         if self.n < 10:
@@ -190,13 +185,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown process kind {self.process!r}; known: {PROCESS_KINDS}")
         if self.error_law not in ERROR_LAWS:
             raise ConfigError(f"unknown error law {self.error_law!r}; known: {ERROR_LAWS}")
-        object.__setattr__(self, "grid", lattice_resolution(self.grid, p))
-        theta = (1.0,) * d if self.theta_true is None else tuple(float(v) for v in self.theta_true)
-        if len(theta) != d:
-            raise ConfigError(f"theta_true must have length d={d}, got {len(theta)}")
-        if not all(math.isfinite(v) for v in theta):
-            raise ConfigError("theta_true contains non-finite entries")
-        object.__setattr__(self, "theta_true", theta)
         if self.alternative is not None:
             psi_p = PSI_FUNCTIONS[self.alternative.psi][0]
             if psi_p != p:
@@ -262,7 +250,7 @@ class Geometry:
     plans: dict[str, ProcessPlan]
 
 
-def fixed_geometry(model: RegressionModel, sample: Sample, fitres: FitResult, *, grid: int | None = None) -> Geometry:
+def fixed_geometry(model: RegressionModel, sample: Sample, fitres: FitResult) -> Geometry:
     """Scan points, score and reference sets and process plans of one
     fitted sample, or of each sample of a stack.
 
@@ -280,7 +268,6 @@ def fixed_geometry(model: RegressionModel, sample: Sample, fitres: FitResult, *,
     serves every response drawn on the same X.
     """
     if sample.p == 1:
-        lattice_resolution(grid, 1)  # a grid at p = 1 is a usage error
         times, plan = ecdf_plan(sample.X[..., 0], model.d)
         points = times[..., None]
         plans = dict.fromkeys(PROCESS_KINDS, plan)
@@ -292,7 +279,7 @@ def fixed_geometry(model: RegressionModel, sample: Sample, fitres: FitResult, *,
         for x, raw, scan in zip(xs, raw_points.reshape(xs.shape), points.reshape(xs.shape)):
             raw[:], _, _ = rescale_unit_cube(x)
             scan[:] = anchor_set.points[solve_assignment(raw, anchor_set).sigma]
-        plans = {"transformed": process_plan(points, grid), "raw": process_plan(raw_points, grid)}
+        plans = {"transformed": process_plan(points), "raw": process_plan(raw_points)}
     score_set = score_basis(model, fitres, sample)
     reference_set = sample_on_points(make_basis(sample.p, model.d), points)
     return Geometry(points, score_set, reference_set, plans)
@@ -391,21 +378,21 @@ def bootstrap_residuals(
     return out
 
 
-def pipeline_processes(model: RegressionModel, sample: Sample, fitres: FitResult, *, grid: int | None = None):
+def pipeline_processes(model: RegressionModel, sample: Sample, fitres: FitResult):
     """Transformed and raw residual processes for one fitted sample, or
     stacked processes for a fitted stack: ``residual_statistics`` of the
     fitted residuals on the sample's ``fixed_geometry``."""
-    geometry = fixed_geometry(model, sample, fitres, grid=grid)
+    geometry = fixed_geometry(model, sample, fitres)
     return residual_statistics(geometry, fitres.residuals[..., None], "transformed")[1]
 
 
 def pipeline_records(
-    model: RegressionModel, sample: Sample, fitres: FitResult, *, grid: int | None = None
+    model: RegressionModel, sample: Sample, fitres: FitResult
 ) -> dict[str, float] | dict[str, np.ndarray]:
     """Statistics of the transformed and raw residual processes for one
     fitted sample (floats), or for each sample of a fitted stack (arrays
     with one entry per sample)."""
-    return process_statistics(pipeline_processes(model, sample, fitres, grid=grid))
+    return process_statistics(pipeline_processes(model, sample, fitres))
 
 
 def _draws(config: ExperimentConfig, design_id: str, indices: range) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -421,15 +408,15 @@ def _stack_records(config: ExperimentConfig, draws: list[tuple[np.ndarray, np.nd
     x = np.stack([xi for xi, _ in draws])
     errors = np.stack([ei for _, ei in draws])
     model = build_model(config.model, Sample(x, np.zeros(errors.shape)))
-    signal = np.asarray(model.mean(np.asarray(config.theta_true), x), dtype=float)
+    # every kind here is linear, so the fitted residuals (I - P)(X theta + e)
+    # do not depend on theta; theta = (1, ..., 1) keeps the bits of every
+    # fixed-seed output
+    signal = np.asarray(model.mean(np.ones(config.d), x), dtype=float)
     if config.alternative is not None:
-        amp = config.alternative.amplitude
-        if config.alternative.local_scaling:
-            amp /= math.sqrt(config.n)
-        signal = signal + amp * PSI_FUNCTIONS[config.alternative.psi][1](x)
+        signal = signal + config.alternative.amplitude * PSI_FUNCTIONS[config.alternative.psi][1](x)
     sample = Sample(x, signal + errors)
     fitres = fit(model, sample)
-    return pipeline_records(model, sample, fitres, grid=config.grid)
+    return pipeline_records(model, sample, fitres)
 
 
 def _block(config: ExperimentConfig, design_id: str, start: int) -> tuple[dict[str, np.ndarray], int]:

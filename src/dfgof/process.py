@@ -5,8 +5,8 @@ componentwise <= x, scaled by 1/sqrt(n).  In one dimension the scan points
 are the empirical-CDF times of the covariate (i/n without ties) and the
 process is evaluated exactly at t = 0 and every jump; in higher dimensions
 the supremum over the cube is approximated by evaluating at every scan
-point plus a regular lattice, whose resolution ``lattice_resolution``
-fixes (a config key, reported in outputs).  At p = 2 the values at the
+point plus a regular lattice, whose per-axis resolution
+``lattice_resolution`` fixes by p.  At p = 2 the values at the
 scan points come from a merge sweep over the points ordered by their
 second coordinate, in O(n log^2 n) time at worst and O(n) memory per
 residual column; p >= 3 sums an n x n dominance mask in row blocks.
@@ -45,7 +45,8 @@ import numpy as np
 from .basis import ReferenceBasis, check_unit_cube
 from .errors import ConfigError, RankDeficiencyError
 
-DEFAULT_GRID = {2: 64, 3: 16}
+# Lattice points per axis by dimension p, 8 above p = 3.
+GRID = {2: 64, 3: 16}
 GRID_GUARD = 1_000_000
 # Positions per brute-force leaf of the p = 2 dominance sweep (at most).
 DOMINANCE_LEAF = 16
@@ -58,18 +59,13 @@ DOMINANCE_BLOCK = 64
 SIEGMUND_BETA = 0.5826
 
 
-def lattice_resolution(grid: int | None, p: int) -> int | None:
+def lattice_resolution(p: int) -> int | None:
     """The per-axis lattice resolution a p-dimensional process is evaluated
-    on: None at p = 1, which scans no lattice (a grid given there is an
-    error), else ``grid`` or DEFAULT_GRID[p], at least 2 and with no more
-    than GRID_GUARD lattice points."""
+    on: None at p = 1, which scans no lattice, else GRID[p]; a lattice of
+    more than GRID_GUARD points is refused."""
     if p == 1:
-        if grid is not None:
-            raise ConfigError(f"grid applies to p >= 2 only; a p = 1 process scans no lattice, got grid={grid}")
         return None
-    m = grid if grid is not None else DEFAULT_GRID.get(p, 8)
-    if m < 2:
-        raise ConfigError(f"grid must be >= 2, got {m}")
+    m = GRID.get(p, 8)
     if m**p > GRID_GUARD:
         raise ConfigError(f"a lattice of {m}^{p} points exceeds the {GRID_GUARD} guard")
     return m
@@ -249,20 +245,18 @@ class ProcessPlan:
 
     ``lead_shape`` is (n,) for one set of scan points and (B, n) for a stack:
     the leading axes of the residuals the plan takes.  ``eval_points`` are
-    those of every process built from the plan, and ``grid`` its lattice
-    resolution (None at p = 1).  p = 1 keeps the stable ascending order of
-    each sample's scan times as flat row indices of the stack,
-    ``gather``, and in ``pick`` the flat positions of the evaluation
+    those of every process built from the plan.  p = 1 keeps the stable
+    ascending order of each sample's scan times as flat row indices of the
+    stack, ``gather``, and in ``pick`` the flat positions of the evaluation
     values among the zero-led cumulative sums of the ordered
     contributions: the tie-last index of each sorted time, one past it.
     p >= 2 keeps in ``samples``, per sample, a ``_Sweep`` (p = 2) or the
     scan points themselves (p >= 3 and empty samples), with the lattice
-    bin of every scan point.
+    bin of every scan point on the lattice of ``lattice_resolution(p)``.
     """
 
     lead_shape: tuple[int, ...]
     eval_points: np.ndarray
-    grid: int | None
     gather: np.ndarray | None = None
     pick: np.ndarray | None = None
     samples: tuple[tuple[_Sweep | np.ndarray, np.ndarray], ...] = ()
@@ -280,12 +274,13 @@ class ProcessPlan:
             np.cumsum(columns.reshape(b * n, m)[self.gather].reshape(b, n, m), axis=1, out=sums[:, 1:])
             return sums.reshape(b * (n + 1), m)[self.pick].reshape(b, -1, m)
         p = self.eval_points.shape[-1]
+        resolution = lattice_resolution(p)
         return np.stack(
             [
                 np.concatenate(
                     [
                         _sweep_sums(kernel, cols) if isinstance(kernel, _Sweep) else _mask_sums(kernel, cols),
-                        _lattice_values(bins, cols, self.grid, p),
+                        _lattice_values(bins, cols, resolution, p),
                     ]
                 )
                 for (kernel, bins), cols in zip(self.samples, columns)
@@ -311,7 +306,6 @@ def _line_plan(order: np.ndarray, ranked: np.ndarray, last: np.ndarray, stacked:
     return ProcessPlan(
         lead_shape=ranked.shape if stacked else (n,),
         eval_points=points[..., None] if stacked else points[0, :, None],
-        grid=None,
         gather=(order + rows * n).ravel(),
         pick=(pick + rows * (n + 1)).ravel(),
     )
@@ -354,12 +348,12 @@ def ecdf_plan(x: np.ndarray, d: int) -> tuple[np.ndarray, ProcessPlan]:
     return times.reshape(x.shape), _line_plan(order, sorted_times, last, stacked)
 
 
-def process_plan(scan_points: np.ndarray, grid: int | None = None) -> ProcessPlan:
+def process_plan(scan_points: np.ndarray) -> ProcessPlan:
     """Set up the processes scanned by ``scan_points`` for any residuals.
 
     scan_points must lie in [0,1]^p (times for p = 1, transported or
     rescaled covariates for p >= 2): (n, p) points, n times, or a (B, n, p)
-    stack.  ``grid`` is resolved by ``lattice_resolution``.
+    stack.  For p >= 2 the lattice is that of ``lattice_resolution(p)``.
     """
     scan = np.asarray(scan_points, dtype=float)
     if scan.ndim == 1:
@@ -369,7 +363,7 @@ def process_plan(scan_points: np.ndarray, grid: int | None = None) -> ProcessPla
     check_unit_cube("scan points", scan)
     stacked = scan.ndim == 3
     n, p = scan.shape[-2:]
-    m = lattice_resolution(grid, p)
+    m = lattice_resolution(p)
     scans = scan if stacked else scan[None]
     if p == 1:
         times = scans[..., 0]
@@ -382,28 +376,21 @@ def process_plan(scan_points: np.ndarray, grid: int | None = None) -> ProcessPla
     return ProcessPlan(
         lead_shape=scan.shape[:-1],
         eval_points=eval_points if stacked else eval_points[0],
-        grid=m,
         samples=samples,
     )
 
 
-def build_process(residuals: np.ndarray, scan_points, grid: int | None = None) -> StepProcess:
+def build_process(residuals: np.ndarray, scan_points) -> StepProcess:
     """Build the partial-sum process of ``residuals`` scanned by ``scan_points``.
 
     ``residuals`` is one vector of length n or an (n, m) matrix whose
-    columns share the scan points.  ``scan_points`` and ``grid`` are those
-    of ``process_plan``, or ``scan_points`` is a plan it made, which
-    carries its own lattice resolution (``grid`` is then None): building
-    many processes on the same points from one plan sets them up once.
+    columns share the scan points.  ``scan_points`` are those of
+    ``process_plan``, or a plan it made: building many processes on the
+    same points from one plan sets them up once.
     A (B, n, p) stack of scan points with (B, n) or (B, n, m) residuals
     builds the B processes at once as one stacked process.
     """
-    if isinstance(scan_points, ProcessPlan):
-        if grid is not None:
-            raise ValueError("a process plan carries its own lattice resolution; pass grid to process_plan")
-        plan = scan_points
-    else:
-        plan = process_plan(scan_points, grid)
+    plan = scan_points if isinstance(scan_points, ProcessPlan) else process_plan(scan_points)
     residuals = np.asarray(residuals, dtype=float)
     lead = len(plan.lead_shape)  # axes before the columns: (n,) or (B, n)
     if residuals.ndim not in (lead, lead + 1) or residuals.shape[:lead] != plan.lead_shape:

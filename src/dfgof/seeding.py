@@ -9,10 +9,11 @@ worker counts.
 
 The stream of (master, *labels) is the one numpy derives from
 ``SeedSequence([master, *encoded labels])``: every label becomes a 64-bit
-integer (an int modulo 2**64, so ``check_seed`` refuses a master seed
-outside [0, 2**64)), which numpy splits into little-endian 32-bit words
-(one word when it is below 2**32), and the words of all labels, in order,
-are the entropy.  A path is identified by its words, so (..., 2**32) and
+integer (an int outside [0, 2**64) raises ValueError, so no two ints
+address one stream; ``check_seed`` makes such a master seed a usage
+error), which numpy splits into little-endian 32-bit words (one word when
+it is below 2**32), and the words of all labels, in order, are the
+entropy.  A path is identified by its words, so (..., 2**32) and
 (..., 0, 1) address one stream.  The package derives paths of two shapes,
 ("design", design id, variant, "rep", i) for the draws of a replication
 and ("bootstrap", b) for a bootstrap replicate of ``dfgof test``.  Each
@@ -102,7 +103,10 @@ def _hash_label(label: str) -> int:
 
 def _encode(label) -> int:
     if isinstance(label, int) or isinstance(label, np.integer):  # the plain int check is the cheap one
-        return int(label) & _MASK64
+        value = int(label)
+        if not 0 <= value <= _MASK64:
+            raise ValueError(f"an integer label must lie in [0, 2**64), got {value}")
+        return value
     if isinstance(label, str):
         return _hash_label(label)
     raise TypeError(f"cannot derive a seed from {type(label).__name__!r}")
@@ -132,8 +136,8 @@ def _generators(pools) -> list[np.random.Generator]:
 
 
 def check_seed(seed: int) -> None:
-    """Refuse a master seed outside [0, 2**64): labels are taken modulo
-    2**64, so such a seed would run the draws of another one."""
+    """Refuse a master seed outside [0, 2**64), the integer labels that
+    address a stream, with a usage error."""
     if not 0 <= seed <= _MASK64:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed}")
 

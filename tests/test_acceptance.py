@@ -321,9 +321,9 @@ def _transformed_processes(config: ExperimentConfig):
         x = np.stack([xi for xi, _ in draws])
         errors = np.stack([ei for _, ei in draws])
         model = build_model(config.model, Sample(x, np.zeros(errors.shape)))
-        sample = Sample(x, model.mean(np.asarray(config.theta_true), x) + errors)
+        sample = Sample(x, model.mean(np.ones(config.d), x) + errors)
         fitres = fit(model, sample)
-        yield pipeline_processes(model, sample, fitres, grid=config.grid)["transformed"]
+        yield pipeline_processes(model, sample, fitres)["transformed"]
 
 
 def test_transformed_process_covariance_matches_bridge():
@@ -362,7 +362,7 @@ def test_bivariate_process_covariance_matches_limit(design):
     lattice nodes equals limit_covariance within 0.03 (n=200, 1000
     replications), and the process is 0 at the corner (1, 1)."""
     cfg = ExperimentConfig(design=(design,), model="bilinear2d", n=200, reps=1000, seed=SEED_COV)
-    m = cfg.grid
+    m = lattice_resolution(cfg.p)
     start = time.perf_counter()
     # the lattice follows the n scan points, node (i, j) at index i m + j
     columns = [cfg.n + i * m + j for i, j in COV_NODES]
@@ -416,7 +416,6 @@ def _bootstrap_pvalues(kind: str, design: str, n: int, index: int) -> list[float
     """Bootstrap p-values of the transformed ks_abs statistic of one null
     file, X and errors drawn once, at each response c * (mean + eps) with c
     in LEVEL_SCALES: the path of ``dfgof test``."""
-    p = DESIGNS[design][0]
     rng = np.random.default_rng(seed_sequence(SEED_LEVEL, "level", design, index))
     x = DESIGNS[design][1](n, rng)
     eps = rng.standard_normal(n)
@@ -426,7 +425,7 @@ def _bootstrap_pvalues(kind: str, design: str, n: int, index: int) -> list[float
     for c in LEVEL_SCALES:
         sample = Sample(x, c * (mean + eps))
         fitres = fit(model, sample)
-        geometry = fixed_geometry(model, sample, fitres, grid=lattice_resolution(None, p))
+        geometry = fixed_geometry(model, sample, fitres)
         residuals = bootstrap_residuals(model, geometry, fitres, seed=index, reps=LEVEL_REPS, error_law="normal")
         stats = residual_statistics(geometry, residuals, "transformed")[0]["transformed.ks_abs"]
         pvalues.append((1.0 + float(np.sum(stats[1:] >= stats[0]))) / (LEVEL_REPS + 1.0))

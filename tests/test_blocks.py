@@ -187,9 +187,9 @@ def test_test_command_builds_the_unselected_process_once(monkeypatch):
     calls = []
     original = harness.build_process
 
-    def counting(residuals, scan_points, grid=None):
+    def counting(residuals, scan_points):
         calls.append(residuals.shape)
-        return original(residuals, scan_points, grid=grid)
+        return original(residuals, scan_points)
 
     monkeypatch.setattr(harness, "build_process", counting)
     n, reps = 40, 40
@@ -204,7 +204,7 @@ def test_test_command_builds_the_unselected_process_once(monkeypatch):
     assert set(first) == {"transformed", "raw"}
     # column 0 builds both processes, columns 1..reps the raw one as many
     # at a time as keep evaluation points x columns within EVAL_ENTRIES: a
-    # grid-64 process takes all 40 bootstrap columns in one build
+    # p = 2 process with its 64 x 64 lattice takes all 40 bootstrap columns in one build
     chunk = harness.EVAL_ENTRIES // (n + 64**2)
     assert chunk >= reps
     assert calls == [(n,)] * 2 + [(n, reps)]

@@ -32,6 +32,8 @@ reps = 6
 seed = 11
 """
 
+BIVARIATE = BASIC.replace("uniform_0_2", "beta_indep").replace("simple_linear", "bilinear2d")
+
 TWO_DESIGNS = """
 [experiment]
 design = uniform_0_2, normal_1_2
@@ -115,13 +117,6 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert parse_config(write_config(tmp_path / "m.cfg", echo_config(cfg))) == cfg
 
-    def test_config_holds_effective_defaults(self, tmp_path):
-        text = BASIC.replace("uniform_0_2", "beta_indep").replace("simple_linear", "bilinear2d")
-        cfg = parse_config(write_config(tmp_path / "a.cfg", text))
-        assert cfg.grid == 64
-        assert cfg.theta_true == (1.0,) * 4
-        assert parse_config(write_config(tmp_path / "b.cfg", BASIC)).grid is None
-
     def test_flag_defaults_are_the_config_defaults(self):
         defaults = {f.name: f.default for f in fields(ExperimentConfig)}
         test = _build_parser().parse_args(["test", "data.csv", "--model", "simple_linear"])
@@ -130,8 +125,8 @@ class TestParseConfig:
 
     def test_alternative_flags_override_file_values(self, tmp_path):
         path = write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)
-        cfg = parse_config(path, {"amplitude": 2.0, "local_scaling": True, "psi": None})
-        assert cfg.alternative == AlternativeSpec(psi="x_squared", amplitude=2.0, local_scaling=True)
+        cfg = parse_config(path, {"amplitude": 2.0, "psi": None})
+        assert cfg.alternative == AlternativeSpec(psi="x_squared", amplitude=2.0)
 
 
 class TestSimulateCommand:
@@ -256,14 +251,14 @@ class TestPowerCommand:
         manifest = (out / "manifest.cfg").read_text()
         assert "psi = x_squared" in manifest and "amplitude = 1.25\n" in manifest
 
-    def test_local_scaling_flag_alone_is_applied(self, tmp_path):
+    def test_amplitude_flag_alone_is_applied(self, tmp_path):
         cfg = write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)
         out = tmp_path / "out"
-        assert run(["power", cfg, "-o", str(out), "--local-scaling"]) == 0
-        assert "local_scaling = true" in (out / "manifest.cfg").read_text()
+        assert run(["power", cfg, "-o", str(out), "--amplitude", "3"]) == 0
+        assert "amplitude = 3\n" in (out / "manifest.cfg").read_text()
         summary = (out / "summary.txt").read_text()
-        assert "overrides: local_scaling=True" in summary
-        assert "local_scaling=True" in summary.split("alternative: ")[1].splitlines()[0]
+        assert "overrides: amplitude=3.0" in summary
+        assert summary.split("alternative: ")[1].splitlines()[0] == "psi=x_squared amplitude=3"
 
 
 class TestFitCommand:
@@ -407,15 +402,6 @@ class TestTestCommand:
         assert outputs[4.0] == outputs[1.0]
         assert outputs[0.25] == outputs[1.0]
 
-    def test_grid_rejected_at_p1(self, tmp_path, capsys):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0, 2, 40)
-        data = tmp_path / "d.csv"
-        data.write_text("\n".join(f"{a},{1 + a + b}" for a, b in zip(x, rng.standard_normal(40))) + "\n")
-        argv = ["test", str(data), "--model", "centered_linear", "--seed", "1", "--reps", "9", "--grid", "16"]
-        assert run(argv + ["-o", str(tmp_path / "o")]) == 1
-        assert "p >= 2 only" in capsys.readouterr().err
-
     def test_seed_required(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("1,2\n2,4\n3,6\n4,8\n")
@@ -438,10 +424,7 @@ class TestTestCommand:
     def test_two_dimensional_pipeline_runs(self, tmp_path):
         data = _bilinear_file(tmp_path)
         out = tmp_path / "out"
-        code = run(
-            ["test", str(data), "--model", "bilinear2d", "--seed", "9", "--reps", "19", "--grid", "16", "-o", str(out)]
-        )
-        assert code == 0
+        assert run(["test", str(data), "--model", "bilinear2d", "--seed", "9", "--reps", "19", "-o", str(out)]) == 0
         summary = (out / "summary.txt").read_text()
         assert "pvalue:" in summary
 
@@ -450,8 +433,6 @@ class TestTestCommand:
         [
             (["--reps", "0"], "--reps must be >= 1, got 0"),
             (["--reps", "-1"], "--reps must be >= 1, got -1"),
-            (["--grid", "1"], "grid must be >= 2, got 1"),
-            (["--grid", "2000"], "lattice of 2000^2 points exceeds"),
         ],
     )
     def test_bad_bootstrap_flags_exit_one(self, tmp_path, capsys, flags, message):
@@ -616,9 +597,8 @@ class TestInputErrorsExitOne:
 
 
 class TestSeedsOutside64BitsExitOne:
-    """Streams take a seed modulo 2**64, so a seed outside [0, 2**64) would
-    run the draws of another one: it is a usage error, and nothing is
-    written."""
+    """Streams are addressed by labels in [0, 2**64), so a seed outside
+    that range is a usage error, and nothing is written."""
 
     SEEDS = ["-1", str(2**64)]
 
@@ -653,14 +633,30 @@ class TestSeedsOutside64BitsExitOne:
 
 
 class TestRemovedOptions:
-    """Every sample of a size is matched to one Halton net, and only the
-    commands that draw random numbers take a seed: the keys and flags that
-    chose otherwise are usage errors."""
+    """Every sample of a size is matched to one Halton net, the lattice is
+    fixed by the dimension, simulations draw at theta = (1, ..., 1), an
+    alternative shifts the mean by amplitude * psi, and only the commands
+    that draw random numbers take a seed: the keys and flags that chose
+    otherwise are usage errors, which write nothing."""
 
-    def test_anchors_key_is_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "a.cfg", BASIC + "anchors = halton\n")
-        assert run(["simulate", cfg, "-o", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "usage error: unknown key 'anchors' in [experiment]\n"
+    @pytest.mark.parametrize(
+        ("command", "text", "line", "section"),
+        [
+            ("simulate", BASIC, "anchors = halton", "experiment"),
+            ("simulate", BASIC, "theta_true = 2", "experiment"),
+            ("simulate", BASIC, "grid = 16", "experiment"),
+            ("simulate", BIVARIATE, "grid = 64", "experiment"),
+            ("power", WITH_ALTERNATIVE, "local_scaling = false", "alternative"),
+        ],
+        ids=["anchors", "theta_true", "grid-p1", "grid-p2", "local_scaling"],
+    )
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, command, text, line, section):
+        cfg = write_config(tmp_path / "a.cfg", text + line + "\n")
+        out = tmp_path / "out"
+        assert run([command, cfg, "-o", str(out)]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"usage error: unknown key {key!r} in [{section}]\n"
+        assert not out.exists()
 
     def test_old_manifest_is_rejected(self, tmp_path, capsys):
         manifest = echo_config(parse_config(CONFIG_DIR / "power_cubic.cfg"))
@@ -673,12 +669,13 @@ class TestRemovedOptions:
         "argv",
         [
             ["test", "DATA", "--model", "bilinear2d", "--seed", "1", "--anchors", "halton"],
+            ["test", "DATA", "--model", "bilinear2d", "--seed", "1", "--grid", "16"],
             ["assign", "DATA", "--anchors", "halton"],
             ["fit", "DATA", "--model", "bilinear2d", "--seed", "1"],
             ["assign", "DATA", "--seed", "1"],
             ["limits", "--seed", "1"],
         ],
-        ids=["test-anchors", "assign-anchors", "fit-seed", "assign-seed", "limits-seed"],
+        ids=["test-anchors", "test-grid", "assign-anchors", "fit-seed", "assign-seed", "limits-seed"],
     )
     def test_removed_flags_are_usage_errors(self, tmp_path, capsys, argv):
         data = str(_bilinear_file(tmp_path))
@@ -686,6 +683,12 @@ class TestRemovedOptions:
         assert run([data if arg == "DATA" else arg for arg in argv] + ["-o", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: unrecognized arguments:") and argv[-2] in err
+        assert not out.exists()
+
+    def test_local_scaling_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["power", str(CONFIG_DIR / "power_cubic.cfg"), "--local-scaling", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --local-scaling\n"
         assert not out.exists()
 
 
@@ -828,7 +831,7 @@ class TestParserReuse:
         alt = write_config(tmp_path / "alt.cfg", WITH_ALTERNATIVE)
         out = str(tmp_path / "out")
         return [
-            (["power", alt, "-o", out, "--local-scaling"], 0),
+            (["power", alt, "-o", out, "--amplitude", "3"], 0),
             (["power", alt, "-o", out], 0),
             (["simulate", basic, "--frobnicate"], 1),
             (["--help"], 0),
@@ -864,12 +867,13 @@ class TestParserReuse:
         for argv_code, a, b in zip(calls, fresh, shared):
             assert a == b, argv_code[0]
         # the flag of the first call does not stay set for the second
-        assert "local_scaling=True" in shared[0][1] and "local_scaling=False" in shared[1][1]
+        assert "alternative: psi=x_squared amplitude=3\n" in shared[0][1]
+        assert "alternative: psi=x_squared amplitude=0.5\n" in shared[1][1]
 
     def test_parse_leaves_no_default_behind(self):
         parser = _build_parser()
-        first = parser.parse_args(["power", "a.cfg", "--local-scaling", "--reps", "5", "--workers", "3"])
+        first = parser.parse_args(["power", "a.cfg", "--amplitude", "3", "--reps", "5", "--workers", "3"])
         again = parser.parse_args(["power", "a.cfg"])
-        assert (first.local_scaling, first.reps, first.workers) == (True, 5, 3)
-        assert (again.local_scaling, again.reps, again.workers) == (None, None, 1)
-        assert not hasattr(parser.parse_args(["limits"]), "local_scaling")
+        assert (first.amplitude, first.reps, first.workers) == (3.0, 5, 3)
+        assert (again.amplitude, again.reps, again.workers) == (None, None, 1)
+        assert not hasattr(parser.parse_args(["limits"]), "amplitude")

@@ -115,7 +115,7 @@ class TestTableFormat:
 
     def test_process_dump_matches_per_value_rule(self, tmp_path):
         rng = np.random.default_rng(1)
-        proc = build_process(rng.normal(size=30), rng.uniform(size=(30, 2)), grid=4)
+        proc = build_process(rng.normal(size=30), rng.uniform(size=(30, 2)))
         target = tmp_path / "p.csv"
         write_process_dump(target, proc)
         rows = [tuple(pt) + (val,) for pt, val in zip(proc.eval_points, proc.eval_values)]

@@ -31,7 +31,7 @@ from dfgof.harness import (
     run_experiment,
     run_experiments,
 )
-from dfgof.model import Sample, build_model, fit
+from dfgof.model import MODEL_KINDS, Sample, build_model, fit
 from dfgof.process import Ecdf, build_process, ecdf_sup_distance, ecdf_vs_cdf_sup, ks_statistics
 from dfgof.seeding import rngs_for, seed_sequence
 from dfgof.transport import DENSE_MAX, generate_anchors
@@ -123,10 +123,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="statistic"):
             small_config(statistic="anderson")
 
-    def test_theta_length_checked(self):
-        with pytest.raises(ConfigError, match="theta_true"):
-            small_config(theta_true=(1.0, 2.0))
-
     def test_psi_dimension_checked(self):
         with pytest.raises(ConfigError, match="psi"):
             small_config(alternative=AlternativeSpec(psi="x2_cubed", amplitude=1.0))
@@ -135,18 +131,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="amplitude"):
             AlternativeSpec(psi="x_squared", amplitude=float("nan"))
 
-    @pytest.mark.parametrize(("grid", "message"), [(1, "grid must be >= 2"), (1001, r"lattice of 1001\^2 points")])
-    def test_grid_checked(self, grid, message):
-        with pytest.raises(ConfigError, match=message):
-            ExperimentConfig(design=("beta_indep",), model="bilinear2d", n=30, reps=5, seed=1, grid=grid)
-        ExperimentConfig(design=("beta_indep",), model="bilinear2d", n=30, reps=5, seed=1, grid=1000)
-        # p = 1 scans no lattice, so a grid there is an error, not ignored
-        with pytest.raises(ConfigError, match="p >= 2 only"):
-            ExperimentConfig(design=("uniform_0_2",), model="simple_linear", n=30, reps=5, seed=1, grid=16)
-
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
-        # streams take a seed modulo 2**64: -1 would run the draws of 2**64 - 1
+        # a config refuses it with a usage error, before any stream is made
         with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             small_config(seed=seed)
         assert small_config(seed=seed % 2**64).seed == seed % 2**64
@@ -388,26 +375,40 @@ class TestSimulate:
         power = power_of(cfg)
         assert power.rejection_rate_at[0.05] > 0.3
 
-    def test_local_scaling_divides_amplitude(self):
-        cfg_fixed = small_config(
-            n=100, reps=60, seed=8, alternative=AlternativeSpec(psi="x_squared", amplitude=1.0)
-        )
-        cfg_local = small_config(
-            n=100,
-            reps=60,
-            seed=8,
-            alternative=AlternativeSpec(psi="x_squared", amplitude=10.0, local_scaling=True),
-        )
-        fixed = power_of(cfg_fixed)
-        local = power_of(cfg_local)
-        assert np.array_equal(fixed.ecdf.sorted_values, local.ecdf.sorted_values)
+    def test_alternative_adds_amplitude_times_psi(self):
+        # the response of an alternative run is mean(1, ..., 1) + amplitude * psi + e
+        alternative = AlternativeSpec(psi="x_squared", amplitude=1.5)
+        cfg = small_config(n=100, reps=BLOCK, seed=8, alternative=alternative)
+        draws = harness._draws(cfg, cfg.design[0], range(cfg.reps))
+        x = np.stack([xi for xi, _ in draws])
+        errors = np.stack([ei for _, ei in draws])
+        model = build_model(cfg.model, Sample(x, np.zeros(errors.shape)))
+        y = model.mean(np.ones(cfg.d), x) + 1.5 * PSI_FUNCTIONS["x_squared"][1](x) + errors
+        sample = Sample(x, y)
+        expected = pipeline_records(model, sample, fit(model, sample))
+        columns = run_experiment(cfg).columns
+        assert columns.keys() == expected.keys()
+        for key, column in columns.items():
+            assert np.array_equal(column, expected[key]), key
 
-    def test_truth_value_does_not_move_transformed_statistic_much(self):
-        # distribution-freeness also covers the true parameter value
-        a = run_experiment(small_config(n=60, reps=300, seed=21)).ecdf()
-        b = run_experiment(small_config(n=60, reps=300, seed=22, theta_true=(7.5,))).ecdf()
-        bound = 2.0 * 1.36 * np.sqrt(2.0 / 300)
-        assert ecdf_sup_distance(a, b) < bound
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_fitted_residuals_do_not_depend_on_the_true_parameter(kind):
+    # every built-in kind is linear, so the residuals of mean(theta) + e are
+    # (I - P) e whatever theta is: a simulation can fix theta = (1, ..., 1).
+    # They differ by rounding alone, which scales with |Y| (at most
+    # 4.4 eps |Y| over n = 30 to 1000, five draws each)
+    p, d = MODEL_KINDS[kind]
+    eps = np.finfo(float).eps
+    for design in (name for name, (design_p, _) in DESIGNS.items() if design_p == p):
+        x = covariate_design(design, 200, seed=31)
+        e = np.random.default_rng(32).standard_normal(200)
+        model = build_model(kind, Sample(x, e))
+        reference = fit(model, Sample(x, e)).residuals
+        for scale in (0.0, 1.0, 7.5, -40.0):
+            y = model.mean(np.full(d, scale), x) + e
+            residuals = fit(model, Sample(x, y)).residuals
+            assert np.linalg.norm(residuals - reference) <= 16 * eps * np.linalg.norm(y), (design, scale)
 
 
 class TestTiedCovariates:
@@ -651,6 +652,15 @@ class TestBatchedBootstrap:
                 assert values[1] == values[0] == values[2], key
         reference = ks_statistics(build_process(unit, geometry.plans["raw"]))
         assert stats["raw.ks_abs"][0] == pytest.approx(reference["ks_abs"], rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # -1 and 2**64 would otherwise draw the columns of 2**64 - 1 and 0
+        model, sample = _bootstrap_case("simple_linear", 30, 5)
+        fitres = fit(model, sample)
+        geometry = fixed_geometry(model, sample, fitres)
+        with pytest.raises(ValueError, match=r"integer label must lie in \[0, 2\*\*64\)"):
+            bootstrap_residuals(model, geometry, fitres, seed=seed, reps=3, error_law="normal")
 
     def test_zero_residual_column_raises(self):
         model, sample = _bootstrap_case("simple_linear", 30, 5)

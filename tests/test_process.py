@@ -59,7 +59,7 @@ class TestBuildProcess:
         n = 30
         scan = rng.uniform(0.0, 1.0, size=(n, 2))
         residuals = rng.standard_normal(n)
-        proc = build_process(residuals, scan, grid=9)
+        proc = build_process(residuals, scan)
         for idx in rng.integers(0, proc.eval_points.shape[0], size=40):
             point = proc.eval_points[idx]
             direct = residuals[np.all(scan <= point, axis=1)].sum() / np.sqrt(n)
@@ -73,29 +73,26 @@ class TestBuildProcess:
         for n in (17, 70, 300, 701):
             scan = rng.uniform(0.0, 1.0, size=(n, p)) if p == 2 else np.arange(1, n + 1) / n
             residuals = rng.standard_normal((n, m))
-            grid = 9 if p == 2 else None
-            proc = build_process(residuals, scan, grid=grid)
+            proc = build_process(residuals, scan)
             assert proc.eval_values.shape == (proc.eval_points.shape[0], m)
             stats = ks_statistics(proc)
             for j in range(m):
-                one = build_process(residuals[:, j], scan, grid=grid)
+                one = build_process(residuals[:, j], scan)
                 assert np.array_equal(proc.eval_points, one.eval_points)
                 assert np.array_equal(proc.eval_values[:, j], one.eval_values)
                 for name, value in ks_statistics(one).items():
                     assert stats[name][j] == value
 
     def test_empty_bivariate_process(self):
-        proc = build_process(np.zeros(0), np.zeros((0, 2)), grid=4)
-        assert proc.eval_points.shape == (16, 2)
-        assert np.array_equal(proc.eval_values, np.zeros(16))
+        proc = build_process(np.zeros(0), np.zeros((0, 2)))
+        assert proc.eval_points.shape == (64 * 64, 2)
+        assert np.array_equal(proc.eval_values, np.zeros(64 * 64))
 
-    def test_grid_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            build_process(np.ones(2), np.array([[0.5, 0.5], [0.6, 0.6]]), grid=1500)
-
-    def test_grid_rejected_at_p1(self):
-        with pytest.raises(ConfigError, match="p >= 2 only"):
-            build_process(np.ones(2), np.array([0.5, 1.0]), grid=16)
+    def test_lattice_guard_refuses_p7(self):
+        # 8 points per axis above p = 3: 8^7 lattice points exceed GRID_GUARD
+        with pytest.raises(ConfigError, match=r"lattice of 8\^7 points exceeds"):
+            process_plan(np.full((2, 7), 0.5))
+        assert process_plan(np.full((2, 6), 0.5)).eval_points.shape == (2 + 8**6, 6)
 
     def test_monotone_rearrangement_invariance(self):
         # permuting observations together with their scan points leaves the path unchanged
@@ -115,7 +112,7 @@ def _brute_dominance(scan, contrib):
 
 
 def _assert_scan_values_match_brute_force(scan, residuals):
-    proc = build_process(residuals, scan, grid=3)
+    proc = build_process(residuals, scan)
     n = scan.shape[0]
     expected = _brute_dominance(scan, residuals / np.sqrt(n))
     got = proc.eval_values[:n]
@@ -209,13 +206,12 @@ class TestProcessPlan:
         if p == 1 and samples is None:
             scan = scan[:, 0]  # n times
         residuals = rng.standard_normal(lead + (width,))
-        grid = None if p == 1 else 5
-        plan = process_plan(scan, grid)
-        singles = [build_process(residuals[..., j], scan, grid=grid) for j in range(width)]
+        plan = process_plan(scan)
+        singles = [build_process(residuals[..., j], scan) for j in range(width)]
         for lo, hi in zip([0] + cuts, cuts + [width]):
             chunk = residuals[..., lo:hi]
             proc = build_process(chunk, plan)
-            one_shot = build_process(chunk, scan, grid=grid)
+            one_shot = build_process(chunk, scan)
             assert np.array_equal(proc.eval_points, one_shot.eval_points)
             assert np.array_equal(proc.eval_values, one_shot.eval_values)
             for j in range(lo, hi):
@@ -225,12 +221,10 @@ class TestProcessPlan:
             expected = _reference_line_values(scan[..., 0], residuals / np.sqrt(n))
             assert np.array_equal(build_process(residuals, plan).eval_values, expected)
 
-    def test_plan_carries_its_grid(self):
+    def test_plan_scans_its_points_and_the_fixed_lattice(self):
         scan = np.array([[0.2, 0.3], [0.7, 0.1]])
-        plan = process_plan(scan, grid=4)
-        assert build_process(np.ones(2), plan).eval_points.shape == (2 + 16, 2)
-        with pytest.raises(ValueError, match="lattice resolution"):
-            build_process(np.ones(2), plan, grid=4)
+        plan = process_plan(scan)
+        assert build_process(np.ones(2), plan).eval_points.shape == (2 + 64 * 64, 2)
         with pytest.raises(ValueError, match="do not match"):
             build_process(np.ones(3), plan)
 
@@ -256,7 +250,6 @@ class TestEcdfPlan:
             assert np.array_equal(row, np.searchsorted(np.sort(sample), sample, side="right") / n)
         expected = process_plan(times[..., None])
         assert plan.lead_shape == expected.lead_shape
-        assert plan.grid is None
         for field in ("gather", "pick", "eval_points"):
             assert np.array_equal(getattr(plan, field), getattr(expected, field)), field
         residuals = rng.standard_normal(lead + (3,))
@@ -382,7 +375,7 @@ class TestMonteCarloProcessCovariance:
             x = np.stack([xi for xi, _ in draws])
             errors = np.stack([ei for _, ei in draws])
             model = build_model(cfg.model, Sample(x, np.zeros(errors.shape)))
-            sample = Sample(x, model.mean(np.asarray(cfg.theta_true), x) + errors)
+            sample = Sample(x, model.mean(np.ones(cfg.d), x) + errors)
             proc = pipeline_processes(model, sample, fit(model, sample))["transformed"]
             assert np.all(proc.eval_points[:, columns, 0] == times)
             values.append(proc.eval_values[:, columns])

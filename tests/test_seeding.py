@@ -12,7 +12,7 @@ from dfgof.seeding import rngs_for, seed_sequence
 def _encoded(label) -> int:
     if isinstance(label, str):
         return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
-    return label % 2**64
+    return label
 
 
 def _one_stream(master, *labels):
@@ -59,7 +59,7 @@ BLOCK_PATHS.append(("bootstrap",))
 @given(
     master=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
     labels=st.sampled_from(BLOCK_PATHS),
-    start=st.sampled_from([0, 3 * 64, 2**32 - 40, 2**64 - 8]),
+    start=st.sampled_from([0, 3 * 64, 2**32 - 40, 2**64 - 64]),
     size=st.integers(1, 64),
 )
 @example(master=0, labels=("bootstrap",), start=0, size=64)  # a whole first block
@@ -76,11 +76,30 @@ def test_block_streams_are_numpys_seed_sequences(master, labels, start, size):
         assert np.array_equal(rng.random(16), reference.random(16))
 
 
-@pytest.mark.parametrize("indices", [range(0), range(5, -5, -3), range(2**64 - 2, 2**64 + 2)])
+@pytest.mark.parametrize("indices", [range(0), range(5, 0, -3), range(2**64 - 3, 2**64)])
 def test_block_streams_of_any_range_are_those_of_one_stream_ranges(indices):
-    # labels are taken modulo 2**64, as a one-index range takes them
     generators = rngs_for(7, "a", indices=indices)
     assert [rng.random() for rng in generators] == [_one_stream(7, "a", i).random() for i in indices]
+
+
+@pytest.mark.parametrize("indices", [range(5, -5, -3), range(2**64 - 2, 2**64 + 2), range(-1, 0)])
+def test_block_ranges_outside_64_bits_are_refused(indices):
+    # one int label addresses one stream: -1 and 2**64 would alias
+    # 2**64 - 1 and 0
+    with pytest.raises(ValueError, match=r"integer label must lie in \[0, 2\*\*64\)"):
+        rngs_for(7, "a", indices=indices)
+
+
+@pytest.mark.parametrize("label", [-1, 2**64, np.int64(-3), -(2**70)])
+def test_int_labels_outside_64_bits_are_refused(label):
+    with pytest.raises(ValueError, match="integer label must lie in"):
+        seed_sequence(3, label)
+    with pytest.raises(ValueError, match="integer label must lie in"):
+        seed_sequence(label)
+    with pytest.raises(ValueError, match="integer label must lie in"):
+        rngs_for(label, "bootstrap", indices=range(0, 3))
+    with pytest.raises(ValueError, match="integer label must lie in"):
+        rngs_for(3, label, "x", indices=range(0, 3))
 
 
 def test_state_words_serve_pcg64_alone():
@@ -113,7 +132,6 @@ def test_master_alone_and_numpy_integer_labels():
     assert np.array_equal(
         seed_sequence(3, np.int64(9), np.uint32(4)).generate_state(4), seed_sequence(3, 9, 4).generate_state(4)
     )
-    assert _one_stream(3, -1).random() == _one_stream(3, 2**64 - 1).random()
 
 
 @pytest.mark.parametrize("bad", [1.0, None, (1,)])
