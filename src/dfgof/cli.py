@@ -95,7 +95,10 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     validation, and None values are skipped.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:  # a key twice, no section, no '='
+        raise ConfigError(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
@@ -222,19 +225,18 @@ def _cmd_simulate(args) -> None:
         raise ConfigError("'simulate' runs the null only; use 'power' for configs with an [alternative]")
     runs = run_experiments([config.single(design_id) for design_id in config.design], workers=args.workers)
     outdir = _resolve_outdir(args)
-    delim = args.delimiter
     results = dict(zip(config.design, runs))
     files = []
     for design_id, res in results.items():
         path = outdir / f"ecdf_{design_id}.csv"
-        write_ecdf(path, res.ecdf(), delim)
+        write_ecdf(path, res.ecdf())
         files.append(path.name)
         if args.plot_data:
             values = res.ecdf().sorted_values
             n = values.size
-            rows = zip(values, kolmogorov_cdf(values), np.arange(1, n + 1) / n)
+            rows = np.column_stack((values, kolmogorov_cdf(values), np.arange(1, n + 1) / n))
             plot_path = outdir / f"plot_{design_id}.csv"
-            write_table(plot_path, ["value", "kolmogorov_cdf", "level"], rows, delim)
+            write_table(plot_path, ["value", "kolmogorov_cdf", "level"], rows)
             files.append(plot_path.name)
 
     basis = make_basis(config.p, config.d)
@@ -273,7 +275,6 @@ def _cmd_power(args) -> None:
     pairs = [paired_runs(config.single(design_id)) for design_id in config.design]
     runs = run_experiments([run for pair in pairs for run in pair], workers=args.workers)
     outdir = _resolve_outdir(args)
-    delim = args.delimiter
     lines = _summary_header("power", args, outdir, config.seed, overridable)
     basis = make_basis(config.p, config.d)
     lines.append(f"basis: {basis.describe()}")
@@ -285,14 +286,9 @@ def _cmd_power(args) -> None:
         alt_path = outdir / f"ecdf_alt_{design_id}.csv"
         null_path = outdir / f"ecdf_null_{design_id}.csv"
         rates_path = outdir / f"rejection_rates_{design_id}.csv"
-        write_ecdf(alt_path, power.ecdf, delim)
-        write_ecdf(null_path, power.null_ecdf, delim)
-        write_table(
-            rates_path,
-            ["level", "rejection_rate"],
-            sorted(power.rejection_rate_at.items()),
-            delim,
-        )
+        write_ecdf(alt_path, power.ecdf)
+        write_ecdf(null_path, power.null_ecdf)
+        write_table(rates_path, ["level", "rejection_rate"], np.array(sorted(power.rejection_rate_at.items())))
         files += [alt_path.name, null_path.name, rates_path.name]
         shift = ecdf_sup_distance(power.ecdf, power.null_ecdf)
         lines.append(
@@ -306,22 +302,12 @@ def _cmd_power(args) -> None:
 
 
 def _cmd_fit(args) -> None:
-    sample = load_sample(args.data, args.delimiter)
+    sample = load_sample(args.data)
     model = build_model(args.model, sample)
     result = fit(model, sample)
     outdir = _resolve_outdir(args)
-    write_table(
-        outdir / "theta.csv",
-        ["index", "theta_hat"],
-        ((k, v) for k, v in enumerate(result.theta_hat)),
-        args.delimiter,
-    )
-    write_table(
-        outdir / "residuals.csv",
-        ["index", "residual"],
-        ((i, v) for i, v in enumerate(result.residuals)),
-        args.delimiter,
-    )
+    for name, column, values in (("theta", "theta_hat", result.theta_hat), ("residuals", "residual", result.residuals)):
+        write_table(outdir / f"{name}.csv", ["index", column], np.column_stack((np.arange(values.size), values)))
     theta_text = ", ".join(_fmt_float(v) for v in result.theta_hat)
     print(f"theta_hat = [{theta_text}]")
     print(f"converged = {result.converged} (iterations: {result.iterations})")
@@ -333,7 +319,7 @@ def _cmd_test(args) -> None:
     check_seed(args.seed)
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    sample = load_sample(args.data, args.delimiter)
+    sample = load_sample(args.data)
     model = build_model(args.model, sample)
     observed_fit = fit(model, sample)
     residual_norm = float(np.linalg.norm(observed_fit.residuals))
@@ -356,15 +342,11 @@ def _cmd_test(args) -> None:
     pvalue = (1.0 + float(np.sum(boot_stats >= observed_stat))) / (args.reps + 1.0)
 
     outdir = _resolve_outdir(args)
-    write_table(
-        outdir / "statistics.csv",
-        ["process", "statistic", "value"],
-        ((k.split(".")[0], k.split(".")[1], v) for k, v in sorted(observed.items())),
-        args.delimiter,
-    )
-    write_ecdf(outdir / "null_ecdf.csv", Ecdf(boot_stats), args.delimiter)
+    rows = ("%s,%s,%.17g\n" % (*name.split("."), value) for name, value in sorted(observed.items()))
+    write_text_atomic(outdir / "statistics.csv", "process,statistic,value\n" + "".join(rows))
+    write_ecdf(outdir / "null_ecdf.csv", Ecdf(boot_stats))
     for kind, proc in observed_procs.items():
-        write_process_dump(outdir / f"process_{kind}.csv", proc, args.delimiter)
+        write_process_dump(outdir / f"process_{kind}.csv", proc)
 
     basis = make_basis(sample.p, model.d)
     lines = [
@@ -381,17 +363,19 @@ def _cmd_test(args) -> None:
 
 
 def _cmd_assign(args) -> None:
-    raw = load_points(args.data, args.delimiter)
+    raw = load_points(args.data)
     points, lo, hi = rescale_unit_cube(raw)
-    anchors = fixed_anchors(points.shape[0], points.shape[1])
+    try:
+        anchors = fixed_anchors(points.shape[0], points.shape[1])
+    except ValueError as exc:  # more columns than the Halton net has primes
+        raise ConfigError(f"{args.data}: {exc}") from None
     assignment = solve_assignment(points, anchors)
     per_point = np.linalg.norm(points - anchors.points[assignment.sigma], axis=1)
     outdir = _resolve_outdir(args)
     write_table(
         outdir / "assignment.csv",
         ["index", "anchor_index", "cost"],
-        ((i, int(assignment.sigma[i]), per_point[i]) for i in range(points.shape[0])),
-        args.delimiter,
+        np.column_stack((np.arange(points.shape[0]), assignment.sigma, per_point)),
         footer=f"# total_cost={_fmt_float(assignment.cost)}",
     )
     lines = [
@@ -417,22 +401,17 @@ def _cmd_limits(args) -> None:
         raise ConfigError(f"--p {args.p} gives 16^{args.p} covariance rows, more than the {GRID_GUARD} guard")
     outdir = _resolve_outdir(args)
     xs = np.arange(0, args.steps + 1) * (2.5 / args.steps)
-    write_table(
-        outdir / "kolmogorov_cdf.csv",
-        ["x", "cdf"],
-        zip(xs, kolmogorov_cdf(xs)),
-        args.delimiter,
-    )
+    write_table(outdir / "kolmogorov_cdf.csv", ["x", "cdf"], np.column_stack((xs, kolmogorov_cdf(xs))))
     if args.p == 1:
         grid = np.arange(1, 20) / 20.0
         header = ["s", "t", "cov"]
-        rows = ((s, t, limit_covariance([s], [t], basis)) for s in grid for t in grid)
+        rows = [(s, t, limit_covariance([s], [t], basis)) for s in grid for t in grid]
     else:
         axis = np.arange(1, 5) / 5.0
         pts = [np.array(tup) for tup in itertools.product(axis, repeat=args.p)]
         header = [f"x{j + 1}" for j in range(args.p)] + [f"y{j + 1}" for j in range(args.p)] + ["cov"]
-        rows = (tuple(x) + tuple(y) + (limit_covariance(x, y, basis),) for x in pts for y in pts)
-    write_table(outdir / "limit_covariance.csv", header, rows, args.delimiter)
+        rows = [(*x, *y, limit_covariance(x, y, basis)) for x in pts for y in pts]
+    write_table(outdir / "limit_covariance.csv", header, np.array(rows))
     lines = [
         "command: limits",
         f"basis: {basis.describe()}",
@@ -443,7 +422,6 @@ def _cmd_limits(args) -> None:
 
 def _add_common(sub):
     sub.add_argument("-o", "--output-dir", default=None, help=f"output directory (default ${OUTPUT_DIR_ENV} or ./dfgof_out)")
-    sub.add_argument("--delimiter", default=",", help="field delimiter for input and output files")
 
 
 def _add_experiment(sub):

@@ -86,8 +86,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def _dump(result, outdir, tag: str) -> None:
     write_ecdf(outdir / f"{tag}_ecdf.csv", result.ecdf())
     keys = sorted(result.columns)
-    rows = zip(*(result.columns[k] for k in keys))
-    write_table(outdir / f"{tag}_columns.csv", keys, rows)
+    write_table(outdir / f"{tag}_columns.csv", keys, np.column_stack([result.columns[k] for k in keys]))
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +298,7 @@ def test_assignment_solver_exact_on_enumerable_instances(workdirs):
     mismatches = 0
     for workers, outdir in workdirs.items():
         rows = _assignment_table(4)
-        write_table(outdir / "assignment_costs.csv", ["p", "n", "i", "solver", "brute"], rows)
+        write_table(outdir / "assignment_costs.csv", ["p", "n", "i", "solver", "brute"], np.array(rows))
         if workers == 2:
             mismatches = sum(1 for _, _, _, a, b in rows if a != b)
     elapsed = time.perf_counter() - start

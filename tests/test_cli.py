@@ -542,6 +542,10 @@ NON_FINITE_P1 = "0.1,1\n0.2,nan\n0.3,2\n0.5,3\n"
 NON_FINITE_P2 = "0.1,0.2,1\n0.2,0.3,inf\n0.3,0.1,2\n0.5,0.4,3\n0.6,0.9,1\n"
 TWO_ROWS_P2 = "0.1,0.2,1\n0.2,0.3,2\n"
 FOUR_ROWS_P2 = "0.1,0.2,1\n0.2,0.3,2\n0.3,0.1,2\n0.5,0.4,3\n"
+# one column more than the Halton net has primes
+SIXTEEN_COLUMNS = "".join(
+    ",".join(f"{v:.6f}" for v in row) + "\n" for row in np.random.default_rng(0).uniform(size=(20, 16))
+)
 
 
 class TestInputErrorsExitOne:
@@ -560,6 +564,7 @@ class TestInputErrorsExitOne:
             (FOUR_ROWS_P2, ["fit", "DATA", "--model", "bilinear2d"], "need n >= d + 1 observations, got n=4, d=4"),
             (FOUR_ROWS_P2, ["test", "DATA", "--model", "bilinear2d"], "need n >= d + 1 observations, got n=4, d=4"),
             ("0.1,0.2\ninf,0.3\n0.3,0.1\n", ["assign", "DATA"], "d.csv: covariate points must be finite"),
+            (SIXTEEN_COLUMNS, ["assign", "DATA"], "d.csv: halton anchors support p <= 15, got 16"),
             ("", ["limits", "--steps", "0"], "--steps must be >= 1, got 0"),
             ("", ["limits", "--steps", "-3"], "--steps must be >= 1, got -3"),
             ("", ["limits", "--p", "0"], "p must be >= 1, got 0"),
@@ -577,6 +582,7 @@ class TestInputErrorsExitOne:
             "fit-4-rows",
             "test-4-rows",
             "assign-inf",
+            "assign-16-columns",
             "limits-steps-0",
             "limits-steps-negative",
             "limits-p-0",
@@ -594,6 +600,53 @@ class TestInputErrorsExitOne:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
         assert not out.exists()
+
+
+class TestUnreadableInputsExitOne:
+    """A data file that cannot be opened or decoded and a config file that
+    does not parse are usage errors with a one-line message, and leave no
+    output directory behind."""
+
+    @staticmethod
+    def _refused(argv, tmp_path, capsys, message):
+        out = tmp_path / "o"
+        assert run(argv + ["-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " + message) and err.count("\n") == 1
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["fit", "--model", "bilinear2d"], ["test", "--model", "bilinear2d", "--seed", "1"], ["assign"]],
+        ids=["fit", "test", "assign"],
+    )
+    def test_unreadable_data_file(self, tmp_path, capsys, flags, kind):
+        data = tmp_path / "d.csv"
+        if kind == "missing":
+            reason = "No such file or directory"
+        else:
+            data.write_bytes(b"x1,x2,y\n" + b"0.5,0.25,\xff1\n" * 10)
+            reason = "'utf-8' codec can't decode byte 0xff"
+        argv = [flags[0], str(data), *flags[1:]]
+        self._refused(argv, tmp_path, capsys, f"cannot read data file {data}: {reason}")
+
+    @pytest.mark.parametrize(
+        ("text", "reason"),
+        [
+            (BASIC + "n = 50\n", "option 'n' in section 'experiment' already exists"),
+            (BASIC.replace("[experiment]\n", ""), "File contains no section headers"),
+            (BASIC + "statistic\n", "Source contains parsing errors"),
+            (BASIC + "# caf\xe9\n", "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["key-twice", "no-section-header", "line-without-equals", "not-utf8"],
+    )
+    def test_malformed_config_file(self, tmp_path, capsys, text, reason):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_bytes(text.encode("latin-1"))
+        err = self._refused(["simulate", str(cfg)], tmp_path, capsys, f"cannot parse config file {cfg}: ")
+        assert reason in err
 
 
 class TestSeedsOutside64BitsExitOne:
@@ -635,9 +688,10 @@ class TestSeedsOutside64BitsExitOne:
 class TestRemovedOptions:
     """Every sample of a size is matched to one Halton net, the lattice is
     fixed by the dimension, simulations draw at theta = (1, ..., 1), an
-    alternative shifts the mean by amplitude * psi, and only the commands
-    that draw random numbers take a seed: the keys and flags that chose
-    otherwise are usage errors, which write nothing."""
+    alternative shifts the mean by amplitude * psi, only the commands
+    that draw random numbers take a seed, and every file is
+    comma-separated: the keys and flags that chose otherwise are usage
+    errors, which write nothing."""
 
     @pytest.mark.parametrize(
         ("command", "text", "line", "section"),
@@ -683,6 +737,26 @@ class TestRemovedOptions:
         assert run([data if arg == "DATA" else arg for arg in argv] + ["-o", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: unrecognized arguments:") and argv[-2] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", str(CONFIG_DIR / "null_univariate.cfg")],
+            ["power", str(CONFIG_DIR / "power_cubic.cfg")],
+            ["fit", "DATA", "--model", "bilinear2d"],
+            ["test", "DATA", "--model", "bilinear2d", "--seed", "1"],
+            ["assign", "DATA"],
+            ["limits"],
+        ],
+        ids=["simulate", "power", "fit", "test", "assign", "limits"],
+    )
+    def test_delimiter_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        data = str(_bilinear_file(tmp_path))
+        out = tmp_path / "out"
+        argv = [data if arg == "DATA" else arg for arg in argv] + ["--delimiter", ",", "-o", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --delimiter ,\n"
         assert not out.exists()
 
     def test_local_scaling_flag_is_a_usage_error(self, tmp_path, capsys):
