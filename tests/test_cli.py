@@ -274,6 +274,15 @@ class TestFitCommand:
         residuals = (out / "residuals.csv").read_text().splitlines()[1:]
         assert all(abs(float(line.split(",")[1])) < 1e-12 for line in residuals)
 
+    def test_index_columns_print_as_integers(self, tmp_path):
+        # the tables go through the float-array writer; their index column
+        # keeps the bytes str() gives the int
+        out = tmp_path / "out"
+        assert run(["fit", str(_bilinear_file(tmp_path)), "--model", "bilinear2d", "-o", str(out)]) == 0
+        for name, rows in [("theta", 4), ("residuals", 30)]:
+            lines = (out / f"{name}.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(rows)]
+
     def test_rank_deficient_data_exits_two(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("\n".join("0.0,1.0" for _ in range(5)) + "\n")
@@ -526,6 +535,17 @@ class TestAssignCommand:
         assert keys == ["command", "data", "n", "rescale_low", "rescale_high", "total_cost"]
 
 
+    def test_index_columns_print_as_integers(self, tmp_path):
+        rng = np.random.default_rng(4)
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(f"{a},{b}" for a, b in rng.uniform(size=(120, 2))) + "\n")
+        out = tmp_path / "out"
+        assert run(["assign", str(data), "-o", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "assignment.csv").read_text().splitlines()[1:-1]]
+        assert [row[0] for row in rows] == [str(i) for i in range(120)]
+        assert sorted(row[1] for row in rows) == sorted(str(i) for i in range(120))
+
+
 class TestLimitsCommand:
     def test_tables_written(self, tmp_path):
         out = tmp_path / "out"
@@ -616,7 +636,7 @@ class TestUnreadableInputsExitOne:
         assert not out.exists()
         return err
 
-    @pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     @pytest.mark.parametrize(
         "flags",
         [["fit", "--model", "bilinear2d"], ["test", "--model", "bilinear2d", "--seed", "1"], ["assign"]],
@@ -626,6 +646,9 @@ class TestUnreadableInputsExitOne:
         data = tmp_path / "d.csv"
         if kind == "missing":
             reason = "No such file or directory"
+        elif kind == "directory":
+            data.mkdir()
+            reason = "Is a directory"
         else:
             data.write_bytes(b"x1,x2,y\n" + b"0.5,0.25,\xff1\n" * 10)
             reason = "'utf-8' codec can't decode byte 0xff"
@@ -636,11 +659,12 @@ class TestUnreadableInputsExitOne:
         ("text", "reason"),
         [
             (BASIC + "n = 50\n", "option 'n' in section 'experiment' already exists"),
+            (BASIC + "[experiment]\n", "section 'experiment' already exists"),
             (BASIC.replace("[experiment]\n", ""), "File contains no section headers"),
             (BASIC + "statistic\n", "Source contains parsing errors"),
             (BASIC + "# caf\xe9\n", "'utf-8' codec can't decode byte 0xe9"),
         ],
-        ids=["key-twice", "no-section-header", "line-without-equals", "not-utf8"],
+        ids=["key-twice", "section-twice", "no-section-header", "line-without-equals", "not-utf8"],
     )
     def test_malformed_config_file(self, tmp_path, capsys, text, reason):
         cfg = tmp_path / "a.cfg"
