@@ -42,6 +42,7 @@ from .harness import (
     paired_runs,
     power_result,
     process_statistics,
+    residual_processes,
     residual_statistics,
     run_experiments,
 )
@@ -177,11 +178,25 @@ def echo_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_outdir(args) -> Path:
-    out = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "dfgof_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+def _output_dir(args) -> Path:
+    """The output directory a command writes to: -o, else $DFGOF_OUTPUT_DIR,
+    else ./dfgof_out.  It is a usage error when the path, or the nearest of
+    its parents that exists, is not a directory."""
+    path = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "dfgof_out")
+    existing = next((part for part in (path, *path.parents) if part.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"output directory {path}: {existing} is not a directory")
     return path
+
+
+def _resolve_outdir(args) -> Path:
+    """Make the output directory ``run`` checked, once the command has its
+    results."""
+    try:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {args.output_dir}: {exc.strerror or exc}") from None
+    return args.output_dir
 
 
 def _write_manifest(outdir: Path, config: ExperimentConfig) -> None:
@@ -331,14 +346,12 @@ def _cmd_test(args) -> None:
             "there is no residual scale to test"
         )
     geometry = fixed_geometry(model, sample, observed_fit)
-    residuals = bootstrap_residuals(
-        model, geometry, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law
-    )
-    stats, observed_procs = residual_statistics(geometry, residuals, args.process)
+    observed_procs = residual_processes(geometry, observed_fit.residuals)
     key = f"{args.process}.{args.statistic}"
     observed = process_statistics(observed_procs)
     observed_stat = observed[key]
-    boot_stats = stats[key][1:]
+    null = bootstrap_residuals(model, geometry, observed_fit, seed=args.seed, reps=args.reps, error_law=args.error_law)
+    boot_stats = residual_statistics(geometry, null, args.process)[key]
     pvalue = (1.0 + float(np.sum(boot_stats >= observed_stat))) / (args.reps + 1.0)
 
     outdir = _resolve_outdir(args)
@@ -501,6 +514,7 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        args.output_dir = _output_dir(args)  # before any work of the command
         args.handler(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

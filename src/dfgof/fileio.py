@@ -23,6 +23,10 @@ from .errors import ConfigError
 from .model import Sample
 from .process import Ecdf, StepProcess
 
+# Characters of a data file whose fields are converted together: the field
+# strings of one chunk are all a read holds at a time.
+CHUNK_CHARS = 1 << 20
+
 
 def write_text_atomic(path, text: str) -> None:
     path = Path(path)
@@ -90,54 +94,64 @@ def _parse_rows(path) -> np.ndarray:
     Blank lines and lines starting with '#' are skipped, and so are
     non-numeric lines 1 and 2 before the first row (a header).  A field
     reads as Python's float() reads it.  A file that holds no '#', no
-    blank line and at most a header on line 1 is read with one conversion
-    call; any other file, or one the call rejects, is read line by line,
-    which gives the same rows and the line numbers of the errors.  A file
-    that cannot be opened or decoded raises ConfigError.
+    blank line and at most a header on line 1 is read by ``_plain_rows``;
+    any other file, or one it rejects, is read again line by line, which
+    gives the same rows and the line numbers of the errors.  A file that
+    cannot be opened or decoded raises ConfigError.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            rows = _plain_rows(handle)
+            if rows is None:
+                handle.seek(0)
+                rows = _line_rows(path, handle)
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not text
         raise ConfigError(f"cannot read data file {path}: {getattr(exc, 'strerror', None) or exc}") from None
-    lines = text.split("\n")  # the file's lines: text mode turns each line end into \n
-    if "#" not in text:
-        rows = _plain_rows(lines)
-        if rows is not None:
-            return rows
-    return _line_rows(path, lines)
+    return rows
 
 
-def _plain_rows(lines: list[str]) -> np.ndarray | None:
-    """The rows of a file without comments or blank lines, all fields
-    converted by one numpy call, or None if the file is not of that kind
-    or a field does not convert.
+def _plain_rows(handle) -> np.ndarray | None:
+    """The rows of an open file without comments or blank lines, or None
+    if the file is not of that kind or a field does not convert.
 
-    A data line whose fields all convert unstripped splits into the same
-    fields as the stripped line the line loop splits, so both give the
-    same numbers.
+    The file is read in chunks of whole lines, about CHUNK_CHARS
+    characters each (text mode turns every line end into a newline), and
+    all the fields of a chunk are converted by one numpy call, so a read
+    holds the strings of one chunk at a time.  A data line whose fields all convert
+    unstripped splits into the same fields as the stripped line the line
+    loop splits, so both give the same numbers.
     """
-    if lines[-1] == "":
-        lines = lines[:-1]
-    if not lines:
-        return None
-    try:
-        _fields(lines[0].strip())
-    except ValueError:
-        lines = lines[1:]  # a header, or a line the loop skips as blank
-    if not lines:
-        return None
-    seps = lines[0].count(",")
-    if any(line.count(",") != seps for line in lines):
-        return None
-    try:
-        values = np.array(",".join(lines).split(","), dtype=float)
-    except ValueError:
-        return None
-    return values.reshape(len(lines), seps + 1)
+    blocks = []
+    seps = None
+    line_one = True
+    while text := handle.read(CHUNK_CHARS):
+        text += handle.readline()  # up to the end of the line the chunk cut
+        if "#" in text:
+            return None
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the chunk's last line end
+        if line_one:
+            line_one = False
+            try:
+                _fields(lines[0].strip())
+            except ValueError:
+                lines = lines[1:]  # a header, or a line the loop skips as blank
+        if not lines:
+            continue
+        if seps is None:
+            seps = lines[0].count(",")
+        if any(line.count(",") != seps for line in lines):
+            return None
+        try:
+            values = np.array(",".join(lines).split(","), dtype=float)
+        except ValueError:
+            return None
+        blocks.append(values.reshape(len(lines), seps + 1))
+    return np.concatenate(blocks) if blocks else None
 
 
-def _line_rows(path, lines: list[str]) -> np.ndarray:
+def _line_rows(path, lines) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):

@@ -38,20 +38,25 @@ sorts each sample's covariate once for its empirical-CDF times and their
 plan; at p >= 2 ``process.process_plan`` plans the matched anchors and
 the rescaled covariates.  Every residual, score and reference vector
 stays in data row order; only the scan points differ between p = 1 and
-p >= 2.  ``residual_statistics`` is the one evaluator of residuals on a
-geometry: one reflection plan per sample maps every column of a residual
-matrix, or of a stack of them, and a column gets the same numbers
-whatever the other columns are.  A simulation block evaluates its fitted
-residuals as one column (``pipeline_processes``).  The ``dfgof test``
-bootstrap keeps X fixed, builds the geometry once and evaluates the
-observed residual and all bootstrap residuals as the columns of one
-matrix (``bootstrap_residuals``), so its observed statistics are what a
-simulation records for that sample.
-The bootstrap columns are built in as few processes as keep evaluation
-points times columns within EVAL_ENTRIES.  Every sample of n points in
-dimension p >= 2 is matched to the Halton net of (n, p), which depends on
-nothing else: ``fixed_geometry`` fetches it from ``fixed_anchors``, which
-keeps one net, with its assignment hierarchy, per (n, p) for every seed.
+p >= 2.  Residuals meet a geometry in one way: each column is
+studentized, transformed by one reflection plan per sample and scanned
+by the geometry's plan of its process kind, and a column gets the same
+numbers whatever the other columns are.  ``residual_processes`` builds
+both processes of a residual vector, or of a stack of them: a simulation
+block evaluates its fitted residuals so (``pipeline_processes``).  The
+``dfgof test`` bootstrap keeps X fixed and builds the geometry once.  Its
+observed residual gets both processes from ``residual_processes``, so its
+statistics are what a simulation records for that sample.  Its null
+residuals are a stream of column blocks (``bootstrap_residuals``) that
+``residual_statistics`` reduces block by block to the statistics of the
+selected process, keeping no block and no process values: memory is
+O(n x block + evaluation points x block), with blocks of as many columns
+as keep both within BLOCK_BYTES, not O(n x reps).
+
+Every sample of n points in dimension p >= 2 is matched to the Halton net
+of (n, p), which depends on nothing else: ``fixed_geometry`` fetches it
+from ``fixed_anchors``, which keeps one net, with its assignment
+hierarchy, per (n, p) for every seed.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -76,6 +81,7 @@ from .process import (
     build_process,
     ecdf_plan,
     ks_statistics,
+    plan_statistics,
     process_plan,
 )
 from .rotations import OrthonormalSet
@@ -117,11 +123,11 @@ MAX_FAILURE_FRACTION = 0.01
 # Replications evaluated together as one stack; blocks start at multiples of
 # BLOCK whatever the worker count.
 BLOCK = 64
-# Evaluation points x residual columns of the processes built together:
-# bounds the arrays of a build whatever the number of columns.  A p = 2
-# process of a few hundred points, with its 64 x 64 lattice, takes 40
-# bootstrap columns at once.
-EVAL_ENTRIES = 1 << 18
+# Bytes of the float64 arrays of one block of null residual columns of
+# ``dfgof test``: n x columns and evaluation points x columns stay within
+# it.  A p = 2 process of a few hundred points, with its 64 x 64 lattice,
+# takes 456 columns per block, and a p = 1 process of 10^5 points 20.
+BLOCK_BYTES = 1 << 24
 # test levels of the rejection rates of a power run
 LEVELS = (0.01, 0.05, 0.10)
 
@@ -290,70 +296,90 @@ def process_statistics(procs: dict[str, StepProcess]) -> dict[str, float | np.nd
     return {f"{kind}.{name}": value for kind, proc in procs.items() for name, value in ks_statistics(proc).items()}
 
 
-def residual_statistics(
-    geometry: Geometry, residuals: np.ndarray, process: str
-) -> tuple[dict[str, np.ndarray], dict[str, StepProcess]]:
-    """Statistics of ``process`` for every column of an (n, m) residual
-    matrix on one geometry, or of a (B, n, m) stack on a stacked geometry,
-    keyed "{process}.{statistic}" with the column axis last, and both
-    processes of column 0.
+def _unit_columns(geometry: Geometry, residuals: np.ndarray, kinds) -> dict[str, np.ndarray]:
+    """The columns of an (n, m) residual matrix, or of a (B, n, m) stack on
+    a stacked geometry, studentized: the raw columns, and the transformed
+    ones too when ``kinds`` holds the transformed kind; keyed by kind.
 
-    Each column e is first studentized: divided by its
-    sigma_hat = |e| / sqrt(n - d), with d the size of the score set, so
-    the statistics are on the unit-variance scale whatever the error
-    variance is, and are unchanged when e is scaled by any c > 0.  For a
-    linear kind under a normal null, e / |e| is uniform on the sphere of
-    the residual space whatever sigma is, so an observed column and
-    bootstrap columns drawn at unit variance have one law.  A column of
-    zero norm raises NumericalError.  One reflection plan per sample maps
-    every column, and a column gets the same numbers whatever the other
-    columns are.  Every process is built from the geometry's plan of its
-    kind, so the scan points are sorted, swept and binned once per
-    geometry, not once per build.
-    Column 0 gets both processes.  Columns 1 to m - 1 get the processes
-    of ``process`` alone, as many at a time as keep evaluation points times
-    columns within EVAL_ENTRIES, so that memory does not grow with the
-    number of lattice points times m.
+    Each column e is divided by its sigma_hat = |e| / sqrt(n - d), with d
+    the size of the score set, so the statistics are on the unit-variance
+    scale whatever the error variance is, and are unchanged when e is
+    scaled by any c > 0.  For a linear kind under a normal null, e / |e| is
+    uniform on the sphere of the residual space whatever sigma is, so an
+    observed column and bootstrap columns drawn at unit variance have one
+    law.  A column of zero norm raises NumericalError.  One reflection plan
+    per sample maps every column, and a column gets the same numbers
+    whatever the other columns are.
     """
-    if process not in PROCESS_KINDS:
-        raise ConfigError(f"unknown process kind {process!r}; known: {PROCESS_KINDS}")
     # each norm is summed over a contiguous copy of its column: the order
     # of a strided sum depends on the layout, and so on the other columns
     norms = np.linalg.norm(np.swapaxes(residuals, -1, -2).copy(), axis=-1)[..., None, :]
     if not np.all(norms > 0.0):
         raise NumericalError("a residual column has zero norm and cannot be studentized")
-    residuals = residuals / (norms / math.sqrt(residuals.shape[-2] - geometry.score_set.count))
-    columns = {
-        "transformed": transform_residuals(residuals, geometry.score_set, geometry.reference_set).values,
-        "raw": residuals,
-    }
-    plans = geometry.plans
-    first = {kind: build_process(columns[kind][..., 0], plans[kind]) for kind in PROCESS_KINDS}
-    parts = [{name: np.asarray(value)[..., None] for name, value in ks_statistics(first[process]).items()}]
-    chunk = max(1, EVAL_ENTRIES // plans[process].eval_points[..., 0].size)
-    parts += [
-        ks_statistics(build_process(columns[process][..., start : start + chunk], plans[process]))
-        for start in range(1, residuals.shape[-1], chunk)
-    ]
-    return {f"{process}.{name}": np.concatenate([part[name] for part in parts], axis=-1) for name in parts[0]}, first
+    unit = residuals / (norms / math.sqrt(residuals.shape[-2] - geometry.score_set.count))
+    columns = {"raw": unit}
+    if "transformed" in kinds:
+        columns["transformed"] = transform_residuals(unit, geometry.score_set, geometry.reference_set).values
+    return columns
+
+
+def residual_processes(geometry: Geometry, residuals: np.ndarray) -> dict[str, StepProcess]:
+    """Both processes of a residual vector on one geometry, or of each
+    sample of a (B, n) stack on a stacked geometry: the residuals are
+    studentized and, for the transformed process, transformed
+    (``_unit_columns``), and each process is built from the geometry's
+    plan of its kind, so the scan points are sorted, swept and binned once
+    per geometry, not once per build."""
+    columns = _unit_columns(geometry, residuals[..., None], PROCESS_KINDS)
+    return {kind: build_process(columns[kind][..., 0], geometry.plans[kind]) for kind in PROCESS_KINDS}
+
+
+def residual_statistics(geometry: Geometry, blocks: Iterable[np.ndarray], process: str) -> dict[str, np.ndarray]:
+    """Statistics of ``process`` for every column of a stream of (n, m)
+    residual blocks on one geometry, keyed "{process}.{statistic}", one
+    entry per column in stream order.
+
+    Each block is studentized and transformed as ``residual_processes``
+    does it, and reduced to its statistics by ``plan_statistics`` on the
+    geometry's plan: no process values are kept, and each block is dropped
+    once reduced, so memory follows the block size, not the column count.  A
+    column gets the same numbers, bit for bit, whatever the other columns
+    and the blocks are, and the same as ``ks_statistics`` of its process
+    from ``residual_processes``.
+    """
+    if process not in PROCESS_KINDS:
+        raise ConfigError(f"unknown process kind {process!r}; known: {PROCESS_KINDS}")
+    plan = geometry.plans[process]
+    parts = [plan_statistics(_unit_columns(geometry, block, (process,))[process], plan) for block in blocks]
+    return {f"{process}.{name}": np.concatenate([part[name] for part in parts], axis=-1) for name in STATISTICS}
+
+
+def _block_columns(geometry: Geometry) -> int:
+    """Null residual columns per block of ``bootstrap_residuals``: the most
+    that keep n x columns and evaluation points x columns float64 values
+    within BLOCK_BYTES, and at least one."""
+    rows = max(plan.eval_points.shape[-2] for plan in geometry.plans.values())
+    return max(1, BLOCK_BYTES // (8 * max(rows, geometry.points.shape[-2])))
 
 
 def bootstrap_residuals(
     model: RegressionModel, geometry: Geometry, fitres: FitResult, *, seed: int, reps: int, error_law: str
-) -> np.ndarray:
-    """(n, reps + 1) residual matrix of a parametric bootstrap at the fitted
-    parameter on the observed X.
+) -> Iterator[np.ndarray]:
+    """The null residual columns of a parametric bootstrap at the fitted
+    parameter on the observed X, as a stream of (n, k) blocks with
+    k = ``_block_columns(geometry)`` (the last block fewer): reps columns
+    in all, made one block at a time as the stream is read.
 
-    Column 0 holds the observed residuals.  Column b holds
-    eps_b - S^T (S eps_b), with S the vectors of ``geometry.score_set`` and
-    eps_b drawn from the stream (seed, "bootstrap", b - 1): the
-    least-squares residuals of null_mean + eps_b, as the null mean lies in
-    the score span; ``residual_statistics`` studentizes every column, so
-    the unit variance of the draws does not matter.  Each draw is projected
-    on its own, by two matrix-vector products that see no other draw, so a
-    column gets the same bits whatever ``reps`` is (one BLAS product over
-    all the columns rounds by their count).  The k-th draw goes to the row at
-    scan position k (scan points in lexicographic order), so
+    Column b holds eps_b - S^T (S eps_b), with S the vectors of
+    ``geometry.score_set`` and eps_b drawn from the stream
+    (seed, "bootstrap", b): the least-squares residuals of
+    null_mean + eps_b, as the null mean lies in the score span;
+    ``residual_statistics`` studentizes every column, so the unit variance
+    of the draws does not matter.  Each draw is projected on its own, by
+    two matrix-vector products that see no other draw, so a column gets
+    the same bits whatever ``reps`` and the blocks are (one BLAS product
+    over all the columns rounds by their count).  The k-th draw goes to
+    the row at scan position k (scan points in lexicographic order), so
     the columns do not depend on the row order of the data: the scan
     points of p >= 2 are distinct anchors, and the reflections treat the
     rows of a p = 1 tie group alike.  Linear model kinds only: their score
@@ -364,26 +390,27 @@ def bootstrap_residuals(
     if error_law not in ERROR_LAWS:
         raise ConfigError(f"unknown error law {error_law!r}; known: {ERROR_LAWS}")
     n = fitres.residuals.shape[0]
-    out = np.empty((n, reps + 1))
-    out[:, 0] = fitres.residuals
     scan = np.lexsort(geometry.points.reshape(n, -1).T[::-1])
     scores = geometry.score_set.vectors
-    for start in range(0, reps, BLOCK):
-        rngs = rngs_for(seed, "bootstrap", indices=range(start, min(start + BLOCK, reps)))
-        rows = np.empty((len(rngs), n))
-        for row, rng in zip(rows, rngs):
-            row[scan] = _draw_errors(error_law, n, rng)
-            row -= (scores @ row) @ scores
-        out[:, start + 1 : start + 1 + len(rngs)] = rows.T
-    return out
+    width = _block_columns(geometry)
+
+    def blocks():
+        for start in range(0, reps, width):
+            rngs = rngs_for(seed, "bootstrap", indices=range(start, min(start + width, reps)))
+            rows = np.empty((len(rngs), n))
+            for row, rng in zip(rows, rngs):
+                row[scan] = _draw_errors(error_law, n, rng)
+                row -= (scores @ row) @ scores
+            yield rows.T
+
+    return blocks()
 
 
 def pipeline_processes(model: RegressionModel, sample: Sample, fitres: FitResult):
     """Transformed and raw residual processes for one fitted sample, or
-    stacked processes for a fitted stack: ``residual_statistics`` of the
+    stacked processes for a fitted stack: ``residual_processes`` of the
     fitted residuals on the sample's ``fixed_geometry``."""
-    geometry = fixed_geometry(model, sample, fitres)
-    return residual_statistics(geometry, fitres.residuals[..., None], "transformed")[1]
+    return residual_processes(fixed_geometry(model, sample, fitres), fitres.residuals)
 
 
 def pipeline_records(

@@ -26,6 +26,8 @@ p = 1 the stable order of the times and the tie-last index, at p = 2 the
 merge sweep's order, ranks, leaf masks, per-level merge permutations and
 duplicate map, at p >= 2 the lattice bin of every point.  Building from a
 plan gives the same numbers, bit for bit, as building from the points.
+``plan_statistics`` reduces the same values to the statistics one part
+at a time, without keeping them.
 ``ecdf_plan`` starts one step earlier, from a p = 1 covariate: one sort
 per sample gives its empirical-CDF times, their tie groups and the plan
 those times would get from ``process_plan``.
@@ -109,7 +111,7 @@ def _lattice_values(bins: np.ndarray, cols: np.ndarray, m: int, p: int) -> np.nd
     flat = (bins[:, None] * width + np.arange(width)).ravel()
     box = np.bincount(flat, weights=cols.ravel(), minlength=m**p * width).reshape((m,) * p + (width,))
     for ax in range(p):
-        box = np.cumsum(box, axis=ax)
+        np.cumsum(box, axis=ax, out=box)
     return box.reshape(m**p, width)
 
 
@@ -241,7 +243,8 @@ def tie_last(sorted_values: np.ndarray) -> np.ndarray:
 class ProcessPlan:
     """The part of a process build that depends on the scan points alone,
     made once by ``process_plan`` (or ``ecdf_plan``) and applied by
-    ``build_process`` to any residuals scanned by those points.
+    ``build_process`` and ``plan_statistics`` to any residuals scanned by
+    those points.
 
     ``lead_shape`` is (n,) for one set of scan points and (B, n) for a stack:
     the leading axes of the residuals the plan takes.  ``eval_points`` are
@@ -265,27 +268,28 @@ class ProcessPlan:
     def stacked(self) -> bool:
         return len(self.lead_shape) == 2
 
-    def values(self, columns: np.ndarray) -> np.ndarray:
-        """(B, k, m) process values of (B, n, m) contributions."""
+    def parts(self, columns: np.ndarray):
+        """The (B, k, m) process values of (B, n, m) contributions, one part
+        of the evaluation axis at a time, in order: at p = 1 the cumulative
+        sums picked at the evaluation times; at p >= 2 the dominance sums at
+        the scan points (the merge sweep at p = 2, the mask sums at
+        p >= 3), then the lattice values."""
         b, n, m = columns.shape
         if self.gather is not None:
             sums = np.empty((b, n + 1, m))
             sums[:, 0] = 0.0
             np.cumsum(columns.reshape(b * n, m)[self.gather].reshape(b, n, m), axis=1, out=sums[:, 1:])
-            return sums.reshape(b * (n + 1), m)[self.pick].reshape(b, -1, m)
+            yield sums.reshape(b * (n + 1), m)[self.pick].reshape(b, -1, m)
+            return
         p = self.eval_points.shape[-1]
         resolution = lattice_resolution(p)
-        return np.stack(
+        yield np.stack(
             [
-                np.concatenate(
-                    [
-                        _sweep_sums(kernel, cols) if isinstance(kernel, _Sweep) else _mask_sums(kernel, cols),
-                        _lattice_values(bins, cols, resolution, p),
-                    ]
-                )
-                for (kernel, bins), cols in zip(self.samples, columns)
+                _sweep_sums(kernel, cols) if isinstance(kernel, _Sweep) else _mask_sums(kernel, cols)
+                for (kernel, _), cols in zip(self.samples, columns)
             ]
         )
+        yield np.stack([_lattice_values(bins, cols, resolution, p) for (_, bins), cols in zip(self.samples, columns)])
 
 
 def _line_plan(order: np.ndarray, ranked: np.ndarray, last: np.ndarray, stacked: bool) -> ProcessPlan:
@@ -380,6 +384,20 @@ def process_plan(scan_points: np.ndarray) -> ProcessPlan:
     )
 
 
+def _contributions(residuals, plan: ProcessPlan) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (B, n, m) contributions residual / sqrt(n) of residuals that
+    ``plan`` takes, and the column shape of the residuals: () or (m,)."""
+    residuals = np.asarray(residuals, dtype=float)
+    lead = len(plan.lead_shape)  # axes before the columns: (n,) or (B, n)
+    if residuals.ndim not in (lead, lead + 1) or residuals.shape[:lead] != plan.lead_shape:
+        raise ValueError(
+            f"residuals (shape {residuals.shape}) and scan points (shape {plan.lead_shape}) do not match"
+        )
+    contrib = residuals / math.sqrt(plan.lead_shape[-1])
+    columns = contrib if plan.stacked else contrib[None]
+    return (columns if columns.ndim == 3 else columns[..., None]), contrib.shape[lead:]
+
+
 def build_process(residuals: np.ndarray, scan_points) -> StepProcess:
     """Build the partial-sum process of ``residuals`` scanned by ``scan_points``.
 
@@ -391,17 +409,20 @@ def build_process(residuals: np.ndarray, scan_points) -> StepProcess:
     builds the B processes at once as one stacked process.
     """
     plan = scan_points if isinstance(scan_points, ProcessPlan) else process_plan(scan_points)
-    residuals = np.asarray(residuals, dtype=float)
-    lead = len(plan.lead_shape)  # axes before the columns: (n,) or (B, n)
-    if residuals.ndim not in (lead, lead + 1) or residuals.shape[:lead] != plan.lead_shape:
-        raise ValueError(
-            f"residuals (shape {residuals.shape}) and scan points (shape {plan.lead_shape}) do not match"
-        )
-    contrib = residuals / math.sqrt(plan.lead_shape[-1])
-    columns = contrib if plan.stacked else contrib[None]
-    values = plan.values(columns if columns.ndim == 3 else columns[..., None])
-    values = values.reshape(values.shape[:2] + contrib.shape[lead:])
+    columns, column_shape = _contributions(residuals, plan)
+    parts = list(plan.parts(columns))
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    values = values.reshape(values.shape[:2] + column_shape)
     return StepProcess(eval_points=plan.eval_points, eval_values=values if plan.stacked else values[0])
+
+
+def _extreme_statistics(high, low) -> dict[str, float | np.ndarray]:
+    """ks_abs and ks_plus from the max and the min of a process's values:
+    max |value| is the larger of |max| and |min|, exactly."""
+    stats = {"ks_abs": np.maximum(np.abs(high), np.abs(low)), "ks_plus": high}
+    if np.ndim(high) == 0:
+        return {name: float(value) for name, value in stats.items()}
+    return stats
 
 
 def ks_statistics(proc: StepProcess) -> dict[str, float | np.ndarray]:
@@ -415,10 +436,20 @@ def ks_statistics(proc: StepProcess) -> dict[str, float | np.ndarray]:
     axis = 1 if proc.stacked else 0
     if values.shape[axis] == 0:
         raise ValueError("process has an empty evaluation set")
-    stats = {"ks_abs": np.abs(values).max(axis=axis), "ks_plus": values.max(axis=axis)}
-    if values.ndim == 1:
-        return {name: float(value) for name, value in stats.items()}
-    return stats
+    return _extreme_statistics(values.max(axis=axis), values.min(axis=axis))
+
+
+def plan_statistics(residuals: np.ndarray, plan: ProcessPlan) -> dict[str, float | np.ndarray]:
+    """``ks_statistics(build_process(residuals, plan))``, bit for bit,
+    without the process: each part of the values (``ProcessPlan.parts``)
+    is reduced to its max and min per column as it is made, so the values
+    of all the evaluation points are never held at once."""
+    columns, column_shape = _contributions(residuals, plan)
+    extremes = [(part.max(axis=1, initial=-np.inf), part.min(axis=1, initial=np.inf)) for part in plan.parts(columns)]
+    shape = columns.shape[:1] + column_shape if plan.stacked else column_shape
+    high = np.maximum.reduce([high for high, _ in extremes]).reshape(shape)
+    low = np.minimum.reduce([low for _, low in extremes]).reshape(shape)
+    return _extreme_statistics(high, low)
 
 
 def kolmogorov_cdf(x):

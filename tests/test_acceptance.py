@@ -38,6 +38,8 @@ from dfgof.harness import (
     covariate_design,
     fixed_geometry,
     pipeline_processes,
+    process_statistics,
+    residual_processes,
     residual_statistics,
     run_experiment,
 )
@@ -425,9 +427,10 @@ def _bootstrap_pvalues(kind: str, design: str, n: int, index: int) -> list[float
         sample = Sample(x, c * (mean + eps))
         fitres = fit(model, sample)
         geometry = fixed_geometry(model, sample, fitres)
-        residuals = bootstrap_residuals(model, geometry, fitres, seed=index, reps=LEVEL_REPS, error_law="normal")
-        stats = residual_statistics(geometry, residuals, "transformed")[0]["transformed.ks_abs"]
-        pvalues.append((1.0 + float(np.sum(stats[1:] >= stats[0]))) / (LEVEL_REPS + 1.0))
+        observed = process_statistics(residual_processes(geometry, fitres.residuals))["transformed.ks_abs"]
+        null = bootstrap_residuals(model, geometry, fitres, seed=index, reps=LEVEL_REPS, error_law="normal")
+        stats = residual_statistics(geometry, null, "transformed")["transformed.ks_abs"]
+        pvalues.append((1.0 + float(np.sum(stats >= observed))) / (LEVEL_REPS + 1.0))
     return pvalues
 
 

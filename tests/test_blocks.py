@@ -184,35 +184,46 @@ class TestFewDistinctCovariateValues:
 
 
 def test_test_command_builds_the_unselected_process_once(monkeypatch):
-    calls = []
-    original = harness.build_process
+    builds, reductions = [], []
+    build, reduce = harness.build_process, harness.plan_statistics
 
-    def counting(residuals, scan_points):
-        calls.append(residuals.shape)
-        return original(residuals, scan_points)
+    def counting_build(residuals, scan_points):
+        builds.append(residuals.shape)
+        return build(residuals, scan_points)
 
-    monkeypatch.setattr(harness, "build_process", counting)
+    def counting_reduce(residuals, plan):
+        reductions.append(residuals.shape)
+        return reduce(residuals, plan)
+
+    monkeypatch.setattr(harness, "build_process", counting_build)
+    monkeypatch.setattr(harness, "plan_statistics", counting_reduce)
     n, reps = 40, 40
     model, stack, singles, anchors = _stack_case("bilinear2d", n, 1, 3, False)
     single_model, sample = singles[0]
     fitres = fit(single_model, sample)
     geometry = fixed_geometry(single_model, sample, fitres)
-    residuals = harness.bootstrap_residuals(single_model, geometry, fitres, seed=5, reps=reps, error_law="normal")
-    stats, first = harness.residual_statistics(geometry, residuals, "raw")
-    assert set(stats) == {"raw.ks_abs", "raw.ks_plus"}
-    assert all(values.shape == (reps + 1,) for values in stats.values())
+    first = harness.residual_processes(geometry, fitres.residuals)
     assert set(first) == {"transformed", "raw"}
-    # column 0 builds both processes, columns 1..reps the raw one as many
-    # at a time as keep evaluation points x columns within EVAL_ENTRIES: a
-    # p = 2 process with its 64 x 64 lattice takes all 40 bootstrap columns in one build
-    chunk = harness.EVAL_ENTRIES // (n + 64**2)
+    null = harness.bootstrap_residuals(single_model, geometry, fitres, seed=5, reps=reps, error_law="normal")
+    stats = harness.residual_statistics(geometry, null, "raw")
+    assert set(stats) == {"raw.ks_abs", "raw.ks_plus"}
+    assert all(values.shape == (reps,) for values in stats.values())
+    # the observed residuals build both processes, and the null columns
+    # are reduced to the statistics of the raw one without a build, as
+    # many at a time as keep n x columns and evaluation points x columns
+    # float64 values within BLOCK_BYTES: a p = 2 process with its 64 x 64
+    # lattice takes all 40 bootstrap columns in one block
+    chunk = harness.BLOCK_BYTES // (8 * (n + 64**2))
     assert chunk >= reps
-    assert calls == [(n,)] * 2 + [(n, reps)]
-    # a larger bootstrap is split into chunks of that many columns
-    calls.clear()
+    assert builds == [(n,)] * 2
+    assert reductions == [(n, reps)]
+    # a larger bootstrap is split into blocks of that many columns
+    builds.clear()
+    reductions.clear()
     more = 2 * chunk + 3
-    residuals = harness.bootstrap_residuals(single_model, geometry, fitres, seed=5, reps=more, error_law="normal")
-    split, _ = harness.residual_statistics(geometry, residuals, "raw")
-    assert calls == [(n,)] * 2 + [(n, chunk)] * 2 + [(n, 3)]
+    null = harness.bootstrap_residuals(single_model, geometry, fitres, seed=5, reps=more, error_law="normal")
+    split = harness.residual_statistics(geometry, null, "raw")
+    assert builds == []
+    assert reductions == [(n, chunk)] * 2 + [(n, 3)]
     # and every column keeps its statistics
-    assert np.array_equal(split["raw.ks_abs"][: reps + 1], stats["raw.ks_abs"])
+    assert np.array_equal(split["raw.ks_abs"][:reps], stats["raw.ks_abs"])

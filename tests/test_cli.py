@@ -673,6 +673,57 @@ class TestUnreadableInputsExitOne:
         assert reason in err
 
 
+class TestOutputDirectoryThatIsNotOne:
+    """An output directory that is a file, or lies below one, named by -o
+    or by $DFGOF_OUTPUT_DIR, is a usage error found before the command
+    does any work: nothing is read or run, and no directory is made."""
+
+    @staticmethod
+    def _argv(command, tmp_path):
+        data = str(_bilinear_file(tmp_path))
+        return {
+            "simulate": ["simulate", write_config(tmp_path / "a.cfg", BASIC)],
+            "power": ["power", write_config(tmp_path / "a.cfg", WITH_ALTERNATIVE)],
+            "fit": ["fit", data, "--model", "bilinear2d"],
+            "test": ["test", data, "--model", "bilinear2d", "--seed", "1", "--reps", "9"],
+            "assign": ["assign", data],
+            "limits": ["limits"],
+        }[command]
+
+    @pytest.mark.parametrize("via", ["flag", "environment"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", ["simulate", "power", "fit", "test", "assign", "limits"])
+    def test_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, below, via):
+        import dfgof.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for name in ("run_experiments", "load_sample", "load_points", "make_basis"):
+            monkeypatch.setattr(cli, name, no_work)
+        argv = self._argv(command, tmp_path)
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        if via == "flag":
+            argv += ["-o", str(out)]
+        else:
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: output directory {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "kept\n"
+
+    def test_directory_that_cannot_be_made(self, tmp_path, capsys):
+        # a dangling link passes the check of the nearest existing parent,
+        # and making the directory fails once the command has its results
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "nowhere" / "dir")
+        assert run(["limits", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: cannot make output directory {out}: File exists\n"
+        assert not (tmp_path / "nowhere").exists()
+
+
 class TestSeedsOutside64BitsExitOne:
     """Streams are addressed by labels in [0, 2**64), so a seed outside
     that range is a usage error, and nothing is written."""

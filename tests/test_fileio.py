@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dfgof.fileio as fileio
 from dfgof.errors import ConfigError
 from dfgof.fileio import (
     _parse_rows,
@@ -290,3 +291,24 @@ class TestLoaderMatchesLineReader:
         expected = np.array(rows, dtype=float)
         assert _parse_rows(path).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
         assert _outcome(_parse_rows, path) == _outcome(_reference_rows, path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 13])
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_every_chunk_size_reads_as_the_line_reader(tmp_path, monkeypatch, name, chunk):
+    # chunks of a few characters end inside lines, at line ends and on
+    # blank lines; each reads up to the end of the line it cut
+    path = tmp_path / "d.csv"
+    path.write_bytes(FILES[name].encode())
+    monkeypatch.setattr(fileio, "CHUNK_CHARS", chunk)
+    assert _outcome(_parse_rows, path) == _outcome(_reference_rows, path)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 1 << 20])
+def test_chunked_rows_are_bit_identical(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(30)
+    rows = rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-300, 300, size=(500, 3))
+    path = tmp_path / "d.csv"
+    write_table(path, ["x1", "x2", "y"], rows)
+    monkeypatch.setattr(fileio, "CHUNK_CHARS", chunk)
+    assert _parse_rows(path).view(np.uint64).tolist() == rows.view(np.uint64).tolist()

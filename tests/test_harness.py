@@ -27,6 +27,7 @@ from dfgof.harness import (
     pipeline_records,
     power_result,
     process_statistics,
+    residual_processes,
     residual_statistics,
     run_experiment,
     run_experiments,
@@ -448,18 +449,21 @@ def _bootstrap_statistics(kind, x, y, *, seed=3, reps=40):
     model = build_model(kind, sample)
     observed_fit = fit(model, sample)
     geometry = fixed_geometry(model, sample, observed_fit)
-    residuals = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law="normal")
-    return _all_statistics(geometry, residuals)[0]
+    null = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law="normal")
+    return _all_statistics(geometry, observed_fit.residuals, list(null))[0]
 
 
-def _all_statistics(geometry, residuals):
-    """Statistics of both processes for every residual column, and the
-    processes of column 0."""
+def _all_statistics(geometry, observed, blocks):
+    """Statistics of both processes for the observed residuals and then
+    every null column of ``blocks``, and the processes of the observed
+    residuals."""
+    first = residual_processes(geometry, observed)
+    record = process_statistics(first)
     stats = {}
-    for kind in ("transformed", "raw"):
-        selected, first = residual_statistics(geometry, residuals, kind)
+    for kind in PROCESS_KINDS:
+        selected = residual_statistics(geometry, blocks, kind)
         assert set(selected) == {f"{kind}.{stat}" for stat in STATISTICS}
-        stats.update(selected)
+        stats.update({key: np.append(record[key], values) for key, values in selected.items()})
     return stats, first
 
 
@@ -573,9 +577,9 @@ class TestBatchedBootstrap:
         model, sample = _bootstrap_case(kind, 60, 4)
         observed_fit = fit(model, sample)
         geometry = fixed_geometry(model, sample, observed_fit)
-        residuals = bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law=law)
-        assert residuals.shape == (sample.n, reps + 1)
-        batch, first = _all_statistics(geometry, residuals)
+        blocks = list(bootstrap_residuals(model, geometry, observed_fit, seed=seed, reps=reps, error_law=law))
+        assert np.concatenate(blocks, axis=1).shape == (sample.n, reps)
+        batch, first = _all_statistics(geometry, observed_fit.residuals, blocks)
 
         null_mean = model.mean(observed_fit.theta_hat, sample.X)
         # draw k goes to the row at scan position k: the k-th scan point in
@@ -605,36 +609,48 @@ class TestBatchedBootstrap:
 
     @pytest.mark.parametrize("kind", ["simple_linear", "tied_linear", "bilinear2d"])
     def test_observed_column_is_the_simulation_record(self, kind):
-        # one evaluation path: column 0 of the bootstrap matrix gets what a
-        # simulation records for the sample, bit for bit, whatever B is
+        # one evaluation path: the observed residuals get what a simulation
+        # records for the sample, bit for bit, and so does the observed
+        # residual as a column of a null block, whatever the block holds
         model, sample = _bootstrap_case(kind, 200, 9)
         observed_fit = fit(model, sample)
         record = pipeline_records(model, sample, observed_fit)
         geometry = fixed_geometry(model, sample, observed_fit)
+        assert process_statistics(residual_processes(geometry, observed_fit.residuals)) == record
         for reps in (1, 7, 40):
-            residuals = bootstrap_residuals(model, geometry, observed_fit, seed=5, reps=reps, error_law="normal")
+            null = bootstrap_residuals(model, geometry, observed_fit, seed=5, reps=reps, error_law="normal")
+            block = np.column_stack([observed_fit.residuals, *list(null)])
             for process in PROCESS_KINDS:
-                stats, first = residual_statistics(geometry, residuals, process)
-                assert process_statistics(first) == record, (reps, process)
+                stats = residual_statistics(geometry, [block], process)
                 for key, values in stats.items():
+                    assert values.shape == (reps + 1,)
                     assert values[0] == record[key], (reps, key)
 
     @pytest.mark.parametrize(("kind", "n"), [("centered_linear", 2000), ("bilinear2d", 500)])
-    def test_null_columns_do_not_depend_on_reps(self, kind, n):
+    def test_null_columns_do_not_depend_on_reps(self, kind, n, monkeypatch):
         # each draw is projected on its own, so the first 100 null columns
-        # and statistics of 200 replicates are those of 100, bit for bit
+        # and statistics of 200 replicates are those of 100, bit for bit,
+        # in blocks of 7 columns or in one block
         model, sample = _bootstrap_case(kind, n, 8)
         observed_fit = fit(model, sample)
         geometry = fixed_geometry(model, sample, observed_fit)
         runs = {}
-        for reps in (100, 200):
-            residuals = bootstrap_residuals(model, geometry, observed_fit, seed=3, reps=reps, error_law="normal")
-            runs[reps] = residuals, *(residual_statistics(geometry, residuals, process)[0] for process in PROCESS_KINDS)
-        (short, *short_stats), (long, *long_stats) = runs[100], runs[200]
-        assert long[:, :101].tobytes() == short.tobytes()
-        for few, many in zip(short_stats, long_stats):
-            for key, values in few.items():
-                assert many[key][:101].tobytes() == values.tobytes(), key
+        for budget in (7 * 8 * (n + 64**2 if kind == "bilinear2d" else n + 1), harness.BLOCK_BYTES):
+            monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
+            for reps in (100, 200):
+                blocks = list(bootstrap_residuals(model, geometry, observed_fit, seed=3, reps=reps, error_law="normal"))
+                widths = [block.shape[1] for block in blocks]
+                assert widths == ([7] * (reps // 7) + [reps % 7] if budget < 2**20 else [reps])
+                runs[budget, reps] = np.concatenate(blocks, axis=1), [
+                    residual_statistics(geometry, blocks, process) for process in PROCESS_KINDS
+                ]
+        (short, short_stats), *others = runs.values()
+        assert short.shape == (n, 100)
+        for long, long_stats in others:
+            assert long[:, :100].tobytes() == short.tobytes()
+            for few, many in zip(short_stats, long_stats):
+                for key, values in few.items():
+                    assert many[key][:100].tobytes() == values.tobytes(), key
 
     @pytest.mark.parametrize("kind", ["simple_linear", "bilinear2d"])
     def test_columns_are_studentized(self, kind):
@@ -647,7 +663,7 @@ class TestBatchedBootstrap:
         e = observed_fit.residuals
         unit = e / (np.linalg.norm(e) / np.sqrt(60 - model.d))
         for process in PROCESS_KINDS:
-            stats, _ = residual_statistics(geometry, np.column_stack([e, 4.0 * e, 0.25 * e]), process)
+            stats = residual_statistics(geometry, [np.column_stack([e, 4.0 * e, 0.25 * e])], process)
             for key, values in stats.items():
                 assert values[1] == values[0] == values[2], key
         reference = ks_statistics(build_process(unit, geometry.plans["raw"]))
@@ -660,14 +676,14 @@ class TestBatchedBootstrap:
         fitres = fit(model, sample)
         geometry = fixed_geometry(model, sample, fitres)
         with pytest.raises(ValueError, match=r"integer label must lie in \[0, 2\*\*64\)"):
-            bootstrap_residuals(model, geometry, fitres, seed=seed, reps=3, error_law="normal")
+            next(bootstrap_residuals(model, geometry, fitres, seed=seed, reps=3, error_law="normal"))
 
     def test_zero_residual_column_raises(self):
         model, sample = _bootstrap_case("simple_linear", 30, 5)
         geometry = fixed_geometry(model, sample, fit(model, sample))
         residuals = np.column_stack([fit(model, sample).residuals, np.zeros(30)])
         with pytest.raises(NumericalError, match="zero norm"):
-            residual_statistics(geometry, residuals, "transformed")
+            residual_statistics(geometry, [residuals], "transformed")
 
     def test_nonlinear_model_rejected(self):
         model, sample = _bootstrap_case("simple_linear", 30, 5)
